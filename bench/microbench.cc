@@ -70,11 +70,10 @@ BENCHMARK(BM_EngineCancelChurn);
 /// spread over an hour of sim-time, run `churn` cancel+reschedule cycles
 /// against them (far-future replacements — the timeout pattern), then
 /// drain. This is the regime a 10,240-node cluster's heartbeat/speculation
-/// timers put the engine in: at 1M+ pending entries a binary heap pays
-/// ~20 cache-missing levels per operation while the calendar queue stays
-/// O(1) amortized. Returns events dispatched (for DoNotOptimize).
-std::int64_t run_queue_churn(sim::QueueKind kind, int pending, int churn) {
-  sim::Engine eng(kind);
+/// timers put the engine in: 1M+ pending heap entries, with tombstones
+/// swept by compaction. Returns events dispatched (for DoNotOptimize).
+std::int64_t run_queue_churn(int pending, int churn) {
+  sim::Engine eng;
   Rng rng(11);
   std::vector<sim::EventId> ids;
   ids.reserve(static_cast<std::size_t>(pending));
@@ -96,30 +95,15 @@ constexpr std::int64_t queue_churn_ops(std::int64_t pending,
   return 2 * pending + 2 * churn;
 }
 
-void BM_EventQueueChurnCalendar(benchmark::State& state) {
+void BM_EventQueueChurn(benchmark::State& state) {
   const int pending = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_queue_churn(sim::QueueKind::kCalendar, pending, pending / 4));
+    benchmark::DoNotOptimize(run_queue_churn(pending, pending / 4));
   }
   state.SetItemsProcessed(state.iterations() *
                           queue_churn_ops(pending, pending / 4));
 }
-BENCHMARK(BM_EventQueueChurnCalendar)
-    ->Arg(1 << 14)
-    ->Arg(1 << 20)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EventQueueChurnHeap(benchmark::State& state) {
-  const int pending = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_queue_churn(sim::QueueKind::kBinaryHeap, pending, pending / 4));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          queue_churn_ops(pending, pending / 4));
-}
-BENCHMARK(BM_EventQueueChurnHeap)
+BENCHMARK(BM_EventQueueChurn)
     ->Arg(1 << 14)
     ->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
@@ -312,15 +296,12 @@ double measure_engine_events_per_sec() {
   return kEvents / (ms / 1e3);
 }
 
-/// The satellite gate for the calendar-queue engine: churn ops/sec at 1M+
-/// pending events, per backend. The calendar number is gated by
-/// check_perf.py; the heap number rides along as the reference so every
-/// re-record documents the gap.
-double measure_queue_churn_events_per_sec(sim::QueueKind kind) {
+/// Engine churn ops/sec at 1M+ pending events, gated by check_perf.py.
+double measure_queue_churn_events_per_sec() {
   constexpr int kPending = 1 << 20;  // 1,048,576 pending timers
   constexpr int kChurn = 1 << 18;
   const double ms = best_wall_ms(3, [&] {
-    benchmark::DoNotOptimize(run_queue_churn(kind, kPending, kChurn));
+    benchmark::DoNotOptimize(run_queue_churn(kPending, kChurn));
   });
   return static_cast<double>(queue_churn_ops(kPending, kChurn)) / (ms / 1e3);
 }
@@ -475,10 +456,7 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
         std::max(1u, std::thread::hardware_concurrency()));
   }
   const double events_per_sec = measure_engine_events_per_sec();
-  const double queue_churn_calendar =
-      measure_queue_churn_events_per_sec(sim::QueueKind::kCalendar);
-  const double queue_churn_heap =
-      measure_queue_churn_events_per_sec(sim::QueueKind::kBinaryHeap);
+  const double queue_churn = measure_queue_churn_events_per_sec();
   const double terasort2_ms = measure_terasort_wall_ms(2, 5);
   const double terasort32_ms = measure_terasort_wall_ms(32, 3);
 
@@ -546,12 +524,7 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
                 "    \"engine_events_per_sec\": %.0f,\n", events_per_sec);
   out << buf;
   std::snprintf(buf, sizeof buf,
-                "    \"queue_churn_1m_events_per_sec\": %.0f,\n",
-                queue_churn_calendar);
-  out << buf;
-  std::snprintf(buf, sizeof buf,
-                "    \"queue_churn_1m_events_per_sec_heap\": %.0f,\n",
-                queue_churn_heap);
+                "    \"queue_churn_1m_events_per_sec\": %.0f,\n", queue_churn);
   out << buf;
   std::snprintf(buf, sizeof buf,
                 "    \"terasort_2gb_wall_ms\": %.3f,\n", terasort2_ms);
@@ -605,8 +578,7 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
   out << "}\n";
   out.close();
   std::cout << "wrote " << out_path << " (events/sec=" << events_per_sec
-            << ", queue churn calendar=" << queue_churn_calendar
-            << " vs heap=" << queue_churn_heap
+            << ", queue churn=" << queue_churn
             << ", terasort32=" << terasort32_ms << " ms, profile overhead "
             << profile_overhead_pct << "%, sweep speedup x"
             << speedup << " at jobs=" << jobs << ", whatif evals/sec="

@@ -47,6 +47,7 @@
 #include "mapreduce/simulation.h"
 #include "obs/report.h"
 #include "sim/parallel_runner.h"
+#include "tuner/eval_cache.h"
 #include "tuner/online_tuner.h"
 #include "workloads/benchmarks.h"
 

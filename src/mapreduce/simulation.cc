@@ -40,6 +40,9 @@ Simulation::Simulation(SimulationOptions options)
     HOST_PROF_SCOPE("sim.setup.topology");
     topo_ = std::make_unique<cluster::Topology>(options_.cluster);
   }
+  // Validated even when empty(): a heartbeat-only plan arms no injector,
+  // so nothing downstream would ever check it.
+  options_.fault_plan.validate(topo_->num_nodes());
   std::vector<cluster::Node*> ptrs;
   {
     HOST_PROF_SCOPE("sim.setup.nodes");
@@ -119,10 +122,9 @@ Simulation::Simulation(SimulationOptions options)
     }
     // Queue occupancy: live pending events, stale cancel tombstones not yet
     // collected, and slot-map capacity. Pull model (queue churn is the
-    // hottest path); values are backend-independent, so run reports stay
-    // byte-identical across sim.queue implementations. Each flush also
-    // pushes the gauges into the series store, making queue occupancy
-    // plottable over the run rather than a final scalar only.
+    // hottest path). Each flush also pushes the gauges into the series
+    // store, making queue occupancy plottable over the run rather than a
+    // final scalar only.
     auto* queue_live = &recorder_->metrics().gauge("sim.queue.live");
     auto* queue_stale = &recorder_->metrics().gauge("sim.queue.stale");
     auto* queue_capacity = &recorder_->metrics().gauge("sim.queue.capacity");

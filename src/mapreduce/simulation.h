@@ -34,11 +34,6 @@ namespace mron::mapreduce {
 struct SimulationOptions {
   cluster::ClusterSpec cluster;
   std::uint64_t seed = 1;
-  /// Ready-queue backend for the engine (calendar queue by default, binary
-  /// heap as the equivalence reference; see sim::QueueKind). Both dispatch
-  /// byte-identical event streams — this switch exists for the equivalence
-  /// suite and as an escape hatch.
-  sim::QueueKind event_queue = sim::Engine::default_queue_kind();
   bool fair_scheduler = false;
   /// Non-empty: use the capacity scheduler with these relative queue
   /// shares instead of FIFO/fair; jobs pick a queue via
@@ -167,7 +162,7 @@ class Simulation {
 #endif
 
   SimulationOptions options_;
-  sim::Engine engine_{options_.event_queue};
+  sim::Engine engine_;
   /// Declared before the substrate objects: nodes and servers cache metric
   /// handles into the recorder, so it must outlive them.
   std::unique_ptr<obs::Recorder> recorder_;

@@ -1,9 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
-#include <string_view>
 #include <utility>
 
 #include "obs/host_profile.h"
@@ -14,17 +12,6 @@ namespace {
 // Compaction hysteresis: never bother sweeping a tiny queue.
 constexpr std::size_t kMinQueueForCompaction = 64;
 }  // namespace
-
-Engine::Engine(QueueKind queue) : kind_(queue) {}
-
-QueueKind Engine::default_queue_kind() {
-  // Read per construction (not cached): tests flip the variable, and
-  // engines are built once per simulation, far off any hot path.
-  if (const char* env = std::getenv("MRON_EVENT_QUEUE")) {
-    if (std::string_view(env) == "heap") return QueueKind::kBinaryHeap;
-  }
-  return QueueKind::kCalendar;
-}
 
 EventId Engine::schedule_impl(SimTime t, Callback cb, bool daemon) {
   MRON_CHECK_MSG(t >= now_, "schedule_at(" << t << ") before now=" << now_);
@@ -48,7 +35,8 @@ EventId Engine::schedule_impl(SimTime t, Callback cb, bool daemon) {
     s.cat = obs::HostProfiler::CatScope::current();
   }
 #endif
-  queue_push(EventEntry{t, next_seq_++, slot, s.gen});
+  heap_.push_back(EventEntry{t, next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
   ++live_events_;
   if (daemon) ++daemon_events_;
   return pack(slot, s.gen);
@@ -101,46 +89,24 @@ void Engine::release_slot(std::uint32_t slot) {
 
 void Engine::maybe_compact() {
   if (stale_in_queue_ <= live_events_ ||
-      queue_size() < kMinQueueForCompaction) {
+      heap_.size() < kMinQueueForCompaction) {
     return;
   }
-  const auto dead = [this](const EventEntry& e) { return !is_live(e); };
-  if (kind_ == QueueKind::kBinaryHeap) {
-    std::erase_if(heap_, dead);
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
-  } else {
-    calendar_.remove_if(dead);
-  }
+  std::erase_if(heap_, [this](const EventEntry& e) { return !is_live(e); });
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
   stale_in_queue_ = 0;
 }
 
-void Engine::queue_push(const EventEntry& e) {
-  if (kind_ == QueueKind::kBinaryHeap) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
-  } else {
-    calendar_.push(e, now_);
-  }
-}
-
-EventEntry Engine::queue_peek() {
-  return kind_ == QueueKind::kBinaryHeap ? heap_.front()
-                                         : calendar_.peek_min();
-}
-
-EventEntry Engine::queue_pop() {
-  if (kind_ == QueueKind::kBinaryHeap) {
-    const EventEntry e = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
-    heap_.pop_back();
-    return e;
-  }
-  return calendar_.pop_min();
+EventEntry Engine::heap_pop() {
+  const EventEntry e = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
+  heap_.pop_back();
+  return e;
 }
 
 bool Engine::pop_next(Callback* cb, std::uint8_t* cat) {
-  while (!queue_empty()) {
-    const EventEntry entry = queue_pop();
+  while (!heap_.empty()) {
+    const EventEntry entry = heap_pop();
     if (!is_live(entry)) {
       --stale_in_queue_;
       continue;
@@ -238,16 +204,14 @@ std::int64_t Engine::run_profiled(std::int64_t max_events) {
 std::int64_t Engine::run_until(SimTime t) {
   MRON_CHECK(t >= now_);
   std::int64_t fired = 0;
-  while (!queue_empty()) {
-    // The time check comes before the staleness check: popping a stale
-    // entry beyond `t` would advance the queue's notion of the dispatch
-    // frontier past the engine clock, and the calendar backend relies on
-    // pops never outrunning future pushes (tombstones past the boundary
-    // wait for their turn or for the compaction sweep).
-    const EventEntry entry = queue_peek();
+  while (!heap_.empty()) {
+    // The time check comes before the staleness check: tombstones beyond
+    // `t` stay queued until their turn or the compaction sweep, so a
+    // bounded run never consumes entries past its boundary.
+    const EventEntry& entry = heap_.front();
     if (entry.time > t) break;
     if (!is_live(entry)) {
-      queue_pop();
+      heap_pop();
       --stale_in_queue_;
       continue;
     }

@@ -9,15 +9,11 @@
 // Internals are built for the hot path (see DESIGN.md "Engine internals"):
 // callbacks live in a generation-checked slot map (contiguous storage, slots
 // recycled through a free list, no per-event node allocation), and the ready
-// queue holds 24-byte plain-data entries in one of two interchangeable
-// backends — the default calendar queue (sim/calendar_queue.h, O(1)
-// amortized schedule/pop) or the legacy binary heap kept as the equivalence
-// reference. Both dispatch in identical (time, seq) order; a randomized
-// equivalence suite pins that byte-for-byte. cancel() is O(1) in either
-// backend — it releases the slot immediately and leaves a stale queue entry
-// behind that is dropped at pop time or by an amortized compaction pass
-// that keeps the queue no larger than a constant multiple of the live event
-// count.
+// queue is a binary min-heap of 24-byte plain-data entries ordered by
+// (time, seq). cancel() is O(1): it releases the slot immediately and leaves
+// a stale heap entry behind that is dropped at pop time or by an amortized
+// compaction pass that keeps the heap no larger than a constant multiple of
+// the live event count.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +25,6 @@
 #include "common/strong_id.h"
 #include "common/units.h"
 #include "obs/enabled.h"
-#include "sim/calendar_queue.h"
 #include "sim/callback.h"
 
 namespace mron::obs {
@@ -45,27 +40,29 @@ struct EventTag {};
 /// cancelled, and stale handles are rejected in O(1).
 using EventId = StrongId<EventTag>;
 
-/// Which ready-queue backend an Engine dispatches from. Both produce
-/// byte-identical event streams; the heap exists as the independent
-/// reference implementation for the equivalence tests and as an escape
-/// hatch (`MRON_EVENT_QUEUE=heap`).
-enum class QueueKind {
-  kCalendar,
-  kBinaryHeap,
+/// One pending event: 24 bytes of plain data. `(time, seq)` is the total
+/// dispatch order; `(slot, gen)` locates the callback in the engine's slot
+/// map and detects staleness after an O(1) cancel.
+struct EventEntry {
+  SimTime time;
+  std::int64_t seq;
+  std::uint32_t slot;
+  std::uint32_t gen;
+
+  bool operator<(const EventEntry& other) const {
+    if (time != other.time) return time < other.time;
+    return seq < other.seq;
+  }
+  bool operator>(const EventEntry& other) const { return other < *this; }
 };
 
 class Engine {
  public:
   using Callback = sim::Callback;
 
-  explicit Engine(QueueKind queue = default_queue_kind());
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Backend selection default: the `MRON_EVENT_QUEUE` environment variable
-  /// ("calendar" or "heap") when set, else the calendar queue.
-  [[nodiscard]] static QueueKind default_queue_kind();
-  [[nodiscard]] QueueKind queue_kind() const { return kind_; }
 
   [[nodiscard]] SimTime now() const { return now_; }
 
@@ -110,11 +107,8 @@ class Engine {
   /// Diagnostics for the tombstone-growth regression test and the
   /// `sim.queue.*` gauges: total queue entries (live + not-yet-collected
   /// stale), the stale tombstones alone, and slot-map capacity. All stay
-  /// O(pending()) under any schedule/cancel churn pattern, and all are
-  /// backend-independent (both queues drop tombstones at the same points).
-  [[nodiscard]] std::size_t queue_size() const {
-    return kind_ == QueueKind::kBinaryHeap ? heap_.size() : calendar_.size();
-  }
+  /// O(pending()) under any schedule/cancel churn pattern.
+  [[nodiscard]] std::size_t queue_size() const { return heap_.size(); }
   [[nodiscard]] std::size_t stale_entries() const { return stale_in_queue_; }
   [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
 
@@ -160,12 +154,10 @@ class Engine {
   }
 
   /// Byte sizes of the two engine arenas, for the host profiler's memory
-  /// section: the ready-queue backend and the callback slot map (including
-  /// its free list).
+  /// section: the ready-queue heap and the callback slot map (including its
+  /// free list).
   [[nodiscard]] std::size_t queue_memory_bytes() const {
-    return kind_ == QueueKind::kBinaryHeap
-               ? heap_.capacity() * sizeof(EventEntry)
-               : calendar_.memory_bytes();
+    return heap_.capacity() * sizeof(EventEntry);
   }
   [[nodiscard]] std::size_t slot_memory_bytes() const {
     return slots_.capacity() * sizeof(Slot) +
@@ -209,14 +201,8 @@ class Engine {
   /// Amortized O(1) per cancel; bounds queue memory to O(live).
   void maybe_compact();
 
-  /// Backend dispatch helpers: same (time, seq) order either way.
-  void queue_push(const EventEntry& e);
-  [[nodiscard]] bool queue_empty() const {
-    return kind_ == QueueKind::kBinaryHeap ? heap_.empty()
-                                           : calendar_.empty();
-  }
-  [[nodiscard]] EventEntry queue_peek();
-  EventEntry queue_pop();
+  /// Remove the heap's minimum (time, seq) entry. Heap must be non-empty.
+  EventEntry heap_pop();
 
   /// Pops the next live event; returns false when drained.
   bool dispatch_next();
@@ -247,13 +233,11 @@ class Engine {
 
   EventId schedule_impl(SimTime t, Callback cb, bool daemon);
 
-  QueueKind kind_;
   SimTime now_ = 0.0;
   std::int64_t next_seq_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<EventEntry> heap_;  // binary min-heap on (time, seq)
-  CalendarQueue calendar_;
   std::size_t live_events_ = 0;
   std::int64_t total_dispatched_ = 0;
   std::size_t daemon_events_ = 0;

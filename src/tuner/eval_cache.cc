@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/metrics.h"
-
 namespace mron::tuner {
 
 namespace {
@@ -61,18 +59,6 @@ void reset_eval_cache_global_stats() {
   g.misses.store(0, std::memory_order_relaxed);
   g.insertions.store(0, std::memory_order_relaxed);
   g.evictions.store(0, std::memory_order_relaxed);
-}
-
-void export_eval_cache_metrics(obs::MetricsRegistry& registry) {
-  const EvalCacheStats s = eval_cache_global_stats();
-  registry.gauge("tuner.eval_cache.hits").set(static_cast<double>(s.hits));
-  registry.gauge("tuner.eval_cache.misses")
-      .set(static_cast<double>(s.misses));
-  registry.gauge("tuner.eval_cache.insertions")
-      .set(static_cast<double>(s.insertions));
-  registry.gauge("tuner.eval_cache.evictions")
-      .set(static_cast<double>(s.evictions));
-  registry.gauge("tuner.eval_cache.hit_rate").set(s.hit_rate());
 }
 
 void CacheKey::add_word(std::uint64_t w) {

@@ -1,10 +1,10 @@
 // Memoized candidate-evaluation cache for the tuning loops.
 //
-// Every searcher in the repo (the what-if optimizer's restart chains, the
-// GA's seeding/generation waves, the online tuner's cost scoring) re-scores
-// configurations it has already seen: parameter quantization and
-// clamp_constraints() collapse nearby samples onto the same point, and
-// restart chains revisit each other's territory. EvalCache<V> memoizes those
+// The model-driven searchers (the what-if optimizer's restart chains, the
+// GA's seeding/generation waves) re-score configurations they have already
+// seen: parameter quantization and clamp_constraints() collapse nearby
+// samples onto the same point, and restart chains revisit each other's
+// territory. EvalCache<V> memoizes those
 // pure evaluations behind a canonical key so duplicates cost a hash lookup
 // instead of a model call — wall-clock changes, results never do, because a
 // hit returns exactly what the miss would have computed.
@@ -13,8 +13,8 @@
 // and compared on lookup (not just a digest), so a hash collision can never
 // return the wrong value — required for the byte-identical-winners contract.
 // The cache is sharded and lock-striped, safe under ParallelRunner fan-out;
-// per-process hit/miss/evict totals aggregate into a global stats block that
-// export_eval_cache_metrics() publishes through the obs::MetricsRegistry.
+// per-process hit/miss/evict totals aggregate into a global stats block
+// (eval_cache_global_stats()).
 #pragma once
 
 #include <algorithm>
@@ -30,10 +30,6 @@
 
 #include "common/units.h"
 #include "mapreduce/params.h"
-
-namespace mron::obs {
-class MetricsRegistry;
-}  // namespace mron::obs
 
 namespace mron::tuner {
 
@@ -60,9 +56,6 @@ struct EvalCacheStats {
 /// Cumulative stats across every EvalCache in the process.
 [[nodiscard]] EvalCacheStats eval_cache_global_stats();
 void reset_eval_cache_global_stats();
-/// Publish the global totals as gauges (tuner.eval_cache.{hits,misses,
-/// insertions,evictions,hit_rate}) on `registry`.
-void export_eval_cache_metrics(obs::MetricsRegistry& registry);
 
 /// Canonical quantized key: a sequence of 64-bit words (doubles are stored
 /// by bit pattern after normalizing -0.0) plus an FNV-1a digest for shard

@@ -92,18 +92,6 @@ void OnlineTuner::attach(MrAppMaster& am) {
   js.am = &am;
   js.rec = am.engine().recorder();
   js.outcome.decisions = js.rec != nullptr ? &js.rec->audit() : nullptr;
-  // Eval-cache totals move on every scored task — publish them from the
-  // sampling clock instead (once per recorder; the hook deliberately does
-  // not capture `this`, so it stays valid if the tuner dies first).
-  if (js.rec != nullptr && hooked_recorders_.insert(js.rec).second) {
-    auto* rec = js.rec;
-    auto* eng = &am.engine();
-    auto* hit_rate_series = &rec->series().series("tuner.eval_cache.hit_rate");
-    rec->add_flush_hook([rec, eng, hit_rate_series] {
-      export_eval_cache_metrics(rec->metrics());
-      hit_rate_series->push(eng->now(), eval_cache_global_stats().hit_rate());
-    });
-  }
   {
     obs::AuditEvent ev;
     ev.kind = "attach";
@@ -277,27 +265,6 @@ void OnlineTuner::on_task(JobState& js, const TaskReport& report) {
   }
 }
 
-double OnlineTuner::scored_task_cost(const TaskReport& report,
-                                     double max_task_seconds) {
-  if (!eval_cache_enabled()) return task_cost(report, max_task_seconds);
-  CacheKey key;
-  key.add(report.task.kind == mapreduce::TaskKind::Map);
-  key.add(report.failed_oom);
-  key.add(report.mem_util);
-  key.add(report.cpu_util);
-  key.add(report.mem_commit);
-  key.add(report.duration());
-  key.add(report.counters.combine_output_records);
-  key.add(report.counters.spilled_records);
-  key.add(report.counters.shuffle_bytes);
-  key.add(report.counters.local_disk_write_bytes);
-  key.add(max_task_seconds);
-  // Hit/miss gauges are published by the flush hook attach() registered
-  // (pull model) — no per-task metrics writes here.
-  return cost_cache_.get_or_compute(
-      key, [&] { return task_cost(report, max_task_seconds); });
-}
-
 void OnlineTuner::on_wave_task(JobState& js, Wave& wave,
                                const TaskReport& report, bool is_map) {
   auto it = wave.slots.find(report.task);
@@ -313,8 +280,8 @@ void OnlineTuner::on_wave_task(JobState& js, Wave& wave,
                 std::to_string(report.task.index) + " faulted";
     audit(js, std::move(ev));
   }
-  wave.costs[slot] = scored_task_cost(
-      report, is_map ? js.max_map_secs : js.max_reduce_secs);
+  wave.costs[slot] =
+      task_cost(report, is_map ? js.max_map_secs : js.max_reduce_secs);
   wave.reports.push_back(report);
   if (--wave.remaining > 0) return;
 

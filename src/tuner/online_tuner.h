@@ -18,7 +18,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,6 @@
 #include "obs/recorder.h"
 #include "tuner/cost.h"
 #include "tuner/dynamic_configurator.h"
-#include "tuner/eval_cache.h"
 #include "tuner/hill_climber.h"
 #include "tuner/knowledge_base.h"
 #include "tuner/rules.h"
@@ -113,23 +111,11 @@ class OnlineTuner {
   /// Record a decision in the job's audit log (no-op without a recorder);
   /// stamps the sim-time and job id.
   void audit(JobState& js, obs::AuditEvent ev);
-  /// task_cost via the memo cache (keyed on everything Eq. 1 reads);
-  /// hit/miss totals reach the registry via the attach() flush hook.
-  double scored_task_cost(const mapreduce::TaskReport& report,
-                          double max_task_seconds);
 
   TunerOptions options_;
   Rng rng_;
   DynamicConfigurator configurator_;
   TuningKnowledgeBase kb_;
-  /// Memoized Eq.-1 scores: tasks of one wave that produced identical
-  /// reports (common once a wave repeats the incumbent configuration)
-  /// re-use the computed cost. Pure arithmetic either way, so the cache
-  /// only trades work for a lookup — never changes a score.
-  EvalCache<double> cost_cache_{/*capacity=*/1024, /*shards=*/4};
-  /// Recorders that already carry this tuner's eval-cache flush hook (one
-  /// hook per engine, however many jobs attach).
-  std::set<obs::Recorder*> hooked_recorders_;
   std::map<mapreduce::JobId, JobState> jobs_;
 };
 

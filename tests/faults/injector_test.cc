@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "faults/fault_plan.h"
 #include "mapreduce/simulation.h"
 
@@ -45,6 +46,17 @@ TEST(FaultInjector, AbsentWhenPlanIsEmpty) {
   opt.cluster.rack_sizes = {3, 3};
   Simulation sim(opt);
   EXPECT_EQ(sim.fault_injector(), nullptr);
+}
+
+TEST(FaultInjector, SimulationRejectsInvalidHeartbeatOnlyPlan) {
+  // A heartbeat-only plan is empty() (it arms no injector), but the
+  // Simulation must still validate it rather than silently ignore it.
+  const SimulationOptions bad =
+      small_cluster(1, "heartbeat period=0 timeout=0");
+  ASSERT_TRUE(bad.fault_plan.empty());
+  EXPECT_THROW(Simulation{bad}, CheckError);
+  // A default (empty) plan validates.
+  EXPECT_NO_THROW(Simulation{small_cluster(1, "")});
 }
 
 TEST(FaultInjector, FailureDrawsAreOrderIndependent) {

@@ -2,8 +2,8 @@
 // complete, recover their lost work, and reproduce exactly. The 19-node
 // integration suites exercise the same machinery in depth; these pin the
 // scaled regimes, where the indexed scheduler/monitor paths, the per-rack
-// series aggregation, the heartbeat silent-set, and the calendar-queue
-// engine are the ones doing the work.
+// series aggregation, the heartbeat silent-set, and the engine's
+// million-entry event heap are the ones doing the work.
 #include <gtest/gtest.h>
 
 #include <cstdint>

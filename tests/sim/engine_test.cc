@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace mron::sim {
 namespace {
@@ -167,6 +172,149 @@ TEST(Engine, AcceptsMoveOnlyCaptures) {
   eng.schedule_at(1.0, [p = std::move(payload), &got] { got = *p + 1; });
   eng.run();
   EXPECT_EQ(got, 42);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized schedule / cancel / daemon / run_until churn against a
+// reference model: a std::set of (time, seq) keys holding exactly the events
+// that must still fire. seq is the schedule order, which is the engine's own
+// tie-break, so the set's minimum is the event the engine must dispatch next.
+
+class ModelChurn {
+ public:
+  using Key = std::pair<SimTime, int>;
+
+  explicit ModelChurn(std::uint64_t seed) : rng_(seed) {}
+
+  void schedule(SimTime t, bool daemon) {
+    const int seq = static_cast<int>(ids_.size());
+    auto cb = [this, seq] { on_fire(seq); };
+    ids_.push_back(daemon ? eng_.schedule_daemon_at(t, cb)
+                          : eng_.schedule_at(t, cb));
+    when_.push_back(t);
+    daemon_.push_back(daemon);
+    model_.insert({t, seq});
+    if (daemon) ++model_daemons_;
+  }
+
+  /// Schedule a burst mixing same-instant, dense, spread and far-future
+  /// times; about one event in ten is a daemon.
+  void schedule_burst() {
+    const int burst = static_cast<int>(rng_.uniform_int(1, 50));
+    for (int i = 0; i < burst; ++i) {
+      SimTime when = eng_.now();
+      switch (rng_.uniform_int(0, 3)) {
+        case 0: break;
+        case 1: when += rng_.uniform(0.0, 5.0); break;
+        case 2: when += rng_.uniform(0.0, 500.0); break;
+        default: when += 1e6 + rng_.uniform(0.0, 1e6);
+      }
+      schedule(when, rng_.uniform_int(0, 9) == 0);
+    }
+  }
+
+  /// Cancel random handles — live, fired and already-cancelled alike. After
+  /// every cancel that hit a live event, the queue must be O(pending()).
+  void cancel_some() {
+    const auto n = static_cast<std::int64_t>(ids_.size());
+    const auto cancels = rng_.uniform_int(0, n / 2);
+    for (std::int64_t i = 0; i < cancels; ++i) {
+      const auto seq = static_cast<int>(rng_.uniform_int(0, n - 1));
+      eng_.cancel(ids_[static_cast<std::size_t>(seq)]);
+      if (!erase(seq)) continue;
+      ASSERT_LE(eng_.queue_size(), 2 * eng_.pending() + 64);
+    }
+  }
+
+  /// run_until a random boundary, then check the engine against the model.
+  /// One slice in four stops at now(): events due exactly at the boundary
+  /// (the same-instant bursts) must still fire.
+  void run_slice() {
+    const SimTime until = rng_.uniform_int(0, 3) == 0
+                              ? eng_.now()
+                              : eng_.now() + rng_.uniform(0.0, 200.0);
+    const std::size_t before = fired_.size();
+    const std::int64_t n = eng_.run_until(until);
+    EXPECT_EQ(static_cast<std::size_t>(n), fired_.size() - before);
+    EXPECT_EQ(eng_.now(), until);
+    EXPECT_TRUE(model_.empty() || model_.begin()->first > until);
+    check_state();
+    check_stale_handles_rejected();
+  }
+
+  void drain() {
+    const std::size_t before = fired_.size();
+    const std::int64_t n = eng_.run();
+    EXPECT_EQ(static_cast<std::size_t>(n), fired_.size() - before);
+    EXPECT_TRUE(model_.empty());
+    EXPECT_TRUE(eng_.empty());
+    check_state();
+  }
+
+  [[nodiscard]] std::size_t fired() const { return fired_.size(); }
+
+ private:
+  void on_fire(int seq) {
+    expected_.push_back(model_.empty() ? Key{-1.0, -1} : *model_.begin());
+    fired_.push_back({eng_.now(), seq});
+    erase(seq);
+    // Every seventh event re-arms from inside its callback, as timers do.
+    if (seq % 7 == 0) schedule(eng_.now() + rng_.uniform(0.0, 50.0),
+                               daemon_[static_cast<std::size_t>(seq)]);
+  }
+
+  bool erase(int seq) {
+    const auto s = static_cast<std::size_t>(seq);
+    if (model_.erase({when_[s], seq}) == 0) return false;
+    if (daemon_[s]) --model_daemons_;
+    return true;
+  }
+
+  void check_state() {
+    ASSERT_EQ(fired_, expected_);
+    EXPECT_EQ(eng_.pending(), model_.size());
+    EXPECT_EQ(eng_.quiescent(), model_.size() == model_daemons_);
+    EXPECT_LE(eng_.stale_entries(), eng_.queue_size());
+  }
+
+  /// Handles of fired or cancelled events are stale: cancelling them must
+  /// not touch whatever event now occupies their recycled slot.
+  void check_stale_handles_rejected() {
+    for (int probe = 0; probe < 20; ++probe) {
+      const auto seq = static_cast<int>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(ids_.size()) - 1));
+      const auto s = static_cast<std::size_t>(seq);
+      if (model_.count({when_[s], seq}) != 0) continue;
+      const std::size_t pending = eng_.pending();
+      eng_.cancel(ids_[s]);
+      EXPECT_EQ(eng_.pending(), pending) << "stale handle of seq " << seq;
+    }
+  }
+
+  Engine eng_;
+  Rng rng_;
+  std::set<Key> model_;
+  std::size_t model_daemons_ = 0;
+  std::vector<EventId> ids_;  // indexed by seq
+  std::vector<SimTime> when_;
+  std::vector<bool> daemon_;
+  std::vector<Key> fired_;     // (now, seq) as the engine dispatched them
+  std::vector<Key> expected_;  // the model's minimum at each dispatch
+};
+
+TEST(Engine, RandomChurnMatchesReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    ModelChurn churn(seed);
+    for (int round = 0; round < 60; ++round) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      churn.schedule_burst();
+      ASSERT_NO_FATAL_FAILURE(churn.cancel_some());
+      ASSERT_NO_FATAL_FAILURE(churn.run_slice());
+    }
+    ASSERT_NO_FATAL_FAILURE(churn.drain());
+    EXPECT_GT(churn.fired(), 0u);
+  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "mapreduce/params.h"
-#include "obs/metrics.h"
 
 namespace mron::tuner {
 namespace {
@@ -146,12 +145,7 @@ TEST(EvalCacheGlobals, StatsAggregateAndExportAsMetrics) {
   EXPECT_EQ(global.hits, 1u);
   EXPECT_EQ(global.misses, 1u);
   EXPECT_EQ(global.insertions, 1u);
-
-  obs::MetricsRegistry registry;
-  export_eval_cache_metrics(registry);
-  EXPECT_EQ(registry.value("tuner.eval_cache.hits"), 1.0);
-  EXPECT_EQ(registry.value("tuner.eval_cache.misses"), 1.0);
-  EXPECT_DOUBLE_EQ(registry.value("tuner.eval_cache.hit_rate"), 0.5);
+  EXPECT_DOUBLE_EQ(global.hit_rate(), 0.5);
 }
 
 }  // namespace

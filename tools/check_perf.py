@@ -50,9 +50,7 @@ import sys
 # listed here are informational only.
 GATED = {
     "engine_events_per_sec": "higher",
-    # Calendar-queue churn at 1M+ pending events (the 10k-node regime).
-    # The *_heap companion metric is informational: it documents the gap
-    # to the reference backend, not a property we defend.
+    # Engine churn at 1M+ pending events (the 10k-node regime).
     "queue_churn_1m_events_per_sec": "higher",
     "terasort_2gb_wall_ms": "lower",
     "terasort_32gb_wall_ms": "lower",
