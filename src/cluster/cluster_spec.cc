@@ -1,6 +1,7 @@
 #include "cluster/cluster_spec.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -158,6 +159,9 @@ void validate_cluster_spec(const ClusterSpec& spec) {
                  "inter_rack_factor must be > 0");
   if (spec.groups.empty()) {
     MRON_CHECK_MSG(spec.num_slaves >= 1, "cluster needs at least one slave");
+    MRON_CHECK_MSG(spec.num_slaves <= kMaxClusterNodes,
+                   "cluster of " << spec.num_slaves << " nodes exceeds the "
+                                 << kMaxClusterNodes << "-node limit");
     int total = 0;
     for (int s : spec.rack_sizes) {
       MRON_CHECK_MSG(s >= 1, "every rack needs at least one node");
@@ -169,14 +173,18 @@ void validate_cluster_spec(const ClusterSpec& spec) {
     validate_hardware(spec.default_hardware(), "cluster");
     return;
   }
+  std::int64_t total = 0;  // wide: racks x nodes may overflow an int
   for (const NodeGroup& g : spec.groups) {
     const std::string where =
         g.name.empty() ? std::string("group") : "group '" + g.name + "'";
     MRON_CHECK_MSG(g.racks >= 1, where << ": racks must be >= 1");
     MRON_CHECK_MSG(g.nodes_per_rack >= 1, where << ": nodes must be >= 1");
     validate_hardware(g.hardware, where);
+    total += static_cast<std::int64_t>(g.racks) * g.nodes_per_rack;
   }
-  MRON_CHECK_MSG(spec.total_slaves() >= 1, "cluster needs at least one slave");
+  MRON_CHECK_MSG(total <= kMaxClusterNodes,
+                 "cluster of " << total << " nodes exceeds the "
+                               << kMaxClusterNodes << "-node limit");
 }
 
 ClusterSpec parse_cluster_spec(const std::string& text) {
@@ -197,8 +205,8 @@ ClusterSpec parse_cluster_spec(const std::string& text) {
   }
   MRON_CHECK_MSG(!spec.groups.empty(),
                  "cluster spec declares no group statements");
+  validate_cluster_spec(spec);  // before sync_totals() sizes per-rack state
   spec.sync_totals();
-  validate_cluster_spec(spec);
   return spec;
 }
 
@@ -223,8 +231,8 @@ ClusterSpec scaled_spec(int num_slaves, int rack_size) {
     g.nodes_per_rack = rem;
     spec.groups.push_back(g);
   }
-  spec.sync_totals();
   validate_cluster_spec(spec);
+  spec.sync_totals();
   return spec;
 }
 

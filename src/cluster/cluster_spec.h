@@ -27,6 +27,13 @@
 
 namespace mron::cluster {
 
+/// Largest cluster a spec may describe. Every slave costs a Node (its
+/// servers, monitor state, RM index entry and DFS bookkeeping) before the
+/// first event runs, so an unbounded request is an out-of-memory kill
+/// rather than an error. 131,072 is 12.8x the largest cluster the
+/// benchmarks and scalebench sweep exercise (10,240 nodes).
+inline constexpr int kMaxClusterNodes = 131072;
+
 /// Parse spec text (the grammar above). Throws CheckError with the
 /// offending statement on malformed input or invalid hardware.
 [[nodiscard]] ClusterSpec parse_cluster_spec(const std::string& text);
@@ -44,7 +51,8 @@ namespace mron::cluster {
 [[nodiscard]] std::string render_cluster_spec(const ClusterSpec& spec);
 
 /// Validate hardware sanity (positive rates, container resources within
-/// node resources, at least one node). Throws CheckError on violation.
+/// node resources, between one and kMaxClusterNodes nodes). Throws
+/// CheckError on violation.
 /// parse_cluster_spec and scaled_spec call this; hand-built specs can too.
 void validate_cluster_spec(const ClusterSpec& spec);
 

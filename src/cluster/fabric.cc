@@ -31,7 +31,7 @@ Fabric::Fabric(sim::Engine& engine, const ClusterSpec& spec,
 
 void Fabric::transfer(NodeId src, NodeId dst, Bytes size, Done done) {
   MRON_CHECK(src.valid() && dst.valid());
-  MRON_CHECK(done != nullptr);
+  MRON_CHECK(done);
   if (src == dst || size <= Bytes(0)) {
     engine_.schedule_after(0.0, std::move(done));
     return;
@@ -44,21 +44,36 @@ void Fabric::transfer(NodeId src, NodeId dst, Bytes size, Done done) {
   inter_rack_bytes_ += size.as_double();
   // Cross-rack: stream through the destination rack's uplink AND the
   // receiver NIC; completion is the later of the two.
-  auto remaining = std::make_shared<int>(2);
-  auto joined = std::make_shared<Done>(std::move(done));
-  auto arm = [remaining, joined]() {
-    if (--*remaining == 0) (*joined)();
-  };
+  std::int32_t slot = free_join_;
+  if (slot >= 0) {
+    free_join_ = joins_[static_cast<std::size_t>(slot)].next_free;
+  } else {
+    slot = static_cast<std::int32_t>(joins_.size());
+    joins_.emplace_back();
+  }
+  Join& join = joins_[static_cast<std::size_t>(slot)];
+  join.remaining = 2;
+  join.done = std::move(done);
   auto& uplink =
       *rack_uplinks_[static_cast<std::size_t>(topo_.rack_of(dst).value())];
-  uplink.submit(size.as_double(), arm);
-  receiver.nic_in().submit(size.as_double(), arm);
+  uplink.submit(size.as_double(), [this, slot] { join_leg_done(slot); });
+  receiver.nic_in().submit(size.as_double(),
+                           [this, slot] { join_leg_done(slot); });
+}
+
+void Fabric::join_leg_done(std::int32_t slot) {
+  Join& join = joins_[static_cast<std::size_t>(slot)];
+  if (--join.remaining > 0) return;
+  Done done = std::move(join.done);
+  join.next_free = free_join_;
+  free_join_ = slot;
+  done();
 }
 
 CopyId Fabric::transfer_capped(NodeId src, NodeId dst, Bytes size, double cap,
                                Done done) {
   MRON_CHECK(src.valid() && dst.valid());
-  MRON_CHECK(done != nullptr);
+  MRON_CHECK(done);
   MRON_CHECK(cap > 0.0);
   const CopyId id(next_copy_id_++);
   CopyState& st = copies_[id.value()];

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -29,13 +28,15 @@ using CopyId = StrongId<CopyTag>;
 
 class Fabric {
  public:
-  using Done = std::function<void()>;
+  using Done = sim::Callback;
 
   Fabric(sim::Engine& engine, const ClusterSpec& spec, const Topology& topo,
          std::vector<Node*> nodes);
 
   /// Move `size` bytes from `src` to `dst`; `done` fires at completion.
   /// A node-local "transfer" (src == dst) completes after a 0-cost event.
+  /// Allocation-free once warm: a cross-rack transfer's two legs join
+  /// through a recycled slot, not a heap-allocated counter.
   void transfer(NodeId src, NodeId dst, Bytes size, Done done);
 
   /// transfer() with a per-stream rate cap (work-units/sec; kUncapped for
@@ -73,6 +74,15 @@ class Fabric {
   };
 
   void copy_leg_done(std::int64_t id);
+  void join_leg_done(std::int32_t slot);
+
+  /// Completion join for one cross-rack transfer(): fires `done` when both
+  /// legs have drained. Free slots chain through `next_free`.
+  struct Join {
+    int remaining = 0;
+    std::int32_t next_free = -1;
+    Done done;
+  };
 
   sim::Engine& engine_;
   const Topology& topo_;
@@ -84,6 +94,8 @@ class Fabric {
   /// diagnostic iteration is deterministic).
   std::map<std::int64_t, CopyState> copies_;
   std::int64_t next_copy_id_ = 0;
+  std::vector<Join> joins_;
+  std::int32_t free_join_ = -1;
 };
 
 }  // namespace mron::cluster

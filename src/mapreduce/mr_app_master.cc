@@ -467,8 +467,11 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
                               static_cast<int>(c.node.value()),
                               static_cast<int>(c.id.value()));
     cpb->edge(c.cp_grant, r.cp_start, obs::Blame::SchedWait);
+    r.cp_shuffle_done =
+        cpb->node(id_.value(), "reduce_shuffle_done", index, r.attempts);
     inputs.cp_job = id_.value();
     inputs.cp_start = r.cp_start;
+    inputs.cp_shuffle_done = r.cp_shuffle_done;
   }
 
   const JobConfig cfg = config_for(inputs.task);
@@ -492,13 +495,12 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
   // shuffle edges target the attempt's not-yet-stamped "reduce_shuffle_done"
   // node — the reduce task stamps it when the last segment lands, and
   // extraction then follows whichever arrival was latest.
+  auto* cpb = cp();
   for (const auto& [mi, src, bytes] : r.stashed) {
     r.run->add_map_output(mi, src, bytes);
-    if (auto* cpb = cp()) {
+    if (cpb != nullptr) {
       cpb->edge(maps_[static_cast<std::size_t>(mi)].cp_done,
-                cpb->node(id_.value(), "reduce_shuffle_done", index,
-                          r.attempts),
-                obs::Blame::ShuffleNet);
+                r.cp_shuffle_done, obs::Blame::ShuffleNet);
     }
   }
   r.stashed.clear();
@@ -754,6 +756,7 @@ void MrAppMaster::on_speculative_container(int index,
 
 void MrAppMaster::deliver_map_output(int map_index) {
   const auto& m = maps_[static_cast<std::size_t>(map_index)];
+  auto* cpb = cp();
   for (int rix = 0; rix < spec_.num_reduces; ++rix) {
     const Bytes part =
         m.combined_output * partition_weights_[static_cast<std::size_t>(rix)];
@@ -762,11 +765,8 @@ void MrAppMaster::deliver_map_output(int map_index) {
       r.run->add_map_output(map_index, m.ran_on, part);
       // This delivery may be what the reducer's shuffle ends on; extraction
       // keeps whichever arrival into "reduce_shuffle_done" was last.
-      if (auto* cpb = cp()) {
-        cpb->edge(m.cp_done,
-                  cpb->node(id_.value(), "reduce_shuffle_done", rix,
-                            r.attempts),
-                  obs::Blame::ShuffleNet);
+      if (cpb != nullptr) {
+        cpb->edge(m.cp_done, r.cp_shuffle_done, obs::Blame::ShuffleNet);
       }
     } else if (!r.done) {
       r.stashed.emplace_back(map_index, m.ran_on, part);

@@ -169,6 +169,9 @@ class MrAppMaster {
     obs::CpNode cp_start = obs::kInvalidCpNode;
     obs::CpNode cp_done = obs::kInvalidCpNode;
     obs::CpNode cp_fail = obs::kInvalidCpNode;
+    /// The running attempt's "reduce_shuffle_done", resolved at launch so
+    /// each map delivery draws its edge without a keyed lookup.
+    obs::CpNode cp_shuffle_done = obs::kInvalidCpNode;
     // Injected-fault kill scheduled against the current attempt.
     sim::EventId fault_kill;
     bool fault_kill_pending = false;

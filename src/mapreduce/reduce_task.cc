@@ -12,6 +12,15 @@ namespace mron::mapreduce {
 
 namespace {
 constexpr double kOomBaseDelay = 5.0;
+constexpr std::int32_t kNone = -1;
+
+/// Home slot of NodeId value `key` in a power-of-two table (`mask` =
+/// size - 1): Fibonacci hashing, so dense node ids spread evenly.
+std::size_t home_slot(std::int64_t key, std::size_t mask) {
+  return static_cast<std::size_t>(
+             (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> 32) &
+         mask;
+}
 }  // namespace
 
 ReduceTask::ReduceTask(sim::Engine& engine, cluster::Node& node,
@@ -36,35 +45,173 @@ ReduceTask::ReduceTask(sim::Engine& engine, cluster::Node& node,
   MRON_CHECK(done_ != nullptr);
   MRON_CHECK(resolver_ != nullptr);
   MRON_CHECK(inputs_.total_maps >= 0);
+  segments_.resize(static_cast<std::size_t>(inputs_.total_maps));
+  // parallelcopies is fixed for the attempt (update_config leaves it), so
+  // the visit slots are allocated once and chained into the free list.
+  const int copies =
+      std::max(1, static_cast<int>(config_.shuffle_parallelcopies));
+  visits_.resize(static_cast<std::size_t>(copies));
+  for (int v = 0; v < copies; ++v) {
+    visits_[static_cast<std::size_t>(v)].head = v + 1 < copies ? v + 1 : kNone;
+  }
+  free_visit_ = 0;
+}
+
+std::int32_t ReduceTask::find_host(cluster::NodeId node) const {
+  if (host_index_.empty()) return kNone;
+  const std::size_t mask = host_index_.size() - 1;
+  for (std::size_t i = home_slot(node.value(), mask);; i = (i + 1) & mask) {
+    const std::int32_t h = host_index_[i];
+    if (h == kNone || hosts_[static_cast<std::size_t>(h)].node == node) {
+      return h;
+    }
+  }
+}
+
+void ReduceTask::index_insert(std::int32_t h) {
+  if (static_cast<std::size_t>(live_hosts_) * 2 > host_index_.size()) {
+    // Grow to keep the load factor <= 1/2: re-place every live record, `h`
+    // included (its node is already set).
+    host_index_.assign(std::max<std::size_t>(16, host_index_.size() * 2),
+                       kNone);
+    for (std::size_t r = 0; r < hosts_.size(); ++r) {
+      if (hosts_[r].node.valid()) index_place(static_cast<std::int32_t>(r));
+    }
+    return;
+  }
+  index_place(h);
+}
+
+void ReduceTask::index_place(std::int32_t h) {
+  const std::size_t mask = host_index_.size() - 1;
+  std::size_t i = home_slot(hosts_[static_cast<std::size_t>(h)].node.value(),
+                            mask);
+  while (host_index_[i] != kNone) i = (i + 1) & mask;
+  host_index_[i] = h;
+}
+
+void ReduceTask::index_erase(std::int32_t h) {
+  const std::size_t mask = host_index_.size() - 1;
+  const auto home_of = [&](std::int32_t r) {
+    return home_slot(hosts_[static_cast<std::size_t>(r)].node.value(), mask);
+  };
+  std::size_t i = home_of(h);
+  while (host_index_[i] != h) i = (i + 1) & mask;
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole unless their home slot lies cyclically in (hole, j].
+  host_index_[i] = kNone;
+  for (std::size_t j = (i + 1) & mask; host_index_[j] != kNone;
+       j = (j + 1) & mask) {
+    const std::size_t home = home_of(host_index_[j]);
+    const bool stays = i <= j ? (i < home && home <= j) : (i < home || home <= j);
+    if (stays) continue;
+    host_index_[i] = host_index_[j];
+    host_index_[j] = kNone;
+    i = j;
+  }
+}
+
+std::int32_t ReduceTask::acquire_host(cluster::NodeId node) {
+  std::int32_t h = find_host(node);
+  if (h != kNone) return h;
+  if (free_host_ != kNone) {
+    h = free_host_;
+    free_host_ = hosts_[static_cast<std::size_t>(h)].link;
+  } else {
+    h = static_cast<std::int32_t>(hosts_.size());
+    hosts_.emplace_back();
+  }
+  hosts_[static_cast<std::size_t>(h)] = Host{};
+  hosts_[static_cast<std::size_t>(h)].node = node;
+  ++live_hosts_;
+  index_insert(h);
+  return h;
+}
+
+void ReduceTask::maybe_release_host(std::int32_t h) {
+  Host& host = hosts_[static_cast<std::size_t>(h)];
+  if (host.queued > 0 || host.in_flight) return;
+  if (host.ready) unlink_ready(h);
+  index_erase(h);
+  host.node = cluster::NodeId();
+  host.link = free_host_;
+  free_host_ = h;
+  --live_hosts_;
+}
+
+void ReduceTask::push_ready(std::int32_t h) {
+  Host& host = hosts_[static_cast<std::size_t>(h)];
+  host.ready = true;
+  host.prev = ready_tail_;
+  host.link = kNone;
+  if (ready_tail_ != kNone) {
+    hosts_[static_cast<std::size_t>(ready_tail_)].link = h;
+  } else {
+    ready_head_ = h;
+  }
+  ready_tail_ = h;
+}
+
+void ReduceTask::unlink_ready(std::int32_t h) {
+  Host& host = hosts_[static_cast<std::size_t>(h)];
+  if (host.prev != kNone) {
+    hosts_[static_cast<std::size_t>(host.prev)].link = host.link;
+  } else {
+    ready_head_ = host.link;
+  }
+  if (host.link != kNone) {
+    hosts_[static_cast<std::size_t>(host.link)].prev = host.prev;
+  } else {
+    ready_tail_ = host.prev;
+  }
+  host.ready = false;
+  host.prev = host.link = kNone;
 }
 
 void ReduceTask::add_map_output(int map_index, cluster::NodeId source,
                                 Bytes bytes) {
+  MRON_CHECK(map_index >= 0 &&
+             static_cast<std::size_t>(map_index) < segments_.size());
+  Segment& seg = segments_[static_cast<std::size_t>(map_index)];
   // Duplicate delivery (a map re-executed after a node failure) while the
-  // first copy is still accepted: ignore it. A lost copy's entry was erased
-  // by invalidate_source()/on_fetch_failed(), so re-delivery lands here
-  // with a clean slate.
-  if (!segments_.emplace(map_index, SegmentInfo{source}).second) return;
-  queue_.push_back(PendingFetch{map_index, source, bytes});
+  // first copy is still accepted: ignore it. A lost copy was reset to
+  // Absent by invalidate_source()/fail_segment(), so re-delivery lands
+  // here with a clean slate.
+  if (seg.state != SegmentState::Absent) return;
+  seg = Segment{bytes, kNone, SegmentState::Queued};
+  const std::int32_t h = acquire_host(source);
+  Host& host = hosts_[static_cast<std::size_t>(h)];
+  if (host.tail != kNone) {
+    segments_[static_cast<std::size_t>(host.tail)].next = map_index;
+  } else {
+    host.head = map_index;
+  }
+  host.tail = map_index;
+  ++host.queued;
+  ++queued_segments_;
+  if (!host.in_flight && !host.ready) push_ready(h);
   if (startup_done_ && !oom_ && !aborted_) pump_fetches();
 }
 
 void ReduceTask::invalidate_source(cluster::NodeId node) {
   if (aborted_ || finished_) return;
-  // Queued fetches sourced on the dead node will never connect; drop them
-  // and un-accept their maps so the AM's re-delivery is taken. Segments in
-  // state Fetching are doomed by the availability re-check when their
+  // Queued segments sourced on the dead node will never connect; drop them
+  // and un-accept their maps so the AM's re-delivery is taken. Segments of
+  // a visit in flight are doomed by the availability re-check when its
   // transfer lands; Fetched segments are local data and survive the source.
-  std::erase_if(queue_, [node](const PendingFetch& f) {
-    return f.source == node;
-  });
-  for (auto it = segments_.begin(); it != segments_.end();) {
-    if (it->second.source == node && it->second.state == SegmentState::Queued) {
-      it = segments_.erase(it);
-    } else {
-      ++it;
-    }
+  const std::int32_t h = find_host(node);
+  if (h == kNone) return;
+  Host& host = hosts_[static_cast<std::size_t>(h)];
+  for (std::int32_t s = host.head; s != kNone;) {
+    Segment& seg = segments_[static_cast<std::size_t>(s)];
+    s = seg.next;
+    seg = Segment{};
   }
+  queued_segments_ -= host.queued;
+  host.queued = 0;
+  host.head = host.tail = kNone;
+  if (host.ready) unlink_ready(h);
+  maybe_release_host(h);
 }
 
 void ReduceTask::switch_phase_span(const char* name) {
@@ -126,6 +273,13 @@ void ReduceTask::start() {
       profile_.task_startup_secs * rng_.lognormal_noise(0.1), [this] {
         startup_done_ = true;
         switch_phase_span("shuffle");
+        if (auto* rec = engine_.recorder(); rec != nullptr &&
+                                            inputs_.total_maps > 0) {
+          fetches_counter_ = &rec->metrics().counter("mr.shuffle.fetches");
+          segments_counter_ =
+              &rec->metrics().counter("mr.shuffle.segments");
+          bytes_counter_ = &rec->metrics().counter("mr.shuffle.bytes");
+        }
         if (inputs_.total_maps == 0) {
           maybe_finish_shuffle();
         } else {
@@ -135,109 +289,185 @@ void ReduceTask::start() {
 }
 
 void ReduceTask::pump_fetches() {
-  const int max_copies =
-      std::max(1, static_cast<int>(config_.shuffle_parallelcopies));
-  while (active_fetches_ < max_copies && !queue_.empty()) {
-    PendingFetch fetch = queue_.front();
-    queue_.pop_front();
-    ++active_fetches_;
-    begin_fetch(fetch);
+  while (active_visits_ < static_cast<int>(visits_.size()) &&
+         ready_head_ != kNone) {
+    const std::int32_t h = ready_head_;
+    unlink_ready(h);
+    begin_visit(h);
   }
 }
 
-void ReduceTask::begin_fetch(PendingFetch fetch) {
-  auto seg = segments_.find(fetch.map_index);
-  MRON_CHECK(seg != segments_.end());
-  seg->second.state = SegmentState::Fetching;
-  // Fetches overlap on the reducer's lane, so they trace as async b/e
-  // pairs keyed by a per-attempt sequence (B/E spans must nest).
-  const std::int64_t fetch_id =
-      (inputs_.trace_tid << 16) | (next_fetch_seq_++ & 0xffff);
+void ReduceTask::begin_visit(std::int32_t h) {
+  const std::int32_t v = free_visit_;
+  MRON_CHECK(v != kNone);
+  Visit& visit = visits_[static_cast<std::size_t>(v)];
+  free_visit_ = visit.head;
+  Host& host = hosts_[static_cast<std::size_t>(h)];
+  host.in_flight = true;
+  // Detach up to kMaxSegmentsPerFetch segments from the head of the host's
+  // queue; they stay chained through Segment::next as the visit's list.
+  visit.host = h;
+  visit.head = host.head;
+  visit.count = 0;
+  visit.bytes = Bytes(0);
+  std::int32_t last = kNone;
+  std::int32_t s = host.head;
+  while (s != kNone && visit.count < kMaxSegmentsPerFetch) {
+    Segment& seg = segments_[static_cast<std::size_t>(s)];
+    seg.state = SegmentState::Fetching;
+    visit.bytes += seg.bytes;
+    ++visit.count;
+    last = s;
+    s = seg.next;
+  }
+  MRON_CHECK(last != kNone);
+  segments_[static_cast<std::size_t>(last)].next = kNone;
+  host.head = s;
+  if (s == kNone) host.tail = kNone;
+  host.queued -= visit.count;
+  queued_segments_ -= visit.count;
+  ++active_visits_;
+  // Visits overlap on the reducer's lane, so they trace as async b/e pairs
+  // keyed by a per-attempt sequence (B/E spans must nest).
+  visit.trace_id = (inputs_.trace_tid << 16) | (next_fetch_seq_++ & 0xffff);
   if (auto* rec = engine_.recorder()) {
     if (rec->trace().detail()) {
       rec->trace().async_begin("shuffle_fetch", "fetch",
-                               static_cast<int>(node_.id().value()), fetch_id,
-                               engine_.now());
+                               static_cast<int>(node_.id().value()),
+                               visit.trace_id, engine_.now(), "segments",
+                               static_cast<double>(visit.count));
     }
   }
-  // Connection setup latency, then a network flow. The source's disk is
-  // NOT charged: map outputs were written moments ago and the shuffle
-  // service reads them back through the page cache, so shuffle fan-in
-  // contends on the fabric, not on source spindles (see DESIGN.md).
-  engine_.schedule_after(kFetchLatency, [this, fetch, fetch_id] {
-    if (aborted_) return;
-    // The AM-mediated choke point: never open a connection to an output
-    // the AM no longer vouches for.
-    if (output_query_ && !output_query_(fetch.map_index, fetch.source)) {
-      on_fetch_failed(fetch, fetch_id);
-      return;
-    }
-    if (fetch.bytes <= Bytes(0)) {
-      on_fetch_done(fetch, fetch_id);
-      return;
-    }
-    fabric_.transfer(fetch.source, node_.id(), fetch.bytes,
-                     [this, fetch, fetch_id] { on_fetch_done(fetch, fetch_id); });
-  });
+  // Connection setup latency, then one network flow for the whole visit.
+  // The source's disk is NOT charged: map outputs were written moments ago
+  // and the shuffle service reads them back through the page cache, so
+  // shuffle fan-in contends on the fabric, not on source spindles (see
+  // DESIGN.md).
+  engine_.schedule_after(kFetchLatency, [this, v] { on_visit_connected(v); });
 }
 
-void ReduceTask::on_fetch_failed(const PendingFetch& fetch,
-                                 std::int64_t fetch_id) {
-  --active_fetches_;
-  if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("mr.shuffle.fetch_failures").add(1.0);
-    if (rec->trace().detail()) {
-      rec->trace().async_end("shuffle_fetch", "fetch",
-                             static_cast<int>(node_.id().value()), fetch_id,
-                             engine_.now());
-    }
-  }
-  // Un-accept the map only if this fetch still owns its entry: a fresher
-  // copy (already re-delivered from another node) must not be forgotten.
-  auto seg = segments_.find(fetch.map_index);
-  const bool owns = seg != segments_.end() &&
-                    seg->second.source == fetch.source &&
-                    seg->second.state != SegmentState::Fetched;
-  if (owns) {
-    segments_.erase(seg);
-    if (fetch_failure_) fetch_failure_(fetch.map_index, fetch.source);
-  }
-  pump_fetches();
-}
-
-void ReduceTask::on_fetch_done(const PendingFetch& fetch,
-                               std::int64_t fetch_id) {
+void ReduceTask::on_visit_connected(std::int32_t v) {
   if (aborted_) return;
-  // Re-check availability at completion: a source that died mid-transfer
-  // delivered garbage, and the fetch must fail over exactly as if it had
-  // never connected.
-  if (output_query_ && !output_query_(fetch.map_index, fetch.source)) {
-    on_fetch_failed(fetch, fetch_id);
+  // The AM-mediated choke point: never open a connection for an output the
+  // AM no longer vouches for.
+  if (!drop_unavailable(v)) return;
+  const Visit& visit = visits_[static_cast<std::size_t>(v)];
+  if (visit.count == 0) {
+    end_visit(v);
+    pump_fetches();
     return;
   }
-  const Bytes bytes = fetch.bytes;
-  auto seg = segments_.find(fetch.map_index);
-  MRON_CHECK(seg != segments_.end());
-  seg->second.state = SegmentState::Fetched;
-  --active_fetches_;
-  ++fetched_maps_;
-  total_input_ += bytes;
-  report_.counters.shuffle_bytes += bytes;
+  if (visit.bytes <= Bytes(0)) {
+    on_visit_done(v);
+    return;
+  }
+  fabric_.transfer(hosts_[static_cast<std::size_t>(visit.host)].node,
+                   node_.id(), visit.bytes, [this, v] { on_visit_done(v); });
+}
+
+bool ReduceTask::drop_unavailable(std::int32_t v) {
+  if (!output_query_) return true;
+  Visit& visit = visits_[static_cast<std::size_t>(v)];
+  const cluster::NodeId source =
+      hosts_[static_cast<std::size_t>(visit.host)].node;
+  std::int32_t prev = kNone;
+  for (std::int32_t s = visit.head; s != kNone;) {
+    Segment& seg = segments_[static_cast<std::size_t>(s)];
+    const std::int32_t next = seg.next;
+    if (output_query_(s, source)) {
+      prev = s;
+    } else {
+      if (prev != kNone) {
+        segments_[static_cast<std::size_t>(prev)].next = next;
+      } else {
+        visit.head = next;
+      }
+      --visit.count;
+      visit.bytes -= seg.bytes;
+      // The AM may re-deliver `s` (from another node) synchronously; the
+      // segment is already out of this visit, and the rest of the visit
+      // is still Fetching, so such re-entry cannot disturb this walk.
+      fail_segment(s, source);
+      if (aborted_) return false;
+    }
+    s = next;
+  }
+  return true;
+}
+
+void ReduceTask::fail_segment(int map_index, cluster::NodeId source) {
+  segments_[static_cast<std::size_t>(map_index)] = Segment{};
   if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("mr.shuffle.fetches").add(1.0);
-    rec->metrics().counter("mr.shuffle.bytes").add(bytes.as_double());
+    if (failures_counter_ == nullptr) {
+      failures_counter_ = &rec->metrics().counter("mr.shuffle.fetch_failures");
+    }
+    failures_counter_->add(1.0);
+  }
+  if (fetch_failure_) fetch_failure_(map_index, source);
+}
+
+void ReduceTask::end_visit(std::int32_t v) {
+  Visit& visit = visits_[static_cast<std::size_t>(v)];
+  const std::int32_t h = visit.host;
+  if (auto* rec = engine_.recorder()) {
     if (rec->trace().detail()) {
       rec->trace().async_end("shuffle_fetch", "fetch",
-                             static_cast<int>(node_.id().value()), fetch_id,
-                             engine_.now());
+                             static_cast<int>(node_.id().value()),
+                             visit.trace_id, engine_.now(), "bytes",
+                             visit.bytes.as_double());
     }
   }
+  visit.host = kNone;
+  visit.head = free_visit_;
+  free_visit_ = v;
+  --active_visits_;
+  // A host with segments left re-joins the ready FIFO at the back, so
+  // parallelcopies rotates over the hosts (Hadoop's freeHost()).
+  Host& host = hosts_[static_cast<std::size_t>(h)];
+  host.in_flight = false;
+  if (host.queued > 0) {
+    push_ready(h);
+  } else {
+    maybe_release_host(h);
+  }
+}
 
+void ReduceTask::on_visit_done(std::int32_t v) {
+  if (aborted_) return;
+  // Re-check availability at completion: a source that died mid-transfer
+  // delivered garbage, and its segments fail over exactly as if they had
+  // never connected.
+  if (!drop_unavailable(v)) return;
+  const Visit& visit = visits_[static_cast<std::size_t>(v)];
+  const std::int32_t head = visit.head;
+  const int count = visit.count;
+  const Bytes bytes = visit.bytes;
+  end_visit(v);
+  for (std::int32_t s = head; s != kNone;) {
+    Segment& seg = segments_[static_cast<std::size_t>(s)];
+    s = seg.next;
+    seg.next = kNone;
+    seg.state = SegmentState::Fetched;
+    accept_segment(seg.bytes);
+  }
+  fetched_maps_ += count;
+  total_input_ += bytes;
+  report_.counters.shuffle_bytes += bytes;
+  if (count > 0 && fetches_counter_ != nullptr) {
+    fetches_counter_->add(1.0);
+    segments_counter_->add(static_cast<double>(count));
+    bytes_counter_->add(bytes.as_double());
+  }
+  pump_fetches();
+  maybe_finish_shuffle();
+}
+
+void ReduceTask::accept_segment(Bytes bytes) {
   // Uniform partitions arrive as long runs of equal-sized segments. A
   // segment the buffer would absorb with no flush has no observable effect
   // (add_segment returns 0 and schedules nothing), so such runs are
   // deferred and later applied in one closed-form add_segments() call —
-  // identical state, O(1) bookkeeping per fetch.
+  // identical state, O(1) bookkeeping per segment.
   Bytes flushed{0};
   if (fetch_run_count_ > 0 && bytes == fetch_run_segment_ &&
       buffer_.would_absorb(fetch_run_count_, bytes)) {
@@ -256,8 +486,6 @@ void ReduceTask::on_fetch_done(const PendingFetch& fetch,
       maybe_finish_shuffle();
     });
   }
-  pump_fetches();
-  maybe_finish_shuffle();
 }
 
 void ReduceTask::drain_fetch_run() {
@@ -274,7 +502,7 @@ void ReduceTask::maybe_finish_shuffle() {
   if (aborted_) return;
   if (shuffle_done_) return;
   if (fetched_maps_ < inputs_.total_maps) return;
-  if (active_fetches_ > 0 || !queue_.empty()) return;
+  if (active_visits_ > 0 || queued_segments_ > 0) return;
   if (outstanding_spill_writes_ > 0) return;
   shuffle_done_ = true;
 
@@ -296,12 +524,11 @@ void ReduceTask::phase_merge() {
   if (inputs_.cp_job >= 0) {
     if (auto* rec = engine_.recorder()) {
       obs::CriticalPathBuilder& cp = rec->critical_path();
-      const obs::CpNode shuffled = cp.stamped(
-          inputs_.cp_job, "reduce_shuffle_done", engine_.now(),
-          inputs_.task.index, inputs_.attempt,
-          static_cast<int>(node_.id().value()),
-          static_cast<int>(inputs_.trace_tid));
-      cp.edge(inputs_.cp_start, shuffled, obs::Blame::ShuffleNet);
+      cp.stamp(inputs_.cp_shuffle_done, engine_.now(),
+               static_cast<int>(node_.id().value()),
+               static_cast<int>(inputs_.trace_tid));
+      cp.edge(inputs_.cp_start, inputs_.cp_shuffle_done,
+              obs::Blame::ShuffleNet);
     }
   }
   report_.counters.spilled_records += buffer_.spilled_records();
@@ -334,14 +561,13 @@ void ReduceTask::phase_reduce() {
   if (inputs_.cp_job >= 0) {
     if (auto* rec = engine_.recorder()) {
       obs::CriticalPathBuilder& cp = rec->critical_path();
-      const obs::CpNode merged = cp.stamped(
+      cp_merge_done_ = cp.stamped(
           inputs_.cp_job, "reduce_merge_done", engine_.now(),
           inputs_.task.index, inputs_.attempt,
           static_cast<int>(node_.id().value()),
           static_cast<int>(inputs_.trace_tid));
-      cp.edge(cp.node(inputs_.cp_job, "reduce_shuffle_done",
-                      inputs_.task.index, inputs_.attempt),
-              merged, obs::Blame::SpillMerge);
+      cp.edge(inputs_.cp_shuffle_done, cp_merge_done_,
+              obs::Blame::SpillMerge);
     }
   }
   // Final merge streams on-disk bytes into reduce(), pipelined with the
@@ -423,9 +649,7 @@ void ReduceTask::finish(bool oom) {
           inputs_.cp_job, "reduce_done", engine_.now(), inputs_.task.index,
           inputs_.attempt, static_cast<int>(node_.id().value()),
           static_cast<int>(inputs_.trace_tid));
-      cp.edge(cp.node(inputs_.cp_job, "reduce_merge_done",
-                      inputs_.task.index, inputs_.attempt),
-              done, obs::Blame::ReduceCompute);
+      cp.edge(cp_merge_done_, done, obs::Blame::ReduceCompute);
     }
   }
   node_.sub_used_memory(resident_memory_);

@@ -1,20 +1,32 @@
 // One reduce-task attempt: shuffle (fetch + buffer accounting), merge, and
 // the reduce/write phases.
 //
-// Fetches are pulled from a queue of completed map outputs with at most
-// `shuffle.parallelcopies` concurrent transfers; each fetch pays a fixed
-// connection latency plus a flow that contends on the source disk and the
-// network fabric. Buffer mechanics are delegated to ShuffleBufferModel, so
-// every reduce-side Table-2 parameter shapes the disk traffic this task
-// generates. After the last segment lands, on-disk files beyond
-// io.sort.factor cost intermediate merge rounds; the final merge streams
-// into the user reduce(), which is CPU work pipelined with the disk read,
-// and the output is written locally and replicated to one remote node.
+// The shuffle follows Hadoop 2's fetcher: completed map outputs queue per
+// source host, and each fetch is a *visit* to one host that takes up to
+// kMaxSegmentsPerFetch of its queued segments over one connection. At most
+// `shuffle.parallelcopies` visits are in flight, at most one per host, and
+// hosts are served FIFO in the order they became eligible (gained pending
+// output, or still had some when their previous visit ended). A visit pays
+// kFetchLatency once, then moves the summed bytes as one flow that contends
+// on the network fabric. The AM's availability query runs per segment when
+// the connection opens and again when the transfer lands, so a source that
+// dies mid-visit fails exactly that visit's segments.
+//
+// Per-segment bookkeeping is a few array writes: segments live in a dense
+// vector indexed by map index, per-host queues are intrusive links into it,
+// and per-host state exists only for hosts with pending output or a visit
+// in flight. A visit allocates nothing on the heap.
+//
+// Buffer mechanics are delegated to ShuffleBufferModel, so every reduce-side
+// Table-2 parameter shapes the disk traffic this task generates. After the
+// last segment lands, on-disk files beyond io.sort.factor cost intermediate
+// merge rounds; the final merge streams into the user reduce(), which is
+// CPU work pipelined with the disk read, and the output is written locally
+// and replicated to one remote node.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "cluster/fabric.h"
@@ -24,6 +36,10 @@
 #include "mapreduce/spill_model.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
+
+namespace mron::obs {
+class Counter;
+}  // namespace mron::obs
 
 namespace mron::mapreduce {
 
@@ -45,18 +61,23 @@ class ReduceTask {
     /// (task.index, attempt), so the AM can address them without handles.
     std::int64_t cp_job = -1;
     std::int64_t cp_start = -1;
+    /// The attempt's "reduce_shuffle_done" node, resolved once by the AM
+    /// (which draws the map_done edges into it); stamped when the shuffle
+    /// ends.
+    std::int64_t cp_shuffle_done = -1;
   };
   using Done = std::function<void(const TaskReport&)>;
   /// Resolves a NodeId to the node (for charging source-disk reads).
   using NodeResolver = std::function<cluster::Node&(cluster::NodeId)>;
   /// AM-mediated "is map `map_index`'s output still available at `source`?"
-  /// query — the single choke point every fetch passes through (at fetch
-  /// start and again at completion, since the source may die mid-transfer).
-  /// The task itself never assumes a map host stays reachable.
+  /// query — the single choke point every segment passes through (when its
+  /// visit connects and again when the transfer lands, since the source may
+  /// die mid-visit). The task itself never assumes a map host stays
+  /// reachable.
   using OutputQuery = std::function<bool(int, cluster::NodeId)>;
-  /// Fired when a fetch is abandoned because its source disappeared; the AM
-  /// re-executes the lost map (or re-delivers from the live copy) and this
-  /// reducer accepts the re-delivery.
+  /// Fired once per segment abandoned because its source disappeared; the
+  /// AM re-executes the lost map (or re-delivers from the live copy) and
+  /// this reducer accepts the re-delivery.
   using FetchFailure = std::function<void(int, cluster::NodeId)>;
 
   ReduceTask(sim::Engine& engine, cluster::Node& node, cluster::Fabric& fabric,
@@ -78,10 +99,10 @@ class ReduceTask {
   /// before and after start(); duplicate indices (a map re-executed after a
   /// node failure) are ignored — the first copy was already accepted.
   void add_map_output(int map_index, cluster::NodeId source, Bytes bytes);
-  /// Node fail-stop on `node`: drop queued fetches sourced there and forget
-  /// their map indices so the AM's re-delivery is accepted. Segments already
-  /// fetched are local data and are kept; in-flight transfers are doomed by
-  /// the completion-time availability re-check.
+  /// Node fail-stop on `node`: drop queued segments sourced there and
+  /// forget their map indices so the AM's re-delivery is accepted. Segments
+  /// already fetched are local data and are kept; a visit in flight is
+  /// doomed by the completion-time availability re-check.
   void invalidate_source(cluster::NodeId node);
   /// Push updated category-III parameters into the running attempt.
   void update_config(const JobConfig& config);
@@ -90,28 +111,80 @@ class ReduceTask {
   void abort();
   [[nodiscard]] bool aborted() const { return aborted_; }
 
+  /// Source hosts this attempt currently holds state for: those with
+  /// queued segments or a visit in flight.
+  [[nodiscard]] int tracked_hosts() const { return live_hosts_; }
+  /// Host records ever allocated (live + free), i.e. the footprint of the
+  /// per-host state; bounded by the peak of tracked_hosts().
+  [[nodiscard]] std::size_t host_slots() const { return hosts_.size(); }
+  /// Calls `fn(source, segments)` for every visit in flight.
+  template <typename Fn>
+  void for_each_visit(Fn&& fn) const {
+    for (const Visit& v : visits_) {
+      if (v.host >= 0) {
+        fn(hosts_[static_cast<std::size_t>(v.host)].node, v.count);
+      }
+    }
+  }
+
  private:
-  struct PendingFetch {
-    int map_index = -1;
-    cluster::NodeId source;
-    Bytes bytes;
+  enum class SegmentState : std::uint8_t { Absent, Queued, Fetching, Fetched };
+  /// Map `map_index`'s partition, at index map_index. While Queued, `next`
+  /// links it into its source host's pending FIFO; while Fetching, into its
+  /// visit.
+  struct Segment {
+    Bytes bytes{0};
+    std::int32_t next = -1;
+    SegmentState state = SegmentState::Absent;
   };
-  enum class SegmentState { Queued, Fetching, Fetched };
-  /// Where an accepted map output is in its fetch lifecycle; keyed by map
-  /// index (replaces the old seen-set, which could not tell a fetched
-  /// segment from one lost with its source).
-  struct SegmentInfo {
-    cluster::NodeId source;
-    SegmentState state = SegmentState::Queued;
+  /// A source host with queued segments or a visit in flight. `link` chains
+  /// the ready FIFO (hosts with queued segments and no visit) together
+  /// with `prev`, and the free list while the record is unused.
+  struct Host {
+    cluster::NodeId node;
+    std::int32_t head = -1;  ///< oldest queued segment
+    std::int32_t tail = -1;  ///< newest queued segment
+    std::int32_t queued = 0;
+    std::int32_t prev = -1;
+    std::int32_t link = -1;
+    bool ready = false;
+    bool in_flight = false;
+  };
+  /// One connection to one host. `head` chains its segments (queue order);
+  /// `host` < 0 marks a free slot.
+  struct Visit {
+    std::int32_t host = -1;
+    std::int32_t head = -1;
+    std::int32_t count = 0;
+    Bytes bytes{0};
+    std::int64_t trace_id = 0;
   };
 
+  // Host records and the open-addressed NodeId -> record index.
+  [[nodiscard]] std::int32_t find_host(cluster::NodeId node) const;
+  std::int32_t acquire_host(cluster::NodeId node);
+  /// Free the record once it has neither queued segments nor a visit.
+  void maybe_release_host(std::int32_t h);
+  void index_insert(std::int32_t h);
+  void index_place(std::int32_t h);
+  void index_erase(std::int32_t h);
+  void push_ready(std::int32_t h);
+  void unlink_ready(std::int32_t h);
+
   void pump_fetches();
-  void begin_fetch(PendingFetch fetch);
-  void on_fetch_done(const PendingFetch& fetch, std::int64_t fetch_id);
-  /// The fetch's source disappeared: un-accept the map (so re-delivery is
-  /// taken), tell the AM, and keep the fetch pipeline moving.
-  void on_fetch_failed(const PendingFetch& fetch, std::int64_t fetch_id);
-  /// Apply the deferred uniform fetch run (see on_fetch_done) through the
+  void begin_visit(std::int32_t h);
+  void on_visit_connected(std::int32_t v);
+  void on_visit_done(std::int32_t v);
+  /// Re-ask the AM about every segment of visit `v`; fail and unlink those
+  /// it no longer vouches for. Returns false when the task was aborted.
+  bool drop_unavailable(std::int32_t v);
+  /// Un-accept a segment whose source disappeared and tell the AM.
+  void fail_segment(int map_index, cluster::NodeId source);
+  /// Release visit slot `v` and its host's in-flight mark.
+  void end_visit(std::int32_t v);
+  /// Buffer-account one landed segment (run batching, see the .cc).
+  void accept_segment(Bytes bytes);
+  /// Apply the deferred uniform fetch run (see accept_segment) through the
   /// closed-form kernel. Must run before any other buffer interaction.
   void drain_fetch_run();
   void maybe_finish_shuffle();
@@ -140,8 +213,19 @@ class ReduceTask {
   /// deferred, so batching is observationally invisible.
   Bytes fetch_run_segment_{0};
   std::int64_t fetch_run_count_ = 0;
-  std::deque<PendingFetch> queue_;
-  int active_fetches_ = 0;
+
+  std::vector<Segment> segments_;  ///< indexed by map index
+  std::vector<Host> hosts_;
+  std::vector<std::int32_t> host_index_;  ///< open-addressed; -1 = empty
+  std::int32_t free_host_ = -1;
+  std::int32_t ready_head_ = -1;
+  std::int32_t ready_tail_ = -1;
+  int live_hosts_ = 0;
+  std::vector<Visit> visits_;  ///< parallelcopies slots
+  std::int32_t free_visit_ = -1;  ///< chained through Visit::head
+  int active_visits_ = 0;
+  int queued_segments_ = 0;
+
   int fetched_maps_ = 0;
   int outstanding_spill_writes_ = 0;
   bool shuffle_done_ = false;
@@ -150,7 +234,14 @@ class ReduceTask {
   bool oom_ = false;
   bool aborted_ = false;
   bool finished_ = false;
-  std::map<int, SegmentInfo> segments_;
+
+  // mr.shuffle.* counters, resolved once when the shuffle starts (null
+  // without a recorder); fetch_failures on first use.
+  obs::Counter* fetches_counter_ = nullptr;
+  obs::Counter* segments_counter_ = nullptr;
+  obs::Counter* bytes_counter_ = nullptr;
+  obs::Counter* failures_counter_ = nullptr;
+  std::int64_t cp_merge_done_ = -1;
 
   Bytes total_input_{0};
   Bytes resident_memory_{0};
@@ -158,11 +249,14 @@ class ReduceTask {
   double cpu_noise_ = 1.0;
   TaskReport report_;
   obs::SpanId phase_span_ = obs::kInvalidSpan;
-  std::int64_t next_fetch_seq_ = 0;  ///< async-span id source for fetches
+  std::int64_t next_fetch_seq_ = 0;  ///< async-span id source for visits
 };
 
-/// Per-fetch connection/setup latency (seconds); hidden by parallelcopies.
+/// Per-connection setup latency (seconds); one per visit, hidden by
+/// parallelcopies across hosts.
 constexpr double kFetchLatency = 0.05;
+/// Most segments one visit carries (Hadoop's Fetcher MAX_MAPS_AT_ONCE).
+constexpr int kMaxSegmentsPerFetch = 20;
 /// Average fraction of a buffer that is actually resident over time; used
 /// for utilization reporting (capacity is reserved, occupancy fluctuates).
 constexpr double kAvgBufferOccupancy = 0.5;

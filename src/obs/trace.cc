@@ -42,7 +42,8 @@ void TraceRecorder::end(SpanId span, SimTime t) {
 }
 
 void TraceRecorder::async_begin(const char* name, const char* cat, int pid,
-                                std::int64_t id, SimTime t) {
+                                std::int64_t id, SimTime t,
+                                const char* arg_key, double arg_val) {
   Event e;
   e.name = name;
   e.cat = cat;
@@ -51,11 +52,14 @@ void TraceRecorder::async_begin(const char* name, const char* cat, int pid,
   e.pid = pid;
   e.tid = id;  // lane within the async track; id is what correlates
   e.id = id;
+  e.arg_key = arg_key;
+  e.arg_val = arg_val;
   events_.push_back(e);
 }
 
 void TraceRecorder::async_end(const char* name, const char* cat, int pid,
-                              std::int64_t id, SimTime t) {
+                              std::int64_t id, SimTime t, const char* arg_key,
+                              double arg_val) {
   Event e;
   e.name = name;
   e.cat = cat;
@@ -64,6 +68,8 @@ void TraceRecorder::async_end(const char* name, const char* cat, int pid,
   e.pid = pid;
   e.tid = id;
   e.id = id;
+  e.arg_key = arg_key;
+  e.arg_val = arg_val;
   events_.push_back(e);
 }
 

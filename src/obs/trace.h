@@ -50,11 +50,14 @@ class TraceRecorder {
   void end(SpanId span, SimTime t);
 
   /// Async span pair for overlapping work on one lane (ph 'b'/'e'); `id`
-  /// correlates the pair and must be unique per (cat, id) while open.
+  /// correlates the pair and must be unique per (cat, id) while open. Each
+  /// event takes an optional numeric argument, as begin() does; viewers
+  /// merge both events' args into the span's.
   void async_begin(const char* name, const char* cat, int pid,
-                   std::int64_t id, SimTime t);
+                   std::int64_t id, SimTime t, const char* arg_key = nullptr,
+                   double arg_val = 0);
   void async_end(const char* name, const char* cat, int pid, std::int64_t id,
-                 SimTime t);
+                 SimTime t, const char* arg_key = nullptr, double arg_val = 0);
 
   /// Zero-duration marker (ph 'i', thread scope).
   void instant(const char* name, const char* cat, int pid, std::int64_t tid,

@@ -155,13 +155,27 @@ Prediction predict(const PredictionInputs& inputs) {
         total_shuffle * (1.0 / inputs.num_reduces);
 
     // Fetch: receiver NICs are the contended resource; each node hosts
-    // reduce_slots_per_node concurrent fetchers.
+    // reduce_slots_per_node concurrent fetchers. Connections are per host
+    // visit: maps spread evenly over min(maps, slaves) hosts, each host
+    // needs ceil(its maps / kMaxSegmentsPerFetch) visits, and
+    // parallelcopies of them (at most one per host) overlap.
+    const int hosts = std::max(1, std::min(num_maps, cl.num_slaves));
+    const int per_host = num_maps / hosts;
+    const int extra = num_maps % hosts;
+    const auto visits_for = [](int maps) {
+      return (maps + mapreduce::kMaxSegmentsPerFetch - 1) /
+             mapreduce::kMaxSegmentsPerFetch;
+    };
+    const double connections =
+        static_cast<double>(extra * visits_for(per_host + 1) +
+                            (hosts - extra) * visits_for(per_host));
     const double net_secs =
         partition.as_double() /
-        (cl.nic_bandwidth.rate() /
-         std::max(1, out.reduce_slots_per_node)) +
-        static_cast<double>(num_maps) /
-            std::max(1.0, cfg.shuffle_parallelcopies) *
+            (cl.nic_bandwidth.rate() /
+             std::max(1, out.reduce_slots_per_node)) +
+        connections /
+            std::min(std::max(1.0, cfg.shuffle_parallelcopies),
+                     static_cast<double>(hosts)) *
             mapreduce::kFetchLatency;
 
     // Buffer mechanics via the shared model, fed with equal segments. The

@@ -152,6 +152,33 @@ TEST(ValidateClusterSpec, RejectsInvalidHardware) {
   EXPECT_THROW(validate_cluster_spec(mismatched), CheckError);
 }
 
+TEST(ValidateClusterSpec, RejectsClustersAboveTheNodeLimit) {
+  // An unbounded request would be an out-of-memory kill at Simulation
+  // construction; the spec layer rejects it with a message instead.
+  EXPECT_EQ(load_cluster_spec("nodes:131072").total_slaves(),
+            kMaxClusterNodes);
+  EXPECT_THROW((void)load_cluster_spec("nodes:131073"), CheckError);
+  try {
+    (void)load_cluster_spec("nodes:100000000");
+    ADD_FAILURE() << "nodes:100000000 was accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("exceeds the 131072-node limit"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+  // racks x nodes overflows an int; the limit check must not wrap.
+  EXPECT_THROW((void)parse_cluster_spec("group racks=100000 nodes=100000"),
+               CheckError);
+  EXPECT_THROW((void)parse_cluster_spec(
+                   "group racks=1024 nodes=64; group racks=1024 nodes=65"),
+               CheckError);
+  ClusterSpec flat;
+  flat.num_slaves = kMaxClusterNodes + 1;
+  flat.rack_sizes = {kMaxClusterNodes + 1};
+  EXPECT_THROW(validate_cluster_spec(flat), CheckError);
+}
+
 TEST(LoadClusterSpec, ReadsSpecFiles) {
   const std::string path = ::testing::TempDir() + "cluster_spec_test.spec";
   {

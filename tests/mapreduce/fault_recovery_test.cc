@@ -2,11 +2,20 @@
 // retry to completion, a mid-job crash re-executes the completed maps that
 // died with the node, and the kill-every-node-once smoke — each node in the
 // cluster crashes once, staggered so the cluster never empties, and the job
-// still finishes with every map accounted for.
+// still finishes with every map accounted for. A source crash in the
+// middle of a reducer's host visit fails exactly that visit's segments.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <vector>
+
+#include "cluster/fabric.h"
+#include "cluster/node.h"
+#include "cluster/topology.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
+#include "mapreduce/reduce_task.h"
 #include "mapreduce/simulation.h"
 
 namespace mron::mapreduce {
@@ -181,6 +190,87 @@ TEST(FaultRecovery, FaultedReportsAreStamped) {
   }
   EXPECT_GT(faulted, 0);
   EXPECT_GT(clean, 0);
+}
+
+TEST(FaultRecovery, SourceCrashMidVisitFailsOnlyThatVisit) {
+  // One reducer on node 0 with parallelcopies 2. Host 2 holds maps 0-29
+  // (a visit of 20, then 10 queued behind it); host 3 holds maps 30-39.
+  // Host 2 dies while its first visit is transferring. A stand-in AM
+  // answers the availability query from liveness, drops the reducer's
+  // queued host-2 segments (invalidate_source) and re-runs every lost map
+  // on host 4, as MrAppMaster does.
+  sim::Engine eng;
+  cluster::ClusterSpec spec;
+  spec.num_slaves = 6;
+  spec.rack_sizes = {3, 3};
+  cluster::Topology topo(spec);
+  std::vector<std::unique_ptr<cluster::Node>> nodes;
+  std::vector<cluster::Node*> ptrs;
+  for (int i = 0; i < 6; ++i) {
+    nodes.push_back(
+        std::make_unique<cluster::Node>(eng, cluster::NodeId(i), spec));
+    ptrs.push_back(nodes.back().get());
+  }
+  cluster::Fabric fabric(eng, spec, topo, ptrs);
+  AppProfile profile;
+  profile.task_startup_secs = 0.0;
+  JobConfig cfg;
+  cfg.shuffle_parallelcopies = 2;
+  ReduceTask::Inputs in;
+  in.task = TaskRef{TaskKind::Reduce, 0};
+  in.total_maps = 40;
+  in.num_nodes = 6;
+  std::optional<TaskReport> report;
+  ReduceTask r(
+      eng, *nodes[0], fabric,
+      [&](cluster::NodeId n) -> cluster::Node& {
+        return *nodes[static_cast<std::size_t>(n.value())];
+      },
+      profile, cfg, in, Rng(5), [&](const TaskReport& t) { report = t; });
+
+  const Bytes seg = mebibytes(4);
+  std::vector<cluster::NodeId> ran_on(40);
+  for (int i = 0; i < 40; ++i) {
+    ran_on[static_cast<std::size_t>(i)] = cluster::NodeId(i < 30 ? 2 : 3);
+  }
+  bool host2_alive = true;
+  std::vector<int> failed;
+  r.set_output_query([&](int mi, cluster::NodeId src) {
+    return ran_on[static_cast<std::size_t>(mi)] == src &&
+           (src.value() != 2 || host2_alive);
+  });
+  r.set_fetch_failure([&](int mi, cluster::NodeId) {
+    failed.push_back(mi);
+    r.add_map_output(mi, ran_on[static_cast<std::size_t>(mi)], seg);
+  });
+  for (int i = 0; i < 40; ++i) {
+    r.add_map_output(i, ran_on[static_cast<std::size_t>(i)], seg);
+  }
+  int in_flight_to_host2 = -1;
+  eng.schedule_at(0.3, [&] {
+    r.for_each_visit([&](cluster::NodeId host, int segments) {
+      if (host.value() == 2) in_flight_to_host2 = segments;
+    });
+    host2_alive = false;
+    for (int i = 0; i < 30; ++i) {
+      ran_on[static_cast<std::size_t>(i)] = cluster::NodeId(4);
+    }
+    r.invalidate_source(cluster::NodeId(2));
+    for (int i = 20; i < 30; ++i) r.add_map_output(i, cluster::NodeId(4), seg);
+  });
+  r.start();
+  eng.run();
+
+  ASSERT_TRUE(report.has_value());
+  ASSERT_EQ(in_flight_to_host2, kMaxSegmentsPerFetch);
+  // Exactly the in-flight visit's segments failed, each once, in order;
+  // the queued ones were dropped without a failure.
+  std::vector<int> expected;
+  for (int i = 0; i < kMaxSegmentsPerFetch; ++i) expected.push_back(i);
+  EXPECT_EQ(failed, expected);
+  // Every map's partition landed exactly once.
+  EXPECT_EQ(report->counters.shuffle_bytes, seg * 40.0);
+  EXPECT_EQ(r.tracked_hosts(), 0);
 }
 
 }  // namespace
