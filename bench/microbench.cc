@@ -16,12 +16,15 @@
 #include <fstream>
 #include <limits>
 #include <iostream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/harness.h"
 #include "common/rng.h"
+#include "mapreduce/report_rollup.h"
 #include "mapreduce/simulation.h"
 #include "obs/host_profile.h"
 #include "mapreduce/spill_model.h"
@@ -30,6 +33,7 @@
 #include "sim/shared_server.h"
 #include "tuner/eval_cache.h"
 #include "tuner/lhs.h"
+#include "tuner/online_tuner.h"
 #include "whatif/predictor.h"
 #include "workloads/benchmarks.h"
 
@@ -267,6 +271,61 @@ BENCHMARK(BM_EndToEndTerasortProfiled)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
+// The recorder's export cost: an observed Bigram/Wikipedia run under the
+// aggressive tuner (the CLI's kept test run: full audit log, tuner series,
+// shuffle-heavy trace) serialized as run report, metrics, trace and audit
+// into an in-memory sink. Only the writing is timed; the run happens once.
+struct ObservedTuningRun {
+  std::unique_ptr<mapreduce::Simulation> sim;
+  std::unique_ptr<tuner::OnlineTuner> online;  // attached to sim's job
+  mapreduce::JobResult result;
+  mapreduce::JobConfig config;
+};
+
+const ObservedTuningRun& observed_tuning_run() {
+  // Filled in place: the job's completion callback keeps a reference to it.
+  static ObservedTuningRun run;
+  if (run.sim != nullptr) return run;
+  mapreduce::SimulationOptions opt;
+  opt.seed = 1;
+  opt.observe = true;
+  run.sim = std::make_unique<mapreduce::Simulation>(opt);
+  run.online = std::make_unique<tuner::OnlineTuner>(tuner::TunerOptions{});
+  auto& am = run.sim->submit_job(
+      workloads::make_job(*run.sim, workloads::Benchmark::Bigram,
+                          workloads::Corpus::Wikipedia),
+      [](const mapreduce::JobResult& res) { run.result = res; });
+  run.online->attach(am);
+  run.sim->run();
+  run.config = run.online->outcome(am.id()).best_config;
+  return run;
+}
+
+/// Bytes written by one export of every artifact of `run`.
+std::size_t export_run_artifacts(const ObservedTuningRun& run) {
+  const std::string report = mapreduce::run_report_json(
+      *run.sim, {{&run.result, &run.config}}, {{"source", "microbench"}});
+  std::ostringstream sink;
+  if (const obs::Recorder* rec = run.sim->recorder()) {
+    rec->metrics().write_json(sink);
+    rec->trace().write_chrome_json(sink);
+    rec->audit().write_jsonl(sink);
+  }
+  return report.size() + sink.str().size();
+}
+
+void BM_ExportRunArtifacts(benchmark::State& state) {
+  const ObservedTuningRun& run = observed_tuning_run();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    bytes = export_run_artifacts(run);
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ExportRunArtifacts)->Unit(benchmark::kMillisecond);
+
 // --- the --baseline-out hand-timed suite -----------------------------------
 
 using Clock = std::chrono::steady_clock;
@@ -503,6 +562,11 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
   }
   const double search_speedup = search_uncached_ms / search_cached_ms;
 
+  const ObservedTuningRun& tuning_run = observed_tuning_run();
+  const double export_ms = best_wall_ms(5, [&] {
+    benchmark::DoNotOptimize(export_run_artifacts(tuning_run));
+  });
+
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot open " << out_path << " for writing\n";
@@ -571,8 +635,11 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
                 "    \"whatif_search_cached_wall_ms\": %.3f,\n",
                 search_cached_ms);
   out << buf;
-  std::snprintf(buf, sizeof buf, "    \"whatif_search_speedup\": %.3f\n",
+  std::snprintf(buf, sizeof buf, "    \"whatif_search_speedup\": %.3f,\n",
                 search_speedup);
+  out << buf;
+  std::snprintf(buf, sizeof buf, "    \"export_artifacts_wall_ms\": %.3f\n",
+                export_ms);
   out << buf;
   out << "  }\n";
   out << "}\n";
@@ -583,7 +650,7 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
             << profile_overhead_pct << "%, sweep speedup x"
             << speedup << " at jobs=" << jobs << ", whatif evals/sec="
             << whatif_evals_per_sec << ", search cached speedup x"
-            << search_speedup << ")\n";
+            << search_speedup << ", export " << export_ms << " ms)\n";
   return 0;
 }
 

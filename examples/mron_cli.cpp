@@ -462,6 +462,11 @@ int run_cli(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run_cli(argc, argv);
+  } catch (const InputError& e) {
+    // A malformed --fault-spec/--fault-plan/--cluster is the user's to fix:
+    // one line, and the same exit code as any other bad flag.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     // Bad export paths and the like surface as CheckError; a clean message
     // beats an abort for a command-line tool.

@@ -2,13 +2,13 @@
 
 #include <cctype>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/format.h"
 
 namespace mron::cluster {
 
@@ -55,7 +55,7 @@ double parse_number(const std::string& value, const std::string& stmt) {
   } catch (const std::exception&) {
     used = 0;
   }
-  MRON_CHECK_MSG(used == value.size() && !value.empty(),
+  MRON_INPUT_CHECK(used == value.size() && !value.empty(),
                  "bad number '" << value << "' in cluster spec statement: "
                                 << stmt);
   return v;
@@ -64,7 +64,7 @@ double parse_number(const std::string& value, const std::string& stmt) {
 int parse_int(const std::string& value, const std::string& stmt) {
   const double v = parse_number(value, stmt);
   const int i = static_cast<int>(v);
-  MRON_CHECK_MSG(static_cast<double>(i) == v,
+  MRON_INPUT_CHECK(static_cast<double>(i) == v,
                  "expected integer, got '" << value
                                            << "' in cluster spec statement: "
                                            << stmt);
@@ -80,7 +80,7 @@ NodeGroup parse_group(const std::vector<std::string>& toks,
   for (std::size_t i = 1; i < toks.size(); ++i) {
     const std::string& tok = toks[i];
     const std::size_t eq = tok.find('=');
-    MRON_CHECK_MSG(eq != std::string::npos && eq > 0 && eq + 1 < tok.size(),
+    MRON_INPUT_CHECK(eq != std::string::npos && eq > 0 && eq + 1 < tok.size(),
                    "expected key=value, got '" << tok
                                                << "' in: " << stmt);
     const std::string key = tok.substr(0, eq);
@@ -114,60 +114,54 @@ NodeGroup parse_group(const std::vector<std::string>& toks,
     } else if (key == "daemon_reserve") {
       g.hardware.daemon_core_reserve = parse_number(value, stmt);
     } else {
-      MRON_CHECK_MSG(false, "unknown group key '" << key << "' in: " << stmt);
+      MRON_INPUT_CHECK(false, "unknown group key '" << key << "' in: " << stmt);
     }
   }
-  MRON_CHECK_MSG(have_racks && have_nodes,
+  MRON_INPUT_CHECK(have_racks && have_nodes,
                  "group statement needs racks= and nodes=: " << stmt);
   return g;
 }
 
 void validate_hardware(const NodeHardware& hw, const std::string& where) {
-  MRON_CHECK_MSG(hw.physical_cores >= 1, where << ": cores must be >= 1");
-  MRON_CHECK_MSG(hw.total_vcores >= 1, where << ": vcores must be >= 1");
-  MRON_CHECK_MSG(
+  MRON_INPUT_CHECK(hw.physical_cores >= 1, where << ": cores must be >= 1");
+  MRON_INPUT_CHECK(hw.total_vcores >= 1, where << ": vcores must be >= 1");
+  MRON_INPUT_CHECK(
       hw.container_vcores >= 1 && hw.container_vcores <= hw.total_vcores,
       where << ": container_vcores must be in [1, vcores]");
-  MRON_CHECK_MSG(hw.node_memory > Bytes(0), where << ": mem_gb must be > 0");
-  MRON_CHECK_MSG(
+  MRON_INPUT_CHECK(hw.node_memory > Bytes(0), where << ": mem_gb must be > 0");
+  MRON_INPUT_CHECK(
       hw.container_memory > Bytes(0) && hw.container_memory <= hw.node_memory,
       where << ": container_mem_gb must be in (0, mem_gb]");
-  MRON_CHECK_MSG(hw.cpu_quota_per_vcore > 0.0,
+  MRON_INPUT_CHECK(hw.cpu_quota_per_vcore > 0.0,
                  where << ": cpu_quota must be > 0");
-  MRON_CHECK_MSG(hw.disk_bandwidth.rate() > 0.0,
+  MRON_INPUT_CHECK(hw.disk_bandwidth.rate() > 0.0,
                  where << ": disk_mbps must be > 0");
-  MRON_CHECK_MSG(hw.disk_seek_penalty >= 0.0,
+  MRON_INPUT_CHECK(hw.disk_seek_penalty >= 0.0,
                  where << ": seek_penalty must be >= 0");
-  MRON_CHECK_MSG(hw.nic_bandwidth.rate() > 0.0,
+  MRON_INPUT_CHECK(hw.nic_bandwidth.rate() > 0.0,
                  where << ": nic_gbps must be > 0");
-  MRON_CHECK_MSG(hw.daemon_core_reserve >= 0.0,
+  MRON_INPUT_CHECK(hw.daemon_core_reserve >= 0.0,
                  where << ": daemon_reserve must be >= 0");
-  MRON_CHECK_MSG(hw.container_core_units() > 0.0,
+  MRON_INPUT_CHECK(hw.container_core_units() > 0.0,
                  where << ": daemon_reserve leaves no container core-units");
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
 
 void validate_cluster_spec(const ClusterSpec& spec) {
-  MRON_CHECK_MSG(spec.inter_rack_factor > 0.0,
+  MRON_INPUT_CHECK(spec.inter_rack_factor > 0.0,
                  "inter_rack_factor must be > 0");
   if (spec.groups.empty()) {
-    MRON_CHECK_MSG(spec.num_slaves >= 1, "cluster needs at least one slave");
-    MRON_CHECK_MSG(spec.num_slaves <= kMaxClusterNodes,
+    MRON_INPUT_CHECK(spec.num_slaves >= 1, "cluster needs at least one slave");
+    MRON_INPUT_CHECK(spec.num_slaves <= kMaxClusterNodes,
                    "cluster of " << spec.num_slaves << " nodes exceeds the "
                                  << kMaxClusterNodes << "-node limit");
     int total = 0;
     for (int s : spec.rack_sizes) {
-      MRON_CHECK_MSG(s >= 1, "every rack needs at least one node");
+      MRON_INPUT_CHECK(s >= 1, "every rack needs at least one node");
       total += s;
     }
-    MRON_CHECK_MSG(total == spec.num_slaves,
+    MRON_INPUT_CHECK(total == spec.num_slaves,
                    "rack sizes sum to " << total << ", expected "
                                         << spec.num_slaves);
     validate_hardware(spec.default_hardware(), "cluster");
@@ -177,12 +171,12 @@ void validate_cluster_spec(const ClusterSpec& spec) {
   for (const NodeGroup& g : spec.groups) {
     const std::string where =
         g.name.empty() ? std::string("group") : "group '" + g.name + "'";
-    MRON_CHECK_MSG(g.racks >= 1, where << ": racks must be >= 1");
-    MRON_CHECK_MSG(g.nodes_per_rack >= 1, where << ": nodes must be >= 1");
+    MRON_INPUT_CHECK(g.racks >= 1, where << ": racks must be >= 1");
+    MRON_INPUT_CHECK(g.nodes_per_rack >= 1, where << ": nodes must be >= 1");
     validate_hardware(g.hardware, where);
     total += static_cast<std::int64_t>(g.racks) * g.nodes_per_rack;
   }
-  MRON_CHECK_MSG(total <= kMaxClusterNodes,
+  MRON_INPUT_CHECK(total <= kMaxClusterNodes,
                  "cluster of " << total << " nodes exceeds the "
                                << kMaxClusterNodes << "-node limit");
 }
@@ -196,14 +190,14 @@ ClusterSpec parse_cluster_spec(const std::string& text) {
     if (toks[0] == "group") {
       spec.groups.push_back(parse_group(toks, stmt));
     } else if (toks[0] == "inter_rack_factor") {
-      MRON_CHECK_MSG(toks.size() == 2,
+      MRON_INPUT_CHECK(toks.size() == 2,
                      "inter_rack_factor takes one value: " << stmt);
       spec.inter_rack_factor = parse_number(toks[1], stmt);
     } else {
-      MRON_CHECK_MSG(false, "unknown cluster spec statement: " << stmt);
+      MRON_INPUT_CHECK(false, "unknown cluster spec statement: " << stmt);
     }
   }
-  MRON_CHECK_MSG(!spec.groups.empty(),
+  MRON_INPUT_CHECK(!spec.groups.empty(),
                  "cluster spec declares no group statements");
   validate_cluster_spec(spec);  // before sync_totals() sizes per-rack state
   spec.sync_totals();
@@ -211,8 +205,8 @@ ClusterSpec parse_cluster_spec(const std::string& text) {
 }
 
 ClusterSpec scaled_spec(int num_slaves, int rack_size) {
-  MRON_CHECK_MSG(num_slaves >= 1, "scaled spec needs at least one slave");
-  MRON_CHECK_MSG(rack_size >= 1, "scaled spec needs rack_size >= 1");
+  MRON_INPUT_CHECK(num_slaves >= 1, "scaled spec needs at least one slave");
+  MRON_INPUT_CHECK(rack_size >= 1, "scaled spec needs rack_size >= 1");
   ClusterSpec spec;
   spec.groups.clear();
   const int full = num_slaves / rack_size;
@@ -247,7 +241,7 @@ ClusterSpec load_cluster_spec(const std::string& arg) {
     int rack_size = 64;
     if (comma != std::string::npos) {
       const std::string r = rest.substr(comma + 1);
-      MRON_CHECK_MSG(r.rfind("rack:", 0) == 0,
+      MRON_INPUT_CHECK(r.rfind("rack:", 0) == 0,
                      "bad cluster preset '" << arg
                                             << "' (want nodes:N[,rack:R])");
       rack_size = parse_int(r.substr(5), arg);
@@ -258,7 +252,7 @@ ClusterSpec load_cluster_spec(const std::string& arg) {
     return parse_cluster_spec(arg);
   }
   std::ifstream in(arg);
-  MRON_CHECK_MSG(in.good(), "cannot open cluster spec file: " << arg);
+  MRON_INPUT_CHECK(in.good(), "cannot open cluster spec file: " << arg);
   std::ostringstream buf;
   buf << in.rdbuf();
   return parse_cluster_spec(buf.str());
@@ -266,7 +260,8 @@ ClusterSpec load_cluster_spec(const std::string& arg) {
 
 std::string render_cluster_spec(const ClusterSpec& spec) {
   std::ostringstream out;
-  out << "inter_rack_factor " << fmt(spec.inter_rack_factor) << "\n";
+  out << "inter_rack_factor " << format_double(spec.inter_rack_factor)
+      << "\n";
   auto emit = [&](const std::string& name, int racks, int nodes,
                   const NodeHardware& hw) {
     out << "group";
@@ -274,13 +269,15 @@ std::string render_cluster_spec(const ClusterSpec& spec) {
     out << " racks=" << racks << " nodes=" << nodes
         << " cores=" << hw.physical_cores << " vcores=" << hw.total_vcores
         << " container_vcores=" << hw.container_vcores
-        << " mem_gb=" << fmt(hw.node_memory.gib())
-        << " container_mem_gb=" << fmt(hw.container_memory.gib())
-        << " cpu_quota=" << fmt(hw.cpu_quota_per_vcore)
-        << " disk_mbps=" << fmt(hw.disk_bandwidth.rate() / (1024.0 * 1024.0))
-        << " seek_penalty=" << fmt(hw.disk_seek_penalty)
-        << " nic_gbps=" << fmt(hw.nic_bandwidth.rate() * 8.0 / 1e9)
-        << " daemon_reserve=" << fmt(hw.daemon_core_reserve) << "\n";
+        << " mem_gb=" << format_double(hw.node_memory.gib())
+        << " container_mem_gb=" << format_double(hw.container_memory.gib())
+        << " cpu_quota=" << format_double(hw.cpu_quota_per_vcore)
+        << " disk_mbps="
+        << format_double(hw.disk_bandwidth.rate() / (1024.0 * 1024.0))
+        << " seek_penalty=" << format_double(hw.disk_seek_penalty)
+        << " nic_gbps=" << format_double(hw.nic_bandwidth.rate() * 8.0 / 1e9)
+        << " daemon_reserve=" << format_double(hw.daemon_core_reserve)
+        << "\n";
   };
   if (spec.groups.empty()) {
     // Homogeneous spec: render each distinct rack size as its own group so

@@ -34,7 +34,7 @@ namespace mron::cluster {
 /// benchmarks and scalebench sweep exercise (10,240 nodes).
 inline constexpr int kMaxClusterNodes = 131072;
 
-/// Parse spec text (the grammar above). Throws CheckError with the
+/// Parse spec text (the grammar above). Throws InputError with the
 /// offending statement on malformed input or invalid hardware.
 [[nodiscard]] ClusterSpec parse_cluster_spec(const std::string& text);
 
@@ -52,7 +52,7 @@ inline constexpr int kMaxClusterNodes = 131072;
 
 /// Validate hardware sanity (positive rates, container resources within
 /// node resources, between one and kMaxClusterNodes nodes). Throws
-/// CheckError on violation.
+/// InputError on violation.
 /// parse_cluster_spec and scaled_spec call this; hand-built specs can too.
 void validate_cluster_spec(const ClusterSpec& spec);
 

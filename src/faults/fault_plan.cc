@@ -4,24 +4,17 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/format.h"
 
 namespace mron::faults {
 
 namespace {
 
-/// Format a double with enough digits to round-trip exactly through parse().
-std::string fmt(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
-/// Split "key=value"; aborts when there is no '='.
+/// Split "key=value"; rejects a token without one.
 std::pair<std::string, std::string> split_kv(const std::string& token,
                                              const std::string& directive) {
   const auto eq = token.find('=');
-  MRON_CHECK_MSG(eq != std::string::npos && eq > 0 && eq + 1 < token.size(),
+  MRON_INPUT_CHECK(eq != std::string::npos && eq > 0 && eq + 1 < token.size(),
                  "fault plan: malformed token '" << token << "' in '"
                                                 << directive << "'");
   return {token.substr(0, eq), token.substr(eq + 1)};
@@ -36,7 +29,7 @@ double parse_num(const std::string& value, const std::string& directive) {
   } catch (...) {
     ok = false;
   }
-  MRON_CHECK_MSG(ok && used == value.size(),
+  MRON_INPUT_CHECK(ok && used == value.size(),
                  "fault plan: bad number '" << value << "' in '" << directive
                                             << "'");
   return v;
@@ -47,51 +40,51 @@ double parse_num(const std::string& value, const std::string& directive) {
 std::string FaultPlan::to_string() const {
   std::ostringstream os;
   os << "seed " << seed << "\n";
-  os << "heartbeat period=" << fmt(heartbeat_period)
-     << " timeout=" << fmt(heartbeat_timeout) << "\n";
+  os << "heartbeat period=" << format_double(heartbeat_period)
+     << " timeout=" << format_double(heartbeat_timeout) << "\n";
   if (task_fail_prob > 0.0) {
-    os << "taskfail prob=" << fmt(task_fail_prob) << "\n";
+    os << "taskfail prob=" << format_double(task_fail_prob) << "\n";
   }
   for (const auto& c : crashes) {
-    os << "crash node=" << c.node << " at=" << fmt(c.at);
-    if (c.restart_at >= 0.0) os << " restart=" << fmt(c.restart_at);
+    os << "crash node=" << c.node << " at=" << format_double(c.at);
+    if (c.restart_at >= 0.0) os << " restart=" << format_double(c.restart_at);
     os << "\n";
   }
   for (const auto& d : degradations) {
-    os << "degrade node=" << d.node << " from=" << fmt(d.from)
-       << " until=" << fmt(d.until);
-    if (d.disk_factor != 1.0) os << " disk=" << fmt(d.disk_factor);
-    if (d.nic_factor != 1.0) os << " nic=" << fmt(d.nic_factor);
-    if (d.cpu_factor != 1.0) os << " cpu=" << fmt(d.cpu_factor);
+    os << "degrade node=" << d.node << " from=" << format_double(d.from)
+       << " until=" << format_double(d.until);
+    if (d.disk_factor != 1.0) os << " disk=" << format_double(d.disk_factor);
+    if (d.nic_factor != 1.0) os << " nic=" << format_double(d.nic_factor);
+    if (d.cpu_factor != 1.0) os << " cpu=" << format_double(d.cpu_factor);
     os << "\n";
   }
   return os.str();
 }
 
 void FaultPlan::validate(int num_nodes) const {
-  MRON_CHECK_MSG(task_fail_prob >= 0.0 && task_fail_prob <= 1.0,
+  MRON_INPUT_CHECK(task_fail_prob >= 0.0 && task_fail_prob <= 1.0,
                  "fault plan: taskfail prob " << task_fail_prob
                                               << " outside [0,1]");
-  MRON_CHECK_MSG(heartbeat_period > 0.0 && heartbeat_timeout > 0.0,
+  MRON_INPUT_CHECK(heartbeat_period > 0.0 && heartbeat_timeout > 0.0,
                  "fault plan: heartbeat period/timeout must be positive");
   for (const auto& c : crashes) {
-    MRON_CHECK_MSG(c.node >= 0 && c.node < num_nodes,
+    MRON_INPUT_CHECK(c.node >= 0 && c.node < num_nodes,
                    "fault plan: crash node " << c.node << " outside cluster of "
                                              << num_nodes);
-    MRON_CHECK_MSG(c.at >= 0.0, "fault plan: crash at " << c.at << " < 0");
-    MRON_CHECK_MSG(c.restart_at < 0.0 || c.restart_at > c.at,
+    MRON_INPUT_CHECK(c.at >= 0.0, "fault plan: crash at " << c.at << " < 0");
+    MRON_INPUT_CHECK(c.restart_at < 0.0 || c.restart_at > c.at,
                    "fault plan: crash restart " << c.restart_at
                                                 << " not after crash " << c.at);
   }
   for (const auto& d : degradations) {
-    MRON_CHECK_MSG(d.node >= 0 && d.node < num_nodes,
+    MRON_INPUT_CHECK(d.node >= 0 && d.node < num_nodes,
                    "fault plan: degrade node " << d.node
                                                << " outside cluster of "
                                                << num_nodes);
-    MRON_CHECK_MSG(d.from >= 0.0 && d.until > d.from,
+    MRON_INPUT_CHECK(d.from >= 0.0 && d.until > d.from,
                    "fault plan: degrade window [" << d.from << "," << d.until
                                                   << ") is empty");
-    MRON_CHECK_MSG(
+    MRON_INPUT_CHECK(
         d.disk_factor > 0.0 && d.nic_factor > 0.0 && d.cpu_factor > 0.0,
         "fault plan: degrade factors must be > 0 (node " << d.node << ")");
   }
@@ -120,14 +113,14 @@ FaultPlan FaultPlan::parse(const std::string& text) {
 
     if (keyword == "seed") {
       std::string v;
-      MRON_CHECK_MSG(static_cast<bool>(words >> v),
+      MRON_INPUT_CHECK(static_cast<bool>(words >> v),
                      "fault plan: 'seed' needs a value");
       plan.seed = static_cast<std::uint64_t>(parse_num(v, line));
     } else if (keyword == "taskfail") {
       std::string token;
       while (words >> token) {
         const auto [key, value] = split_kv(token, line);
-        MRON_CHECK_MSG(key == "prob",
+        MRON_INPUT_CHECK(key == "prob",
                        "fault plan: unknown taskfail key '" << key << "'");
         plan.task_fail_prob = parse_num(value, line);
       }
@@ -140,7 +133,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
         } else if (key == "timeout") {
           plan.heartbeat_timeout = parse_num(value, line);
         } else {
-          MRON_CHECK_MSG(false,
+          MRON_INPUT_CHECK(false,
                          "fault plan: unknown heartbeat key '" << key << "'");
         }
       }
@@ -156,11 +149,11 @@ FaultPlan FaultPlan::parse(const std::string& text) {
         } else if (key == "restart") {
           c.restart_at = parse_num(value, line);
         } else {
-          MRON_CHECK_MSG(false,
+          MRON_INPUT_CHECK(false,
                          "fault plan: unknown crash key '" << key << "'");
         }
       }
-      MRON_CHECK_MSG(c.node >= 0, "fault plan: crash without node= in '"
+      MRON_INPUT_CHECK(c.node >= 0, "fault plan: crash without node= in '"
                                       << line << "'");
       plan.crashes.push_back(c);
     } else if (keyword == "degrade") {
@@ -181,15 +174,15 @@ FaultPlan FaultPlan::parse(const std::string& text) {
         } else if (key == "cpu") {
           d.cpu_factor = parse_num(value, line);
         } else {
-          MRON_CHECK_MSG(false,
+          MRON_INPUT_CHECK(false,
                          "fault plan: unknown degrade key '" << key << "'");
         }
       }
-      MRON_CHECK_MSG(d.node >= 0, "fault plan: degrade without node= in '"
+      MRON_INPUT_CHECK(d.node >= 0, "fault plan: degrade without node= in '"
                                       << line << "'");
       plan.degradations.push_back(d);
     } else {
-      MRON_CHECK_MSG(false,
+      MRON_INPUT_CHECK(false,
                      "fault plan: unknown directive '" << keyword << "'");
     }
   }
@@ -198,7 +191,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
 
 FaultPlan FaultPlan::load(const std::string& path) {
   std::ifstream in(path);
-  MRON_CHECK_MSG(in.good(), "fault plan: cannot read '" << path << "'");
+  MRON_INPUT_CHECK(in.good(), "fault plan: cannot read '" << path << "'");
   std::ostringstream text;
   text << in.rdbuf();
   return parse(text.str());

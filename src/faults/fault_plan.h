@@ -69,14 +69,14 @@ struct FaultPlan {
   /// Round-trips through parse(): parse(p.to_string()) == p.
   [[nodiscard]] std::string to_string() const;
 
-  /// Abort with a diagnostic on malformed plans (node out of [0,num_nodes),
+  /// Throws InputError on malformed plans (node out of [0,num_nodes),
   /// empty or negative windows, probabilities outside [0,1], factors <= 0).
   void validate(int num_nodes) const;
 
-  /// Parse the text format; aborts with a diagnostic on unknown directives
-  /// or malformed values.
+  /// Parse the text format; throws InputError on unknown directives or
+  /// malformed values.
   static FaultPlan parse(const std::string& text);
-  /// Parse a plan file from disk; aborts if the file cannot be read.
+  /// Parse a plan file from disk; throws InputError if it cannot be read.
   static FaultPlan load(const std::string& path);
 };
 

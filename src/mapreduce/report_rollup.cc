@@ -1,8 +1,8 @@
 #include "mapreduce/report_rollup.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/format.h"
 #include "mapreduce/params.h"
 #include "mapreduce/simulation.h"
 
@@ -138,10 +138,9 @@ std::string run_report_key(
   }
   key += "|cfg:";
   const auto& reg = ParamRegistry::extended();
-  char buf[32];
   for (std::size_t i = 0; i < reg.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.17g,", reg.get(config, i));
-    key += buf;
+    key += format_double(reg.get(config, i));
+    key += ',';
   }
   return key;
 }

@@ -22,39 +22,33 @@ std::size_t AuditLog::count(std::int64_t job, const std::string& kind) const {
 
 namespace {
 
-void write_pairs(std::ostream& os, const char* key,
+void write_pairs(JsonWriter& w, const char* key,
                  const std::vector<std::pair<std::string, double>>& pairs) {
   if (pairs.empty()) return;
-  os << ",\"" << key << "\":{";
+  w.raw(",\"").raw(key).raw("\":{");
   bool first = true;
   for (const auto& [name, value] : pairs) {
-    if (!first) os << ",";
+    if (!first) w.raw(',');
     first = false;
-    write_json_string(os, name);
-    os << ":";
-    write_json_number(os, value);
+    w.string(name).raw(':').number(value);
   }
-  os << "}";
+  w.raw('}');
 }
 
 }  // namespace
 
 void AuditLog::write_jsonl(std::ostream& os) const {
+  JsonWriter w(os);
   for (const AuditEvent& ev : events_) {
-    os << "{\"t\":";
-    write_json_number(os, ev.time);
-    os << ",\"kind\":";
-    write_json_string(os, ev.kind);
-    if (ev.job >= 0) os << ",\"job\":" << ev.job;
-    if (!ev.detail.empty()) {
-      os << ",\"detail\":";
-      write_json_string(os, ev.detail);
-    }
-    write_pairs(os, "before", ev.before);
-    write_pairs(os, "after", ev.after);
-    write_pairs(os, "sample", ev.sample);
-    os << "}\n";
+    w.raw("{\"t\":").number(ev.time).raw(",\"kind\":").string(ev.kind);
+    if (ev.job >= 0) w.raw(",\"job\":").integer(ev.job);
+    if (!ev.detail.empty()) w.raw(",\"detail\":").string(ev.detail);
+    write_pairs(w, "before", ev.before);
+    write_pairs(w, "after", ev.after);
+    write_pairs(w, "sample", ev.sample);
+    w.raw("}\n");
   }
+  w.flush();
 }
 
 }  // namespace mron::obs

@@ -119,56 +119,54 @@ std::vector<double> CriticalPathBuilder::blame_breakdown(
 
 namespace {
 
-void write_blame_map(std::ostream& os, const std::vector<double>& per) {
-  os << '{';
+void write_blame_map(JsonWriter& w, const std::vector<double>& per) {
+  w.raw('{');
   for (int b = 0; b < kNumBlames; ++b) {
-    if (b != 0) os << ',';
-    write_json_string(os, blame_name(static_cast<Blame>(b)));
-    os << ':';
-    write_json_number(os, per[static_cast<std::size_t>(b)]);
+    if (b != 0) w.raw(',');
+    w.string(blame_name(static_cast<Blame>(b))).raw(':');
+    w.number(per[static_cast<std::size_t>(b)]);
   }
-  os << '}';
+  w.raw('}');
 }
 
 }  // namespace
 
 void CriticalPathBuilder::write_json(std::ostream& os) const {
+  JsonWriter w(os);
+  write_json(w);
+  w.flush();
+}
+
+void CriticalPathBuilder::write_json(JsonWriter& w) const {
   std::vector<double> totals(kNumBlames, 0.0);
-  os << "{\"jobs\":[";
+  w.raw("{\"jobs\":[");
   bool first_job = true;
   for (const auto& [job, end] : finish_) {
-    if (!first_job) os << ',';
+    if (!first_job) w.raw(',');
     first_job = false;
     const std::vector<CpSegment> segments = extract(end);
     const std::vector<double> per = blame_breakdown(segments);
     for (int b = 0; b < kNumBlames; ++b) {
       totals[static_cast<std::size_t>(b)] += per[static_cast<std::size_t>(b)];
     }
-    os << "{\"id\":" << job << ",\"segments\":[";
+    w.raw("{\"id\":").integer(job).raw(",\"segments\":[");
     for (std::size_t i = 0; i < segments.size(); ++i) {
       const CpSegment& s = segments[i];
-      if (i != 0) os << ',';
-      os << "{\"from\":";
-      write_json_string(os, s.from_kind);
-      os << ",\"to\":";
-      write_json_string(os, s.to_kind);
-      os << ",\"t0\":";
-      write_json_number(os, s.t0);
-      os << ",\"t1\":";
-      write_json_number(os, s.t1);
-      os << ",\"secs\":";
-      write_json_number(os, s.secs());
-      os << ",\"blame\":";
-      write_json_string(os, blame_name(s.blame));
-      os << '}';
+      if (i != 0) w.raw(',');
+      w.raw("{\"from\":").string(s.from_kind);
+      w.raw(",\"to\":").string(s.to_kind);
+      w.raw(",\"t0\":").number(s.t0);
+      w.raw(",\"t1\":").number(s.t1);
+      w.raw(",\"secs\":").number(s.secs());
+      w.raw(",\"blame\":").string(blame_name(s.blame)).raw('}');
     }
-    os << "],\"blame\":";
-    write_blame_map(os, per);
-    os << '}';
+    w.raw("],\"blame\":");
+    write_blame_map(w, per);
+    w.raw('}');
   }
-  os << "],\"blame_totals\":";
-  write_blame_map(os, totals);
-  os << '}';
+  w.raw("],\"blame_totals\":");
+  write_blame_map(w, totals);
+  w.raw('}');
 }
 
 }  // namespace mron::obs

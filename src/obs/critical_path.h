@@ -28,6 +28,8 @@
 
 namespace mron::obs {
 
+class JsonWriter;
+
 /// Where critical-path time is charged. The order is the export order —
 /// stable, additions go at the end.
 enum class Blame {
@@ -136,6 +138,8 @@ class CriticalPathBuilder {
   ///           "blame":{<all 7 categories>}}],
   ///  "blame_totals":{<all 7 categories>}}
   void write_json(std::ostream& os) const;
+  /// The same object into `w`, e.g. as a section of the run report.
+  void write_json(JsonWriter& w) const;
 
  private:
   struct InEdge {

@@ -216,10 +216,9 @@ void merge_tree(const std::vector<HostProfiler::FrameNode>& nodes,
   m.child_total_ticks += child_total;
 }
 
-void write_ns(std::ostream& os, std::int64_t ticks, double ns_per_tick) {
-  write_json_number(
-      os, static_cast<double>(static_cast<std::int64_t>(
-              static_cast<double>(ticks) * ns_per_tick)));
+void write_ns(JsonWriter& w, std::int64_t ticks, double ns_per_tick) {
+  w.number(static_cast<double>(
+      static_cast<std::int64_t>(static_cast<double>(ticks) * ns_per_tick)));
 }
 
 }  // namespace
@@ -237,53 +236,49 @@ void HostProfiler::write_json(std::ostream& os) {
   memory_["rss_peak_bytes"] = static_cast<double>(peak_rss_bytes());
   memory_["rss_current_bytes"] = static_cast<double>(current_rss_bytes());
 
-  os << "{\n  \"schema\": ";
-  write_json_string(os, kHostProfileSchema);
+  JsonWriter w(os);
+  w.raw("{\n  \"schema\": ").string(kHostProfileSchema);
 
-  os << ",\n  \"meta\": {";
+  w.raw(",\n  \"meta\": {");
   bool first = true;
   for (const auto& [k, v] : meta_) {
-    os << (first ? "\n    " : ",\n    ");
+    w.raw(first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(os, k);
-    os << ": ";
-    write_json_string(os, v);
+    w.string(k).raw(": ").string(v);
   }
-  os << (first ? "}" : "\n  }");
+  w.raw(first ? "}" : "\n  }");
 
-  os << ",\n  \"clock\": {\"source\": ";
+  w.raw(",\n  \"clock\": {\"source\": ");
 #if defined(__x86_64__)
-  write_json_string(os, "rdtsc");
+  w.string("rdtsc");
 #else
-  write_json_string(os, "steady_clock");
+  w.string("steady_clock");
 #endif
-  os << ", \"ns_per_tick\": ";
-  write_json_number(os, npt);
-  os << ", \"threads\": " << threads_.size() << "}";
+  w.raw(", \"ns_per_tick\": ").number(npt);
+  w.raw(", \"threads\": ").integer(threads_.size()).raw('}');
 
-  os << ",\n  \"phases\": {";
+  w.raw(",\n  \"phases\": {");
   for (int p = 0; p < static_cast<int>(HostPhase::kCount); ++p) {
-    os << (p == 0 ? "\n    " : ",\n    ");
-    write_json_string(os, host_phase_name(static_cast<HostPhase>(p)));
-    os << ": {\"wall_ns\": ";
-    write_ns(os, phase_ticks_[p], npt);
-    os << ", \"rss_bytes\": ";
-    write_json_number(os, static_cast<double>(phase_rss_bytes_[p]));
-    os << "}";
+    w.raw(p == 0 ? "\n    " : ",\n    ");
+    w.string(host_phase_name(static_cast<HostPhase>(p)));
+    w.raw(": {\"wall_ns\": ");
+    write_ns(w, phase_ticks_[p], npt);
+    w.raw(", \"rss_bytes\": ");
+    w.number(static_cast<double>(phase_rss_bytes_[p])).raw('}');
   }
-  os << "\n  }";
+  w.raw("\n  }");
 
-  os << ",\n  \"subsystems\": {";
+  w.raw(",\n  \"subsystems\": {");
   for (int c = 0; c < kNumHostCats; ++c) {
-    os << (c == 0 ? "\n    " : ",\n    ");
-    write_json_string(os, host_cat_name(static_cast<HostCat>(c)));
-    os << ": {\"events\": " << cats_[c].count << ", \"total_ns\": ";
-    write_ns(os, cats_[c].total_ticks, npt);
-    os << ", \"max_ns\": ";
-    write_ns(os, cats_[c].max_ticks, npt);
-    os << "}";
+    w.raw(c == 0 ? "\n    " : ",\n    ");
+    w.string(host_cat_name(static_cast<HostCat>(c)));
+    w.raw(": {\"events\": ").integer(cats_[c].count).raw(", \"total_ns\": ");
+    write_ns(w, cats_[c].total_ticks, npt);
+    w.raw(", \"max_ns\": ");
+    write_ns(w, cats_[c].max_ticks, npt);
+    w.raw('}');
   }
-  os << "\n  }";
+  w.raw("\n  }");
 
   // Merge per-thread trees by path. std::map keys give a stable, readable
   // order in which every parent precedes its children.
@@ -293,38 +288,36 @@ void HostProfiler::write_json(std::ostream& os) {
       merge_tree(state->nodes, c, "", 0, merged);
     }
   }
-  os << ",\n  \"frames\": [";
+  w.raw(",\n  \"frames\": [");
   first = true;
   for (const auto& [path, m] : merged) {
-    os << (first ? "\n    " : ",\n    ");
+    w.raw(first ? "\n    " : ",\n    ");
     first = false;
-    os << "{\"path\": ";
-    write_json_string(os, path);
-    os << ", \"depth\": " << m.depth << ", \"count\": " << m.stat.count
-       << ", \"total_ns\": ";
-    write_ns(os, m.stat.total_ticks, npt);
-    os << ", \"self_ns\": ";
-    write_ns(os, std::max<std::int64_t>(
-                     0, m.stat.total_ticks - m.child_total_ticks),
+    w.raw("{\"path\": ").string(path);
+    w.raw(", \"depth\": ").integer(m.depth);
+    w.raw(", \"count\": ").integer(m.stat.count).raw(", \"total_ns\": ");
+    write_ns(w, m.stat.total_ticks, npt);
+    w.raw(", \"self_ns\": ");
+    write_ns(w, std::max<std::int64_t>(
+                    0, m.stat.total_ticks - m.child_total_ticks),
              npt);
-    os << ", \"max_ns\": ";
-    write_ns(os, m.stat.max_ticks, npt);
-    os << "}";
+    w.raw(", \"max_ns\": ");
+    write_ns(w, m.stat.max_ticks, npt);
+    w.raw('}');
   }
-  os << (first ? "]" : "\n  ]");
+  w.raw(first ? "]" : "\n  ]");
 
-  os << ",\n  \"memory\": {";
+  w.raw(",\n  \"memory\": {");
   first = true;
   for (const auto& [k, v] : memory_) {
-    os << (first ? "\n    " : ",\n    ");
+    w.raw(first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(os, k);
-    os << ": ";
-    write_json_number(os, v);
+    w.string(k).raw(": ").number(v);
   }
-  os << (first ? "}" : "\n  }");
+  w.raw(first ? "}" : "\n  }");
 
-  os << "\n}\n";
+  w.raw("\n}\n");
+  w.flush();
 }
 
 void HostProfiler::emit_trace_track(TraceRecorder& trace) {

@@ -1,55 +1,76 @@
-// Minimal JSON emission helpers shared by the observability exporters.
+// JsonWriter: the one emission path of every observability exporter.
 //
-// The exporters hand-build their JSON (the schemas are tiny and fixed);
-// these helpers keep string escaping and double formatting in one place.
-// Doubles are printed with enough digits to round-trip and never as bare
-// `nan`/`inf` (which JSON forbids) — non-finite values degrade to null.
+// The exporters hand-build their JSON (the schemas are small and fixed);
+// the writer keeps string escaping and number formatting in one place and
+// appends into a std::string instead of paying a std::ostream call per
+// token. Numbers go through format_double() (common/format.h): integers
+// below 1e15 print exactly, everything else with 17 significant digits,
+// and never as bare `nan`/`inf` (which JSON forbids) — non-finite values
+// degrade to null.
+//
+// Two sinks: a caller's std::string, which simply grows (RunReport::to_json
+// writes straight into its result), or a std::ostream, which receives the
+// text in chunks of about kChunkBytes so an export's transient memory stays
+// bounded however large the document is.
 #pragma once
 
-#include <cmath>
-#include <cstdio>
+#include <charconv>
+#include <concepts>
+#include <cstddef>
 #include <ostream>
+#include <string>
 #include <string_view>
 
 namespace mron::obs {
 
-inline void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
+class JsonWriter {
+ public:
+  /// An ostream sink is handed the buffered text once it reaches this size.
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
 
-inline void write_json_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
+  /// Appends to `out`; nothing needs flushing.
+  explicit JsonWriter(std::string& out) : buf_(&out) {}
+  /// Buffers for `os`. Call flush() when the document is complete: the
+  /// destructor writes nothing, so an export that throws midway sends no
+  /// further bytes.
+  explicit JsonWriter(std::ostream& os);
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  /// Verbatim text: punctuation, keys and literals the caller knows need
+  /// no escaping.
+  JsonWriter& raw(std::string_view text) {
+    buf_->append(text);
+    return maybe_flush();
   }
-  // Integers print exactly; everything else with round-trip precision.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 1e15) {
-    os << static_cast<long long>(v);
-    return;
+  JsonWriter& raw(char c) {
+    buf_->push_back(c);
+    return maybe_flush();
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
+  /// A quoted, escaped JSON string. Bytes >= 0x20 other than `"` and `\`
+  /// pass through, so UTF-8 stays as it is.
+  JsonWriter& string(std::string_view s);
+  /// A JSON number, or null when `v` is not finite.
+  JsonWriter& number(double v);
+  template <std::integral Int>
+  JsonWriter& integer(Int v) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    return raw(std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
+  }
+
+  /// Hands everything buffered to the ostream sink (no-op for a string).
+  void flush();
+
+ private:
+  JsonWriter& maybe_flush() {
+    if (os_ != nullptr && buf_->size() >= kChunkBytes) flush();
+    return *this;
+  }
+
+  std::string chunk_;  ///< the buffer of an ostream sink
+  std::string* buf_ = nullptr;
+  std::ostream* os_ = nullptr;
+};
 
 }  // namespace mron::obs

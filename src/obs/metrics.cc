@@ -235,55 +235,47 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {
-  os << "{\"metrics\":[";
+  JsonWriter w(os);
+  w.raw("{\"metrics\":[");
   bool first = true;
   for (const auto& [name, entry] : metrics_) {
-    if (!first) os << ",";
+    if (!first) w.raw(',');
     first = false;
-    os << "{\"name\":";
-    write_json_string(os, name);
-    os << ",\"kind\":\""
-       << (entry.kind == Kind::Counter
-               ? "counter"
-               : entry.kind == Kind::Gauge ? "gauge" : "histogram")
-       << "\",\"value\":";
-    write_json_number(os, entry.scalar());
+    w.raw("{\"name\":").string(name).raw(",\"kind\":\"");
+    w.raw(entry.kind == Kind::Counter
+              ? "counter"
+              : entry.kind == Kind::Gauge ? "gauge" : "histogram");
+    w.raw("\",\"value\":").number(entry.scalar());
     if (entry.kind == Kind::Histogram && entry.histogram != nullptr) {
       const Histogram& h = *entry.histogram;
-      os << ",\"sum\":";
-      write_json_number(os, h.sum());
-      os << ",\"p50\":";
-      write_json_number(os, h.quantile(0.50));
-      os << ",\"p95\":";
-      write_json_number(os, h.quantile(0.95));
-      os << ",\"p99\":";
-      write_json_number(os, h.quantile(0.99));
-      os << ",\"overflow_count\":" << h.overflow_count();
-      os << ",\"buckets\":[";
+      w.raw(",\"sum\":").number(h.sum());
+      w.raw(",\"p50\":").number(h.quantile(0.50));
+      w.raw(",\"p95\":").number(h.quantile(0.95));
+      w.raw(",\"p99\":").number(h.quantile(0.99));
+      w.raw(",\"overflow_count\":").integer(h.overflow_count());
+      w.raw(",\"buckets\":[");
       for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
-        if (i > 0) os << ",";
-        os << "[";
+        if (i > 0) w.raw(',');
+        w.raw('[');
         if (i < h.bounds().size()) {
-          write_json_number(os, h.bounds()[i]);
+          w.number(h.bounds()[i]);
         } else {
-          os << "null";  // overflow bucket
+          w.raw("null");  // overflow bucket
         }
-        os << "," << h.bucket(i) << "]";
+        w.raw(',').integer(h.bucket(i)).raw(']');
       }
-      os << "]";
+      w.raw(']');
     }
-    os << ",\"series\":[";
+    w.raw(",\"series\":[");
     for (std::size_t i = 0; i < entry.series.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "[";
-      write_json_number(os, entry.series.at(i).time);
-      os << ",";
-      write_json_number(os, entry.series.at(i).value);
-      os << "]";
+      if (i > 0) w.raw(',');
+      const TimePoint& p = entry.series.at(i);
+      w.raw('[').number(p.time).raw(',').number(p.value).raw(']');
     }
-    os << "]}";
+    w.raw("]}");
   }
-  os << "]}\n";
+  w.raw("]}\n");
+  w.flush();
 }
 
 }  // namespace mron::obs

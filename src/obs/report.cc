@@ -1,7 +1,6 @@
 #include "obs/report.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "common/check.h"
 #include "obs/json.h"
@@ -11,18 +10,16 @@ namespace mron::obs {
 
 namespace {
 
-void write_number_map(std::ostream& os,
+void write_number_map(JsonWriter& w,
                       const std::map<std::string, double>& m) {
-  os << "{";
+  w.raw('{');
   bool first = true;
   for (const auto& [k, v] : m) {
-    if (!first) os << ",";
+    if (!first) w.raw(',');
     first = false;
-    write_json_string(os, k);
-    os << ":";
-    write_json_number(os, v);
+    w.string(k).raw(':').number(v);
   }
-  os << "}";
+  w.raw('}');
 }
 
 }  // namespace
@@ -74,66 +71,74 @@ std::map<std::string, double> RunReport::run_totals() const {
 }
 
 void RunReport::write_json(std::ostream& os, const Recorder* rec) const {
-  os << "{\"schema\":";
-  write_json_string(os, kRunReportSchema);
-  os << ",\"meta\":{";
+  JsonWriter w(os);
+  write_json(w, rec);
+  w.flush();
+}
+
+std::string RunReport::to_json(const Recorder* rec) const {
+  std::string out;
+  JsonWriter w(out);
+  write_json(w, rec);
+  // Callers keep the report (ReportCollector, benches); growth by doubling
+  // can leave nearly as much slack again as the report is long.
+  out.shrink_to_fit();
+  return out;
+}
+
+void RunReport::write_json(JsonWriter& w, const Recorder* rec) const {
+  w.raw("{\"schema\":").string(kRunReportSchema).raw(",\"meta\":{");
   bool first = true;
   for (const auto& [k, v] : meta_) {
-    if (!first) os << ",";
+    if (!first) w.raw(',');
     first = false;
-    write_json_string(os, k);
-    os << ":";
-    write_json_string(os, v);
+    w.string(k).raw(':').string(v);
   }
-  os << "},\"jobs\":[";
+  w.raw("},\"jobs\":[");
   first = true;
   for (const ReportJob& j : jobs_) {
-    if (!first) os << ",";
+    if (!first) w.raw(',');
     first = false;
-    os << "{\"id\":" << j.id << ",\"name\":";
-    write_json_string(os, j.name);
-    os << ",\"submit_time\":";
-    write_json_number(os, j.submit_time);
-    os << ",\"finish_time\":";
-    write_json_number(os, j.finish_time);
-    os << ",\"counters\":{";
+    w.raw("{\"id\":").integer(j.id).raw(",\"name\":").string(j.name);
+    w.raw(",\"submit_time\":").number(j.submit_time);
+    w.raw(",\"finish_time\":").number(j.finish_time);
+    w.raw(",\"counters\":{");
     bool pfirst = true;
     for (const auto& [phase, counters] : j.phases) {
-      if (!pfirst) os << ",";
+      if (!pfirst) w.raw(',');
       pfirst = false;
-      write_json_string(os, phase);
-      os << ":";
-      write_number_map(os, counters);
+      w.string(phase).raw(':');
+      write_number_map(w, counters);
     }
-    os << "},\"stats\":";
-    write_number_map(os, j.stats);
-    os << ",\"config\":";
-    write_number_map(os, j.config);
-    os << "}";
+    w.raw("},\"stats\":");
+    write_number_map(w, j.stats);
+    w.raw(",\"config\":");
+    write_number_map(w, j.config);
+    w.raw('}');
   }
-  os << "],\"totals\":";
-  write_number_map(os, run_totals());
-  os << ",\"faults\":";
-  write_number_map(os, faults_);
+  w.raw("],\"totals\":");
+  write_number_map(w, run_totals());
+  w.raw(",\"faults\":");
+  write_number_map(w, faults_);
   // Storage: placement counts and re-replication pipeline tallies.
-  os << ",\"dfs\":";
-  write_number_map(os, dfs_);
+  w.raw(",\"dfs\":");
+  write_number_map(w, dfs_);
 
   // Causal critical path: per-job longest-path segments and run-level
   // blame totals (obs/critical_path.h). Empty jobs array without a
   // recorder or when nothing emitted edges.
-  os << ",\"critical_path\":";
+  w.raw(",\"critical_path\":");
   if (rec != nullptr) {
-    rec->critical_path().write_json(os);
+    rec->critical_path().write_json(w);
   } else {
-    CriticalPathBuilder{}.write_json(os);  // full taxonomy, all zeros
+    CriticalPathBuilder{}.write_json(w);  // full taxonomy, all zeros
   }
 
   // Flight-recorder sections: scalars (histograms contribute interpolated
   // quantiles under <name>.p50/.p95/.p99 plus the overflow-clamp marker
   // pair <name>.overflow_count / <name>.p99_clamped), whole-run series,
   // audit volume.
-  os << ",\"metrics\":";
+  w.raw(",\"metrics\":");
   std::map<std::string, double> scalars;
   if (rec != nullptr) {
     const MetricsRegistry& m = rec->metrics();
@@ -150,21 +155,16 @@ void RunReport::write_json(std::ostream& os, const Recorder* rec) const {
       }
     }
   }
-  write_number_map(os, scalars);
-  os << ",\"series\":";
+  write_number_map(w, scalars);
+  w.raw(",\"series\":");
   if (rec != nullptr) {
-    rec->series().write_json(os);
+    rec->series().write_json(w);
   } else {
-    os << "{\"series\":[]}";
+    w.raw("{\"series\":[]}");
   }
-  os << ",\"audit\":{\"events\":"
-     << (rec != nullptr ? rec->audit().size() : std::size_t{0}) << "}}\n";
-}
-
-std::string RunReport::to_json(const Recorder* rec) const {
-  std::ostringstream os;
-  write_json(os, rec);
-  return os.str();
+  w.raw(",\"audit\":{\"events\":")
+      .integer(rec != nullptr ? rec->audit().size() : std::size_t{0})
+      .raw("}}\n");
 }
 
 bool ReportCollector::offer(const std::string& key, const std::string& json,

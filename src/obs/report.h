@@ -10,7 +10,7 @@
 // tools/mron_diff.py compares two of them.
 //
 // Determinism: every container is name-ordered and every number goes
-// through write_json_number, so the same simulation serializes to the same
+// through JsonWriter::number, so the same simulation serializes to the same
 // bytes — the property the byte-identical-across---jobs acceptance test
 // pins down.
 //
@@ -28,6 +28,7 @@
 
 namespace mron::obs {
 
+class JsonWriter;
 class Recorder;
 
 /// Bump when the JSON layout changes shape (tools check this).
@@ -82,6 +83,7 @@ class RunReport {
   /// Serialize. `rec` contributes the metrics/series/audit sections and may
   /// be null (e.g. MRON_OBS=OFF builds), leaving them empty.
   void write_json(std::ostream& os, const Recorder* rec) const;
+  void write_json(JsonWriter& w, const Recorder* rec) const;
   [[nodiscard]] std::string to_json(const Recorder* rec) const;
 
  private:

@@ -57,26 +57,28 @@ std::vector<std::string> SeriesStore::names() const {
 }
 
 void SeriesStore::write_json(std::ostream& os) const {
-  os << "{\"series\":[";
+  JsonWriter w(os);
+  write_json(w);
+  w.flush();
+}
+
+void SeriesStore::write_json(JsonWriter& w) const {
+  w.raw("{\"series\":[");
   bool first = true;
   for (const auto& [name, s] : series_) {
-    if (!first) os << ",";
+    if (!first) w.raw(',');
     first = false;
-    os << "{\"name\":";
-    write_json_string(os, name);
-    os << ",\"stride\":" << s.stride() << ",\"offered\":" << s.offered()
-       << ",\"points\":[";
+    w.raw("{\"name\":").string(name);
+    w.raw(",\"stride\":").integer(s.stride());
+    w.raw(",\"offered\":").integer(s.offered()).raw(",\"points\":[");
     for (std::size_t i = 0; i < s.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "[";
-      write_json_number(os, s.at(i).time);
-      os << ",";
-      write_json_number(os, s.at(i).value);
-      os << "]";
+      if (i > 0) w.raw(',');
+      const SeriesPoint& p = s.at(i);
+      w.raw('[').number(p.time).raw(',').number(p.value).raw(']');
     }
-    os << "]}";
+    w.raw("]}");
   }
-  os << "]}";
+  w.raw("]}");
 }
 
 }  // namespace mron::obs

@@ -32,6 +32,8 @@
 
 namespace mron::obs {
 
+class JsonWriter;
+
 /// Default point budget per series. Runs shorter than this record every
 /// push; longer runs halve their resolution as needed (a day-long run at a
 /// 1 s tick still fits in ~512 points at stride 256).
@@ -98,6 +100,8 @@ class SeriesStore {
   /// {"series":[{"name":...,"stride":N,"offered":N,
   ///             "points":[[t,v],...]},...]}
   void write_json(std::ostream& os) const;
+  /// The same document into `w`, e.g. as a section of the run report.
+  void write_json(JsonWriter& w) const;
 
  private:
   std::map<std::string, Series> series_;

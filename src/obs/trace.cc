@@ -131,64 +131,45 @@ std::size_t TraceRecorder::span_count(const char* cat) const {
   return n;
 }
 
-namespace {
-
-void write_event_common(std::ostream& os, const char* name, const char* cat,
-                        char ph, SimTime time, int pid, std::int64_t tid) {
-  os << "{\"name\":";
-  write_json_string(os, name != nullptr ? name : "");
-  os << ",\"cat\":";
-  write_json_string(os, cat != nullptr ? cat : "");
-  os << ",\"ph\":\"" << ph << "\",\"ts\":";
-  write_json_number(os, time * 1e6);
-  os << ",\"pid\":" << pid << ",\"tid\":" << tid;
-}
-
-}  // namespace
-
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
-  os << "{\"traceEvents\":[";
+  JsonWriter w(os);
+  w.raw("{\"traceEvents\":[");
   bool first = true;
   const auto sep = [&] {
-    if (!first) os << ",";
+    if (!first) w.raw(',');
     first = false;
   };
   for (const auto& [pid, name] : process_names_) {
     sep();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":";
-    write_json_string(os, name);
-    os << "}}";
+    w.raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":").integer(pid);
+    w.raw(",\"tid\":0,\"args\":{\"name\":").string(name).raw("}}");
   }
   for (const auto& [key, name] : thread_names_) {
     sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << key.first
-       << ",\"tid\":" << key.second << ",\"args\":{\"name\":";
-    write_json_string(os, name);
-    os << "}}";
+    w.raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":")
+        .integer(key.first);
+    w.raw(",\"tid\":").integer(key.second);
+    w.raw(",\"args\":{\"name\":").string(name).raw("}}");
   }
   for (const Event& e : events_) {
     sep();
-    write_event_common(os, e.name, e.cat, e.ph, e.time, e.pid, e.tid);
+    w.raw("{\"name\":").string(e.name != nullptr ? e.name : "");
+    w.raw(",\"cat\":").string(e.cat != nullptr ? e.cat : "");
+    w.raw(",\"ph\":\"").raw(e.ph).raw("\",\"ts\":").number(e.time * 1e6);
+    w.raw(",\"pid\":").integer(e.pid).raw(",\"tid\":").integer(e.tid);
     if (e.ph == 'b' || e.ph == 'e' || e.ph == 's' || e.ph == 'f') {
-      os << ",\"id\":" << e.id;
+      w.raw(",\"id\":").integer(e.id);
     }
-    if (e.ph == 'f') {
-      os << ",\"bp\":\"e\"";
-    }
-    if (e.ph == 'i') {
-      os << ",\"s\":\"t\"";
-    }
+    if (e.ph == 'f') w.raw(",\"bp\":\"e\"");
+    if (e.ph == 'i') w.raw(",\"s\":\"t\"");
     if (e.arg_key != nullptr) {
-      os << ",\"args\":{";
-      write_json_string(os, e.arg_key);
-      os << ":";
-      write_json_number(os, e.arg_val);
-      os << "}";
+      w.raw(",\"args\":{").string(e.arg_key).raw(':').number(e.arg_val);
+      w.raw('}');
     }
-    os << "}";
+    w.raw('}');
   }
-  os << "],\"displayTimeUnit\":\"ms\"}\n";
+  w.raw("],\"displayTimeUnit\":\"ms\"}\n");
+  w.flush();
 }
 
 }  // namespace mron::obs

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/format.h"
+
 namespace mron::tuner {
 
 using mapreduce::ParamRegistry;
@@ -32,9 +34,10 @@ std::string TuningKnowledgeBase::serialize() const {
   const auto& reg = ParamRegistry::standard();
   std::ostringstream os;
   for (const auto& [sig, entry] : entries_) {
-    os << sig << " " << entry.cost;
+    os << sig << " " << format_double(entry.cost);
     for (std::size_t i = 0; i < reg.size(); ++i) {
-      os << " " << reg.at(i).name << "=" << reg.get(entry.config, i);
+      os << " " << reg.at(i).name << "="
+         << format_double(reg.get(entry.config, i));
     }
     os << "\n";
   }

@@ -130,6 +130,14 @@ TEST(ParseClusterSpec, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_cluster_spec("# only a comment"), CheckError);
   EXPECT_THROW((void)parse_cluster_spec("group racks=2.5 nodes=4"),
                CheckError);
+  // All of them are user errors with a bare message (no check location).
+  try {
+    (void)parse_cluster_spec("racks 4");
+    ADD_FAILURE() << "'racks 4' was accepted";
+  } catch (const InputError& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown cluster spec statement: racks 4");
+  }
+  EXPECT_THROW((void)load_cluster_spec("nodes:0"), InputError);
 }
 
 TEST(ValidateClusterSpec, RejectsInvalidHardware) {

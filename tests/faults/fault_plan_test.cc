@@ -119,5 +119,19 @@ TEST(FaultPlan, ParseRejectsUnknownDirectives) {
   EXPECT_THROW(FaultPlan::parse("crash node=1 at=abc"), CheckError);
 }
 
+TEST(FaultPlan, BadInputIsAUserError) {
+  // Parse and validate errors are InputErrors (a CheckError subclass) whose
+  // message is the bare reason, fit to show a user as is.
+  try {
+    (void)FaultPlan::parse("crash node=x");
+    ADD_FAILURE() << "crash node=x was accepted";
+  } catch (const InputError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "fault plan: bad number 'x' in 'crash node=x'");
+  }
+  const FaultPlan p = FaultPlan::parse("heartbeat period=0 timeout=0");
+  EXPECT_THROW(p.validate(4), InputError);
+}
+
 }  // namespace
 }  // namespace mron::faults

@@ -31,22 +31,29 @@ TEST(KnowledgeBase, KeepsCheaperEntry) {
 }
 
 TEST(KnowledgeBase, SerializeRoundTrips) {
+  // Tuned values are arbitrary doubles, not round numbers: every bit must
+  // survive the text format, or a reused config is not the stored one.
   TuningKnowledgeBase kb;
   JobConfig cfg;
-  cfg.io_sort_mb = 320;
+  cfg.io_sort_mb = 320;  // an integer parameter: set() rounds it
+  cfg.sort_spill_percent = 0.54260869565217396;
+  cfg.shuffle_input_buffer_percent = 1.0 / 3.0;
   cfg.map_memory_mb = 640;
   cfg.shuffle_parallelcopies = 30;
-  kb.store("WC/wiki", cfg, 2.25);
+  kb.store("WC/wiki", cfg, 2.2500000000000004);
   kb.store("Terasort", JobConfig{}, 3.0);
 
   TuningKnowledgeBase other;
   EXPECT_EQ(other.deserialize(kb.serialize()), 2);
   const auto got = other.lookup("WC/wiki");
   ASSERT_TRUE(got.has_value());
-  EXPECT_DOUBLE_EQ(got->io_sort_mb, 320);
-  EXPECT_DOUBLE_EQ(got->map_memory_mb, 640);
-  EXPECT_DOUBLE_EQ(got->shuffle_parallelcopies, 30);
-  EXPECT_DOUBLE_EQ(other.lookup_entry("WC/wiki")->cost, 2.25);
+  EXPECT_EQ(got->io_sort_mb, 320);
+  EXPECT_EQ(got->sort_spill_percent, 0.54260869565217396);
+  EXPECT_EQ(got->shuffle_input_buffer_percent, 1.0 / 3.0);
+  EXPECT_EQ(got->map_memory_mb, 640);
+  EXPECT_EQ(got->shuffle_parallelcopies, 30);
+  EXPECT_EQ(other.lookup_entry("WC/wiki")->cost, 2.2500000000000004);
+  EXPECT_EQ(other.serialize(), kb.serialize());
 }
 
 TEST(KnowledgeBase, DeserializeSkipsGarbage) {
