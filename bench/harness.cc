@@ -13,7 +13,6 @@
 #include "common/check.h"
 #include "mapreduce/report_rollup.h"
 #include "obs/report.h"
-#include "tuner/eval_cache.h"
 
 namespace mron::bench {
 
@@ -176,7 +175,9 @@ sim::ParallelRunner& runner() {
   return *pool;
 }
 
-void init_obs_from_flags(int argc, char** argv) {
+namespace {
+
+void parse_flags(int argc, char** argv) {
   ObsOutputs out;
   auto value_of = [&](const char* flag, int& i) -> std::string {
     const std::size_t len = std::strlen(flag);
@@ -188,10 +189,6 @@ void init_obs_from_flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-detail") == 0) {
       out.trace_detail = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-eval-cache") == 0) {
-      tuner::set_eval_cache_enabled(false);
       continue;
     }
     std::string v;
@@ -221,13 +218,29 @@ void init_obs_from_flags(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: %s [--jobs=N] [--metrics-out=F] "
                    "[--trace-out=F] [--audit-out=F] [--report-out=F] "
-                   "[--trace-detail] [--no-eval-cache] [--fault-plan=F] "
+                   "[--trace-detail] [--fault-plan=F] "
                    "[--fault-spec='directives'] [--cluster=SPEC]\n",
                    argv[i], argv[0]);
       std::exit(2);
     }
   }
   set_obs_outputs(std::move(out));
+}
+
+}  // namespace
+
+void init_obs_from_flags(int argc, char** argv) {
+  try {
+    parse_flags(argc, argv);
+    // Simulations validate their plan on worker threads, where a bad node
+    // id would abort the process; check it against the cluster up front.
+    fault_plan().validate(cluster_spec().total_slaves());
+  } catch (const InputError& e) {
+    // A malformed --fault-spec/--fault-plan/--cluster is the user's to fix:
+    // one line and exit 2, as mron_cli does.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 RunStats run_plain(Benchmark b, Corpus c, const JobConfig& cfg,

@@ -67,7 +67,9 @@ void set_jobs(int jobs);
 /// Parse the shared bench flags (--jobs=N --metrics-out=F --trace-out=F
 /// --audit-out=F --trace-detail --fault-plan=F --fault-spec=S) and install
 /// them via set_obs_outputs() / set_jobs() / set_fault_plan(). Every bench
-/// main calls this first. Unknown flags print usage and exit(2).
+/// main calls this first. Unknown flags print usage and exit(2); a bad
+/// --cluster/--fault-plan/--fault-spec, or a plan naming a node outside the
+/// cluster, prints one "error: ..." line and exits 2.
 void init_obs_from_flags(int argc, char** argv);
 
 struct RunStats {

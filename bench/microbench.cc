@@ -31,7 +31,6 @@
 #include "sim/engine.h"
 #include "sim/parallel_runner.h"
 #include "sim/shared_server.h"
-#include "tuner/eval_cache.h"
 #include "tuner/lhs.h"
 #include "tuner/online_tuner.h"
 #include "whatif/predictor.h"
@@ -495,18 +494,13 @@ double measure_whatif_evals_per_sec() {
 
 /// Fixed-budget optimize_with_model search; returns best-of-3 wall ms and
 /// stores the winning config. The same (seed, restarts, evaluations) must
-/// produce the same winner regardless of caching or worker count.
-double measure_whatif_search_ms(bool cache_on, int jobs,
-                                mapreduce::JobConfig* winner) {
-  const bool saved = tuner::eval_cache_enabled();
-  tuner::set_eval_cache_enabled(cache_on);
+/// produce the same winner regardless of worker count.
+double measure_whatif_search_ms(int jobs, mapreduce::JobConfig* winner) {
   const auto in = whatif_inputs();
-  const double ms = best_wall_ms(3, [&] {
+  return best_wall_ms(3, [&] {
     *winner = whatif::optimize_with_model(in, /*evaluations=*/6000,
                                           /*seed=*/4, /*restarts=*/4, jobs);
   });
-  tuner::set_eval_cache_enabled(saved);
-  return ms;
 }
 
 int run_baseline_suite(const std::string& out_path, int jobs) {
@@ -544,23 +538,18 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
   const double speedup = sweep_serial_ms / sweep_parallel_ms;
   const double efficiency = speedup / jobs;
 
-  // Candidate-evaluation fast path: raw model throughput plus a
-  // fixed-budget search with the eval cache off and on. The winner must be
-  // byte-identical in all variants (cache on/off, serial/parallel) — a
-  // mismatch means caching changed results, which is a hard failure.
+  // Candidate-evaluation path: raw model throughput plus a fixed-budget
+  // search. The winner must be byte-identical serial and parallel — a
+  // mismatch means fan-out changed results, which is a hard failure.
   const double whatif_evals_per_sec = measure_whatif_evals_per_sec();
-  mapreduce::JobConfig w_uncached, w_cached, w_cached_wide;
-  const double search_uncached_ms =
-      measure_whatif_search_ms(false, 1, &w_uncached);
-  const double search_cached_ms =
-      measure_whatif_search_ms(true, 1, &w_cached);
-  measure_whatif_search_ms(true, std::max(jobs, 4), &w_cached_wide);
-  if (!(w_uncached == w_cached && w_cached == w_cached_wide)) {
-    std::cerr << "FATAL: optimize_with_model winner differs across eval-cache"
-                 " on/off or --jobs variants; caching changed results\n";
+  mapreduce::JobConfig w_serial, w_wide;
+  const double search_ms = measure_whatif_search_ms(1, &w_serial);
+  measure_whatif_search_ms(std::max(jobs, 4), &w_wide);
+  if (!(w_serial == w_wide)) {
+    std::cerr << "FATAL: optimize_with_model winner differs between --jobs=1"
+                 " and --jobs=" << std::max(jobs, 4) << "\n";
     return 1;
   }
-  const double search_speedup = search_uncached_ms / search_cached_ms;
 
   const ObservedTuningRun& tuning_run = observed_tuning_run();
   const double export_ms = best_wall_ms(5, [&] {
@@ -627,16 +616,10 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
   std::snprintf(buf, sizeof buf, "    \"whatif_evals_per_sec\": %.0f,\n",
                 whatif_evals_per_sec);
   out << buf;
+  // The search has no cache; the "uncached" key name is kept so the
+  // committed baseline still gates it.
   std::snprintf(buf, sizeof buf,
-                "    \"whatif_search_uncached_wall_ms\": %.3f,\n",
-                search_uncached_ms);
-  out << buf;
-  std::snprintf(buf, sizeof buf,
-                "    \"whatif_search_cached_wall_ms\": %.3f,\n",
-                search_cached_ms);
-  out << buf;
-  std::snprintf(buf, sizeof buf, "    \"whatif_search_speedup\": %.3f,\n",
-                search_speedup);
+                "    \"whatif_search_uncached_wall_ms\": %.3f,\n", search_ms);
   out << buf;
   std::snprintf(buf, sizeof buf, "    \"export_artifacts_wall_ms\": %.3f\n",
                 export_ms);
@@ -649,8 +632,8 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
             << ", terasort32=" << terasort32_ms << " ms, profile overhead "
             << profile_overhead_pct << "%, sweep speedup x"
             << speedup << " at jobs=" << jobs << ", whatif evals/sec="
-            << whatif_evals_per_sec << ", search cached speedup x"
-            << search_speedup << ", export " << export_ms << " ms)\n";
+            << whatif_evals_per_sec << ", search " << search_ms
+            << " ms, export " << export_ms << " ms)\n";
   return 0;
 }
 

@@ -47,7 +47,6 @@
 #include "mapreduce/simulation.h"
 #include "obs/report.h"
 #include "sim/parallel_runner.h"
-#include "tuner/eval_cache.h"
 #include "tuner/online_tuner.h"
 #include "workloads/benchmarks.h"
 
@@ -252,7 +251,7 @@ int run_cli(int argc, char** argv) {
                 " [--log-level=trace|debug|info|warn|error]"
                 " [--metrics-out[=F]] [--trace-out[=F]] [--audit-out[=F]]"
                 " [--report-out[=F]] [--profile-out[=F]] [--progress]"
-                " [--trace-detail] [--no-eval-cache]"
+                " [--trace-detail]"
                 " [--fault-plan=F] [--fault-spec='directives']"
                 " [--speculative] [--cluster=SPEC]"
                 " [--dfs-replication=N]"
@@ -316,9 +315,6 @@ int run_cli(int argc, char** argv) {
   }
   g_obs.progress = flags.get("progress", false);
   g_obs.trace_detail = flags.get("trace-detail", false);
-  if (flags.get("no-eval-cache", false)) {
-    tuner::set_eval_cache_enabled(false);
-  }
   const std::string fault_plan_path =
       flags.get("fault-plan", std::string(""));
   const std::string fault_spec = flags.get("fault-spec", std::string(""));

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "common/check.h"
 #include "sim/parallel_runner.h"
-#include "tuner/eval_cache.h"
 
 namespace mron::baselines {
 
@@ -31,6 +31,16 @@ JobConfig decode(const std::vector<double>& genome) {
   }
   mapreduce::clamp_constraints(cfg);
   return cfg;
+}
+
+/// Memo key: every extended-registry value of a decoded (already clamped)
+/// config, so genomes that decode to the same job share one entry.
+/// std::map's `<` treats -0.0 and +0.0 as one key.
+std::vector<double> memo_key(const JobConfig& cfg) {
+  const auto& reg = ParamRegistry::extended();
+  std::vector<double> key(reg.size());
+  for (std::size_t i = 0; i < reg.size(); ++i) key[i] = reg.get(cfg, i);
+  return key;
 }
 
 }  // namespace
@@ -68,33 +78,36 @@ JobConfig GeneticOfflineTuner::tune(const Evaluator& evaluate,
         return g;
       }();
 
-  // Memoize fitness per decoded config: quantization + clamping collapse
-  // distinct genomes onto the same JobConfig, so repeat evaluations (and
-  // whole re-runs of a recurring configuration) become cache hits. The
-  // budget still counts every logical evaluation — cached or not — so the
-  // GA's trajectory is identical with the cache disabled.
-  tuner::EvalCache<double> cache;
+  // Fitness is memoized per decoded config for this tune() call:
+  // quantization and clamping collapse distinct genomes onto the same job,
+  // which then runs once. The budget still counts every logical
+  // evaluation, so the GA's trajectory does not depend on the memo.
+  std::map<std::vector<double>, double> memo;
   auto fitness = [&](const JobConfig& cfg) {
-    if (!tuner::eval_cache_enabled()) return evaluate(cfg);
-    tuner::CacheKey key;
-    key.add_config(ParamRegistry::extended(), cfg);
-    return cache.get_or_compute(key, [&] { return evaluate(cfg); });
+    auto [it, fresh] = memo.try_emplace(memo_key(cfg));
+    if (fresh) it->second = evaluate(cfg);
+    return it->second;
   };
 
-  runs_used_ = 0;
-  auto eval = [&](Individual& ind) {
-    ind.seconds = fitness(decode(ind.genome));
-    ++runs_used_;
-  };
   // Seeding wave: every initial individual is an independent full job run,
-  // so fan them across the pool. Fitness lands by index, which makes the
-  // result identical at any options.jobs.
+  // so fan the first occurrence of each distinct config across the pool.
+  // Keys are built and fitness filled in index order, so the set of runs
+  // and the result are identical at any options.jobs.
   const auto wave = static_cast<std::size_t>(
       std::min<int>(options_.population, budget_runs));
+  std::vector<JobConfig> configs(wave);
+  std::vector<std::vector<double>> keys(wave);
+  std::vector<std::size_t> firsts;
+  for (std::size_t i = 0; i < wave; ++i) {
+    configs[i] = decode(pop[i].genome);
+    keys[i] = memo_key(configs[i]);
+    if (memo.try_emplace(keys[i]).second) firsts.push_back(i);
+  }
   sim::ParallelRunner pool(options_.jobs);
-  pool.for_each(wave, [&](std::size_t i) {
-    pop[i].seconds = fitness(decode(pop[i].genome));
+  pool.for_each(firsts.size(), [&](std::size_t j) {
+    memo.find(keys[firsts[j]])->second = evaluate(configs[firsts[j]]);
   });
+  for (std::size_t i = 0; i < wave; ++i) pop[i].seconds = memo.at(keys[i]);
   runs_used_ = static_cast<int>(wave);
 
   auto tournament_pick = [&]() -> const Individual& {
@@ -121,7 +134,8 @@ JobConfig GeneticOfflineTuner::tune(const Evaluator& evaluate,
             1.0);
       }
     }
-    eval(child);
+    child.seconds = fitness(decode(child.genome));
+    ++runs_used_;
     // Steady-state replacement: evict the worst.
     auto worst = std::max_element(
         pop.begin(), pop.end(), [](const Individual& x, const Individual& y) {

@@ -34,7 +34,9 @@ class GeneticOfflineTuner {
   explicit GeneticOfflineTuner(GeneticOptions options = {});
 
   /// Run the GA until `budget_runs` evaluations are spent (Gunther's 20-40
-  /// range). Returns the best configuration found.
+  /// range). Returns the best configuration found. Every evaluation counts
+  /// against the budget, but `evaluate` runs once per distinct clamped
+  /// config; repeats reuse that result.
   mapreduce::JobConfig tune(const Evaluator& evaluate, int budget_runs);
 
   [[nodiscard]] int runs_used() const { return runs_used_; }

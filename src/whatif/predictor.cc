@@ -10,7 +10,6 @@
 #include "mapreduce/reduce_task.h"  // kFetchLatency
 #include "mapreduce/spill_model.h"
 #include "sim/parallel_runner.h"
-#include "tuner/eval_cache.h"
 
 namespace mron::whatif {
 
@@ -225,104 +224,22 @@ Prediction predict(const PredictionInputs& inputs) {
 
 namespace {
 
-using ScoreCache = tuner::EvalCache<double>;
-
-/// The score cache outlives any single optimize_with_model call: keys carry
-/// the full evaluation context (below), so entries from one scenario can
-/// never be returned for another, and a tuner that re-plans over the same
-/// job repeatedly — the common case — starts every search warm. The LRU
-/// bounds the footprint.
-ScoreCache& process_score_cache() {
-  static ScoreCache cache;
-  return cache;
-}
-
-void add_hardware(tuner::CacheKey& key, const cluster::NodeHardware& hw) {
-  key.add(hw.physical_cores);
-  key.add(hw.total_vcores);
-  key.add(hw.container_vcores);
-  key.add(hw.node_memory);
-  key.add(hw.container_memory);
-  key.add(hw.cpu_quota_per_vcore);
-  key.add(hw.disk_bandwidth.rate());
-  key.add(hw.disk_seek_penalty);
-  key.add(hw.nic_bandwidth.rate());
-  key.add(hw.daemon_core_reserve);
-}
-
-/// Everything predict() reads besides the candidate config. Hashing the
-/// full inputs — not just the fields today's model happens to touch —
-/// is what makes a process-lifetime cache safe: two scenarios that differ
-/// anywhere key differently, so a hit always replays the same pure call.
-tuner::CacheKey context_key(const PredictionInputs& in) {
-  tuner::CacheKey key;
-  const auto& cl = in.cluster;
-  key.add(cl.num_slaves);
-  key.add(static_cast<std::int64_t>(cl.rack_sizes.size()));
-  for (int r : cl.rack_sizes) key.add(r);
-  add_hardware(key, cl.default_hardware());
-  key.add(cl.inter_rack_factor);
-  key.add(static_cast<std::int64_t>(cl.groups.size()));
-  for (const auto& g : cl.groups) {
-    key.add(g.racks);
-    key.add(g.nodes_per_rack);
-    add_hardware(key, g.hardware);
-  }
-  static_assert(sizeof(mapreduce::AppProfile) == 15 * sizeof(double),
-                "AppProfile changed: key every new field here");
-  const auto& p = in.profile;
-  key.add(p.map_cpu_secs_per_mib);
-  key.add(p.map_cpu_secs_fixed);
-  key.add(p.map_output_bytes_fixed);
-  key.add(p.map_output_ratio);
-  key.add(p.map_record_bytes);
-  key.add(p.combiner_ratio);
-  key.add(p.map_cpu_demand_cores);
-  key.add(p.map_working_set);
-  key.add(p.reduce_cpu_secs_per_mib);
-  key.add(p.reduce_output_ratio);
-  key.add(p.reduce_cpu_demand_cores);
-  key.add(p.reduce_working_set);
-  key.add(p.partition_skew_cv);
-  key.add(p.sort_cpu_secs_per_record);
-  key.add(p.task_startup_secs);
-  key.add(in.input_size);
-  key.add(in.num_maps);
-  key.add(in.num_reduces);
-  key.add(static_cast<std::int64_t>(in.node_slowdown.size()));
-  for (double s : in.node_slowdown) key.add(s);
-  return key;
-}
-
 /// One search chain: random restarts + coordinate refinement. Cheap model
 /// calls make a simple search sufficient (Starfish uses recursive random
-/// search). `cache` (optional, shared across chains) memoizes total_secs
-/// per (context, canonical config) — a hit returns exactly what the
-/// predict() call would, so the trajectory and winner are cache-invariant.
-/// `ctx` is the prebuilt context_key (required when `cache` is non-null).
+/// search). A probe is one predict() call (~220 ns); a score cache was
+/// measured slower than re-predicting, so there is none.
 std::pair<JobConfig, double> search_chain(const PredictionInputs& base,
-                                          int evaluations, std::uint64_t seed,
-                                          ScoreCache* cache,
-                                          const tuner::CacheKey* ctx) {
+                                          int evaluations,
+                                          std::uint64_t seed) {
   const auto& reg = mapreduce::ParamRegistry::standard();
   Rng rng(seed);
 
   JobConfig best = base.config;
   mapreduce::clamp_constraints(best);
   auto score = [&](const JobConfig& cfg) {
-    auto evaluate = [&] {
-      PredictionInputs probe = base;
-      probe.config = cfg;
-      return predict(probe).total_secs;
-    };
-    if (cache == nullptr) return evaluate();
-    // Key = context prefix + canonical config. The per-thread scratch key
-    // recycles its storage: after the first eval, copying the prefix and
-    // appending the 14 config fields allocates nothing.
-    thread_local tuner::CacheKey key;
-    key = *ctx;
-    key.add_config(cfg);
-    return cache->get_or_compute(key, evaluate);
+    PredictionInputs probe = base;
+    probe.config = cfg;
+    return predict(probe).total_secs;
   };
   double best_secs = score(best);
 
@@ -360,20 +277,7 @@ JobConfig optimize_with_model(const PredictionInputs& base, int evaluations,
   MRON_CHECK(evaluations >= 1);
   MRON_CHECK(restarts >= 1);
 
-  // One process-wide sharded cache shared by every chain and every call:
-  // duplicate probes (quantization and clamping collapse nearby samples,
-  // and repeated searches revisit the same territory) cost a lookup
-  // instead of a model call. Concurrent chains may race to compute one
-  // key, which is benign — predict() is pure, so both racers produce the
-  // identical value.
-  ScoreCache* cache_ptr =
-      tuner::eval_cache_enabled() ? &process_score_cache() : nullptr;
-  tuner::CacheKey ctx;
-  if (cache_ptr != nullptr) ctx = context_key(base);
-
-  if (restarts == 1) {
-    return search_chain(base, evaluations, seed, cache_ptr, &ctx).first;
-  }
+  if (restarts == 1) return search_chain(base, evaluations, seed).first;
 
   // Independent chains with forked seeds, fanned across the pool. Chain
   // results (and therefore the winner) are a pure function of
@@ -383,8 +287,7 @@ JobConfig optimize_with_model(const PredictionInputs& base, int evaluations,
   const auto chains = pool.map<std::pair<JobConfig, double>>(
       static_cast<std::size_t>(restarts), [&](std::size_t k) {
         Rng salter(seed);
-        return search_chain(base, per_chain, salter.fork(k + 1)(), cache_ptr,
-                            &ctx);
+        return search_chain(base, per_chain, salter.fork(k + 1)());
       });
   std::size_t winner = 0;
   for (std::size_t k = 1; k < chains.size(); ++k) {

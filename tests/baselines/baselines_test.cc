@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <set>
+#include <vector>
+
 #include "baselines/genetic_tuner.h"
 #include "common/check.h"
 #include "baselines/offline_guide.h"
@@ -74,6 +78,21 @@ TEST(OptimalSpills, MatchesCombinerOutput) {
               gibibytes(100).as_double() / 100.0, 1e6);
 }
 
+/// A config as the extended registry's values, for set membership.
+std::vector<double> values_of(const JobConfig& cfg) {
+  const auto& reg = mapreduce::ParamRegistry::extended();
+  std::vector<double> v(reg.size());
+  for (std::size_t i = 0; i < reg.size(); ++i) v[i] = reg.get(cfg, i);
+  return v;
+}
+
+/// Bowl centered at io.sort.mb = 400, map mem = 1500.
+double bowl(const JobConfig& cfg) {
+  const double a = (cfg.io_sort_mb - 400) / 1000.0;
+  const double b = (cfg.map_memory_mb - 1500) / 2560.0;
+  return a * a + b * b;
+}
+
 TEST(GeneticTuner, StaysWithinRunBudget) {
   GeneticOfflineTuner ga;
   int evals = 0;
@@ -90,14 +109,7 @@ TEST(GeneticTuner, StaysWithinRunBudget) {
 
 TEST(GeneticTuner, FindsAnalyticOptimum) {
   GeneticOfflineTuner ga;
-  const JobConfig best = ga.tune(
-      [](const JobConfig& cfg) {
-        // Bowl centered at io.sort.mb = 400, map mem = 1500.
-        const double a = (cfg.io_sort_mb - 400) / 1000.0;
-        const double b = (cfg.map_memory_mb - 1500) / 2560.0;
-        return a * a + b * b;
-      },
-      40);
+  const JobConfig best = ga.tune(bowl, 40);
   EXPECT_NEAR(best.io_sort_mb, 400, 250);
   EXPECT_NEAR(best.map_memory_mb, 1500, 700);
   EXPECT_LT(ga.best_seconds(), 0.1);
@@ -117,6 +129,57 @@ TEST(GeneticTuner, NeverWorseThanSeededDefault) {
       },
       20);
   EXPECT_LE(ga.best_seconds(), def_fitness);
+}
+
+TEST(GeneticTuner, IdenticalAtAnyJobs) {
+  struct Outcome {
+    JobConfig best;
+    double best_seconds;
+    std::multiset<std::vector<double>> evaluated;
+  };
+  auto run = [](int jobs) {
+    GeneticOptions opt;
+    opt.jobs = jobs;
+    GeneticOfflineTuner ga(opt);
+    Outcome out;
+    std::mutex mu;
+    out.best = ga.tune(
+        [&](const JobConfig& cfg) {
+          const std::lock_guard<std::mutex> lock(mu);
+          out.evaluated.insert(values_of(cfg));
+          return bowl(cfg);
+        },
+        30);
+    out.best_seconds = ga.best_seconds();
+    return out;
+  };
+  const Outcome serial = run(1);
+  const Outcome wide = run(4);
+  EXPECT_EQ(serial.best, wide.best);
+  EXPECT_EQ(serial.best_seconds, wide.best_seconds);
+  EXPECT_EQ(serial.evaluated, wide.evaluated);
+}
+
+TEST(GeneticTuner, EvaluatesEachDistinctConfigOnce) {
+  // Without mutation a small population's crossovers repeat genomes.
+  GeneticOptions opt;
+  opt.population = 4;
+  opt.mutation_rate = 0.0;
+  GeneticOfflineTuner ga(opt);
+  std::set<std::vector<double>> seen;
+  int evals = 0;
+  ga.tune(
+      [&](const JobConfig& cfg) {
+        ++evals;
+        JobConfig clamped = cfg;
+        mapreduce::clamp_constraints(clamped);
+        EXPECT_TRUE(seen.insert(values_of(clamped)).second)
+            << "config evaluated twice";
+        return bowl(cfg);
+      },
+      30);
+  EXPECT_EQ(ga.runs_used(), 30);
+  EXPECT_LT(evals, ga.runs_used());
 }
 
 TEST(GeneticTuner, RejectsTinyBudget) {

@@ -1,8 +1,10 @@
-# Bad user input is a user error: mron_cli run with the single argument ARG
-# must exit 2 and print exactly one stderr line, "error: <message>", with no
-# internal-check text (MRON_CHECK failed ... at file:line).
+# Bad user input is a user error: the binary BIN run with its fixed
+# arguments FIXED (space-separated, may be empty) plus the single argument
+# ARG must exit 2 and print exactly one stderr line, "error: <message>",
+# with no internal-check text (MRON_CHECK failed ... at file:line).
+separate_arguments(fixed UNIX_COMMAND "${FIXED}")
 execute_process(
-  COMMAND ${CLI} --app=terasort --size-gb=1 ${ARG}
+  COMMAND ${BIN} ${fixed} ${ARG}
   RESULT_VARIABLE rc
   OUTPUT_QUIET
   ERROR_VARIABLE err)

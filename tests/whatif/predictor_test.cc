@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "mapreduce/simulation.h"
-#include "tuner/eval_cache.h"
 #include "workloads/benchmarks.h"
 
 namespace mron::whatif {
@@ -138,22 +137,12 @@ TEST(CostBasedOptimizer, ModelChosenConfigHelpsOnSimulatorToo) {
   EXPECT_LT(run(best), run(JobConfig{}));
 }
 
-TEST(CostBasedOptimizer, WinnerIdenticalWithCacheOnOffAndAcrossJobs) {
-  // The fast-path contract: caching and fan-out change wall-clock only.
-  // The winner must be byte-identical (JobConfig operator==) with the
-  // eval cache on or off, serial or parallel.
+TEST(CostBasedOptimizer, WinnerIdenticalAcrossJobs) {
+  // Fan-out changes wall-clock only: the winner must be byte-identical
+  // (JobConfig operator==) serial or parallel.
   const auto in = terasort_inputs(20);
-  const bool saved = tuner::eval_cache_enabled();
-  tuner::set_eval_cache_enabled(true);
-  const JobConfig cached_serial = optimize_with_model(in, 1200, 7, 3, 1);
-  const JobConfig cached_wide = optimize_with_model(in, 1200, 7, 3, 4);
-  tuner::set_eval_cache_enabled(false);
-  const JobConfig uncached_serial = optimize_with_model(in, 1200, 7, 3, 1);
-  const JobConfig uncached_wide = optimize_with_model(in, 1200, 7, 3, 4);
-  tuner::set_eval_cache_enabled(saved);
-  EXPECT_EQ(cached_serial, cached_wide);
-  EXPECT_EQ(cached_serial, uncached_serial);
-  EXPECT_EQ(cached_serial, uncached_wide);
+  EXPECT_EQ(optimize_with_model(in, 1200, 7, 3, 1),
+            optimize_with_model(in, 1200, 7, 3, 4));
 }
 
 TEST(Predictor, AllOnesNodeSlowdownMatchesEmptyExactly) {
@@ -194,15 +183,10 @@ TEST(Predictor, NodeSlowdownVectorMustMatchClusterSize) {
   EXPECT_THROW((void)predict(in), CheckError);
 }
 
-TEST(CostBasedOptimizer, SingleChainWinnerAlsoCacheInvariant) {
+TEST(CostBasedOptimizer, SingleChainWinnerIdenticalAcrossRepeats) {
+  // The search keeps no state between calls.
   const auto in = terasort_inputs(20);
-  const bool saved = tuner::eval_cache_enabled();
-  tuner::set_eval_cache_enabled(true);
-  const JobConfig cached = optimize_with_model(in, 800, 11);
-  tuner::set_eval_cache_enabled(false);
-  const JobConfig uncached = optimize_with_model(in, 800, 11);
-  tuner::set_eval_cache_enabled(saved);
-  EXPECT_EQ(cached, uncached);
+  EXPECT_EQ(optimize_with_model(in, 800, 11), optimize_with_model(in, 800, 11));
 }
 
 }  // namespace

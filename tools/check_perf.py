@@ -22,10 +22,6 @@ delivers at least half a core's worth of throughput). This closes the gap
 where CI's core count never matches the committed baseline and the
 relative gate always skips.
 
---cache-speedup-floor X adds an absolute gate on the current run's
-whatif_search_speedup: the eval-cache-on search must be at least X times
-faster than cache-off (1.0 = the cache at minimum pays for itself).
-
 --scaling-floor FRAC gates the scalebench sweep: the current file's
 events_per_sec_vs_nodes table (node count -> engine events/sec) must not
 decay below FRAC * the smallest-cluster entry at any larger node count
@@ -57,7 +53,6 @@ GATED = {
     "sweep_serial_wall_ms": "lower",
     "whatif_evals_per_sec": "higher",
     "whatif_search_uncached_wall_ms": "lower",
-    "whatif_search_cached_wall_ms": "lower",
 }
 
 # Gated only when core counts allow a meaningful comparison (see below).
@@ -117,9 +112,6 @@ def main() -> int:
                     help="absolute gate: on a multi-core machine, "
                     "sweep_efficiency_per_core of the current run must be "
                     ">= FRAC (independent of the baseline's core count)")
-    ap.add_argument("--cache-speedup-floor", type=float, metavar="X",
-                    help="absolute gate: the current run's "
-                    "whatif_search_speedup must be >= X")
     ap.add_argument("--scaling-floor", type=float, metavar="FRAC",
                     help="absolute gate: every entry of the current run's "
                     "events_per_sec_vs_nodes table must be >= FRAC * the "
@@ -208,26 +200,6 @@ def main() -> int:
                          args.efficiency_floor, eff, None, "higher"))
             if bad:
                 failures.append("sweep_efficiency_per_core(floor)")
-
-    # Absolute eval-cache gate: caching must never cost wall-clock.
-    if args.cache_speedup_floor is not None:
-        spd = cur_m.get("whatif_search_speedup")
-        if spd is None:
-            print("FAIL  cache speedup floor: whatif_search_speedup "
-                  "missing from current file")
-            rows.append(("FAIL", "whatif_search_speedup(floor)", None,
-                         None, None, "metric missing"))
-            failures.append("whatif_search_speedup(floor)")
-        else:
-            spd = float(spd)
-            bad = spd < args.cache_speedup_floor
-            status = "FAIL" if bad else "ok"
-            print(f"{status:5} whatif_search_speedup: {spd:g} "
-                  f"(floor {args.cache_speedup_floor:g})")
-            rows.append((status, "whatif_search_speedup(floor)",
-                         args.cache_speedup_floor, spd, None, "higher"))
-            if bad:
-                failures.append("whatif_search_speedup(floor)")
 
     # Absolute self-profiler overhead ceiling: the observability pillar
     # that watches the simulator must never meaningfully slow it down.
