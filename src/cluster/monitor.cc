@@ -135,11 +135,12 @@ void ClusterMonitor::sample() {
 }
 
 void ClusterMonitor::publish(SimTime now) {
-  // Publish the window into the flight recorder and snapshot every metric's
-  // scalar onto the sim-time axis. The monitor is the registry's sampling
-  // clock: all time series advance at its period. Beyond the node-series
-  // limit the per-entity handles are per *rack* (means over the rack's
-  // nodes), bounding recorder footprint on 1,000+-node clusters.
+  // Publish the window into the flight recorder: set each entity's gauges,
+  // push its occupancy series, then flush the recorder so the pull-model
+  // publishers push theirs. The monitor is the recorder's sampling clock:
+  // every clock-driven SeriesStore series advances at its period. Beyond
+  // the node-series limit the per-entity handles are per *rack* (means over
+  // the rack's nodes), bounding recorder footprint on 1,000+-node clusters.
   auto* rec = engine_.recorder();
   if (rec == nullptr) return;
   auto& reg = rec->metrics();
@@ -220,7 +221,6 @@ void ClusterMonitor::publish(SimTime now) {
   }
   samples_counter_->add(1.0);
   rec->flush();  // pull-model publishers (SharedServer gauges)
-  reg.sample(now);
 }
 
 const NodeSample& ClusterMonitor::latest(NodeId node) const {

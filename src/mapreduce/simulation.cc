@@ -115,7 +115,7 @@ Simulation::Simulation(SimulationOptions options)
   }
   if (recorder_ != nullptr) {
     HOST_PROF_SCOPE("sim.setup.recorder");
-    // The monitor is the metrics registry's sampling clock.
+    // The monitor is the recorder's sampling clock.
     {
       HOST_PROF_CATEGORY(kMonitor);
       monitor_->start();
@@ -236,7 +236,6 @@ void Simulation::run() {
     obs::HostProfiler::Activation hp(host_profiler_.get());
     HOST_PROF_SCOPE("sim.final_flush");
     recorder_->flush();
-    recorder_->metrics().sample(engine_.now());
     emit_critical_path_flows();
   }
 #endif

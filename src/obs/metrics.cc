@@ -7,32 +7,6 @@
 
 namespace mron::obs {
 
-TimeSeries::TimeSeries(std::size_t capacity) : capacity_(capacity) {
-  MRON_CHECK(capacity > 0);
-}
-
-void TimeSeries::push(SimTime t, double v) {
-  // Grow lazily up to capacity (most metrics record far fewer samples than
-  // the cap; eagerly zeroing hundreds of full buffers would dominate small
-  // runs), then wrap as a ring. When full, the oldest sample sits at head_,
-  // so it is exactly the slot the new one overwrites — no modulo needed,
-  // and this is the recorder's single hottest store.
-  if (buf_.size() < capacity_) {
-    buf_.push_back(TimePoint{t, v});
-    ++size_;
-    return;
-  }
-  buf_[head_] = TimePoint{t, v};
-  ++head_;
-  if (head_ == buf_.size()) head_ = 0;
-  ++dropped_;
-}
-
-const TimePoint& TimeSeries::at(std::size_t i) const {
-  MRON_CHECK(i < size_);
-  return buf_[(head_ + i) % buf_.size()];
-}
-
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   MRON_CHECK_MSG(std::is_sorted(bounds_.begin(), bounds_.end()),
                  "histogram bounds must ascend");
@@ -44,7 +18,6 @@ void Histogram::observe(double v) {
   ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
   ++count_;
   sum_ += v;
-  if (registry_ != nullptr) registry_->mark_dirty(index_);
 }
 
 std::int64_t Histogram::bucket(std::size_t i) const {
@@ -84,30 +57,11 @@ bool Histogram::quantile_clamped(double q) const {
   return rank > static_cast<double>(count_ - overflow_count());
 }
 
-void Histogram::merge(const Histogram& other) {
-  MRON_CHECK_MSG(bounds_ == other.bounds_,
-                 "histogram merge requires identical bounds");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 MetricsRegistry::Entry& MetricsRegistry::entry_of(const std::string& name,
                                                   Kind kind) {
   auto [it, inserted] = metrics_.try_emplace(name);
   if (inserted) {
-    Entry& e = it->second;
-    e.kind = kind;
-    const auto index = static_cast<std::uint32_t>(by_index_.size());
-    by_index_.push_back(&e);
-    e.counter.registry_ = this;
-    e.counter.index_ = index;
-    e.gauge.registry_ = this;
-    e.gauge.index_ = index;
-    // New metrics start dirty so every series opens with its initial value.
-    mark_dirty(index);
+    it->second.kind = kind;
   } else {
     MRON_CHECK_MSG(it->second.kind == kind,
                    "metric '" << name << "' re-registered as another kind");
@@ -128,8 +82,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   Entry& e = entry_of(name, Kind::Histogram);
   if (e.histogram == nullptr) {
     e.histogram = std::make_unique<Histogram>(std::move(bounds));
-    e.histogram->registry_ = e.counter.registry_;
-    e.histogram->index_ = e.counter.index_;
   }
   return *e.histogram;
 }
@@ -193,50 +145,9 @@ bool MetricsRegistry::is_histogram(const std::string& name) const {
   return it != metrics_.end() && it->second.kind == Kind::Histogram;
 }
 
-const TimeSeries* MetricsRegistry::series(const std::string& name) const {
-  const auto it = metrics_.find(name);
-  return it == metrics_.end() ? nullptr : &it->second.series;
-}
-
-void MetricsRegistry::sample(SimTime now) {
-  // Dirty-driven: only metrics written since the last sample are visited, so
-  // a tick's cost tracks actual activity, not registry size. Change-only
-  // recording on top of that: the series is a step function, so re-stamping
-  // an unchanged value adds no information.
-  for (const std::uint32_t idx : dirty_) {
-    Entry& entry = *by_index_[idx];
-    entry.queued = false;
-    const double v = entry.scalar();
-    if (entry.ever_sampled && v == entry.last_sampled) continue;
-    entry.series.push(now, v);
-    entry.last_sampled = v;
-    entry.ever_sampled = true;
-  }
-  dirty_.clear();
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, theirs] : other.metrics_) {
-    switch (theirs.kind) {
-      case Kind::Counter:
-        counter(name).add(theirs.counter.value());
-        break;
-      case Kind::Gauge:
-        gauge(name).set(theirs.gauge.value());
-        break;
-      case Kind::Histogram:
-        if (theirs.histogram != nullptr) {
-          histogram(name, theirs.histogram->bounds())
-              .merge(*theirs.histogram);
-        }
-        break;
-    }
-  }
-}
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   JsonWriter w(os);
-  w.raw("{\"metrics\":[");
+  w.raw("{\"schema\":\"mron.metrics/2\",\"metrics\":[");
   bool first = true;
   for (const auto& [name, entry] : metrics_) {
     if (!first) w.raw(',');
@@ -266,13 +177,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
       }
       w.raw(']');
     }
-    w.raw(",\"series\":[");
-    for (std::size_t i = 0; i < entry.series.size(); ++i) {
-      if (i > 0) w.raw(',');
-      const TimePoint& p = entry.series.at(i);
-      w.raw('[').number(p.time).raw(',').number(p.value).raw(']');
-    }
-    w.raw("]}");
+    w.raw('}');
   }
   w.raw("]}\n");
   w.flush();

@@ -1,12 +1,12 @@
-// MetricsRegistry — named counters, gauges, and fixed-bucket histograms
-// with cheap sim-time sampling into ring-buffered time series.
+// MetricsRegistry — named counters, gauges, and fixed-bucket histograms.
 //
 // Publishers (SharedServer, ClusterMonitor, the RM, the task models) look a
 // metric up once and keep the returned reference: registry entries live in a
 // std::map, so handles stay valid for the registry's lifetime and the hot
-// path is a single add/store. The ClusterMonitor drives sample(), which
-// snapshots every metric's scalar into its per-metric ring buffer — the
-// time-series view behind --metrics-out.
+// path is a single add/store. The registry holds scalars and histograms
+// only — --metrics-out exports each metric's final state. Every timeline
+// (node occupancy, wave progress, tuner convergence) lives in SeriesStore
+// (series.h).
 #pragma once
 
 #include <cstddef>
@@ -17,67 +17,24 @@
 #include <string>
 #include <vector>
 
-#include "common/units.h"
-
 namespace mron::obs {
-
-/// Default ring capacity: at the monitor's 1 s period this covers the last
-/// ~8.5 simulated minutes of every metric, wrapping thereafter.
-inline constexpr std::size_t kDefaultSeriesCapacity = 512;
-
-struct TimePoint {
-  SimTime time = 0.0;
-  double value = 0.0;
-};
-
-/// Fixed-capacity ring buffer of (time, value) samples, oldest first.
-class TimeSeries {
- public:
-  explicit TimeSeries(std::size_t capacity = kDefaultSeriesCapacity);
-
-  void push(SimTime t, double v);
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Samples evicted by ring wrap since construction.
-  [[nodiscard]] std::size_t dropped() const { return dropped_; }
-  /// i-th surviving sample, oldest first (i < size()).
-  [[nodiscard]] const TimePoint& at(std::size_t i) const;
-
- private:
-  std::vector<TimePoint> buf_;  ///< grows lazily up to capacity_, then wraps
-  std::size_t capacity_ = kDefaultSeriesCapacity;
-  std::size_t head_ = 0;  ///< index of the oldest sample
-  std::size_t size_ = 0;
-  std::size_t dropped_ = 0;
-};
-
-class MetricsRegistry;
 
 class Counter {
  public:
-  void add(double delta = 1.0);
+  void add(double delta = 1.0) { value_ += delta; }
   [[nodiscard]] double value() const { return value_; }
 
  private:
-  friend class MetricsRegistry;
   double value_ = 0.0;
-  /// Set when the counter lives in a registry: writes enqueue it for the
-  /// next sample() so sampling only visits metrics that actually moved.
-  MetricsRegistry* registry_ = nullptr;
-  std::uint32_t index_ = 0;
 };
 
 class Gauge {
  public:
-  void set(double v);
+  void set(double v) { value_ = v; }
   [[nodiscard]] double value() const { return value_; }
 
  private:
-  friend class MetricsRegistry;
   double value_ = 0.0;
-  MetricsRegistry* registry_ = nullptr;  ///< see Counter::registry_
-  std::uint32_t index_ = 0;
 };
 
 /// Fixed-bucket histogram: `bounds` are inclusive upper bounds in ascending
@@ -107,23 +64,17 @@ class Histogram {
   /// flagged wherever it is reported.
   [[nodiscard]] bool quantile_clamped(double q) const;
 
-  void merge(const Histogram& other);
-
  private:
-  friend class MetricsRegistry;
   std::vector<double> bounds_;
   std::vector<std::int64_t> counts_;  ///< bounds_.size() + 1 entries
   std::int64_t count_ = 0;
   double sum_ = 0.0;
-  MetricsRegistry* registry_ = nullptr;  ///< see Counter::registry_
-  std::uint32_t index_ = 0;
 };
 
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
-  // Non-copyable/movable: handles and the dirty list point back into this
-  // registry.
+  // Non-copyable: handles point into this registry's entries.
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -148,21 +99,10 @@ class MetricsRegistry {
   [[nodiscard]] bool quantile_clamped(const std::string& name,
                                       double q) const;
   [[nodiscard]] bool is_histogram(const std::string& name) const;
-  [[nodiscard]] const TimeSeries* series(const std::string& name) const;
 
-  /// Snapshot the metrics written since the previous call into their
-  /// ring-buffered series. A point is recorded only when the value actually
-  /// changed (a metric's first sample always records), so idle metrics cost
-  /// nothing per tick — readers treat each series as a step function
-  /// between its timestamped points.
-  void sample(SimTime now);
-
-  /// Fold `other` in: counters add, gauges take the other's latest value,
-  /// histograms merge bucket-wise (bounds must match). Series are not
-  /// merged — they describe one run's sim-time axis.
-  void merge(const MetricsRegistry& other);
-
-  /// {"metrics":[{name, kind, value, ... , "series":[[t,v],...]}, ...]}
+  /// {"schema":"mron.metrics/2","metrics":[{name, kind, value, ...}, ...]}
+  /// — each metric's final scalar (plus sum/quantiles/buckets for
+  /// histograms); timelines are exported by SeriesStore.
   void write_json(std::ostream& os) const;
 
  private:
@@ -172,37 +112,11 @@ class MetricsRegistry {
     Counter counter;
     Gauge gauge;
     std::unique_ptr<Histogram> histogram;
-    TimeSeries series;
-    double last_sampled = 0.0;  ///< scalar at the last recorded point
-    bool ever_sampled = false;
-    bool queued = false;  ///< already on the dirty list this tick
     [[nodiscard]] double scalar() const;
   };
-  friend class Counter;
-  friend class Gauge;
-  friend class Histogram;
   Entry& entry_of(const std::string& name, Kind kind);
-  void mark_dirty(std::uint32_t index) {
-    Entry& e = *by_index_[index];
-    if (!e.queued) {
-      e.queued = true;
-      dirty_.push_back(index);
-    }
-  }
 
   std::map<std::string, Entry> metrics_;  // ordered: deterministic export
-  std::vector<Entry*> by_index_;          // creation order; entries are stable
-  std::vector<std::uint32_t> dirty_;      // indices written since last sample
 };
-
-inline void Counter::add(double delta) {
-  value_ += delta;
-  if (registry_ != nullptr) registry_->mark_dirty(index_);
-}
-
-inline void Gauge::set(double v) {
-  value_ = v;
-  if (registry_ != nullptr) registry_->mark_dirty(index_);
-}
 
 }  // namespace mron::obs

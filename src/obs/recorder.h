@@ -1,11 +1,12 @@
 // The flight recorder: one bundle of five of the six observability pillars
-// — metrics (scalars + change-only rings), sim-time trace spans, the tuner
-// decision audit log, run-long time series (bounded, 2x-downsampled
-// whole-run timelines — the paper-figure shapes), and the causal
-// critical-path DAG (blame attribution for end-to-end latency). The sixth
-// pillar — the host self-profiler (obs/host_profile.h) — lives outside the
-// bundle: its data is wall-clock nondeterministic, so it must never feed
-// the deterministic exports these five produce.
+// — metrics (counters, gauges and histograms: final values, no timelines),
+// sim-time trace spans, the tuner decision audit log, run-long time series
+// (bounded, 2x-downsampled whole-run timelines — the paper-figure shapes,
+// and the only time-series path), and the causal critical-path DAG (blame
+// attribution for end-to-end latency). The sixth pillar — the host
+// self-profiler (obs/host_profile.h) — lives outside the bundle: its data
+// is wall-clock nondeterministic, so it must never feed the deterministic
+// exports these five produce.
 //
 // A Simulation constructed with observe=true owns a Recorder and hands a
 // pointer to its Engine; every instrumentation site reaches it through
@@ -44,9 +45,10 @@ class Recorder {
     return critical_path_;
   }
 
-  /// Pull-model publishing for hot components: instead of writing gauges on
-  /// every state change, register a hook that refreshes them, and the
-  /// sampling clock calls flush() once per tick. The publisher must outlive
+  /// Pull-model publishing for hot components: instead of writing gauges and
+  /// series on every state change, register a hook that refreshes them, and
+  /// the sampling clock (ClusterMonitor, plus one final call at the end of
+  /// the run) calls flush() once per tick. The publisher must outlive
   /// the recorder's last flush (in practice: the simulation owns both).
   void add_flush_hook(std::function<void()> hook) {
     flush_hooks_.push_back(std::move(hook));

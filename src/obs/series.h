@@ -1,13 +1,14 @@
 // Run-long time series: the flight recorder's fourth pillar.
 //
-// The MetricsRegistry's per-metric rings (metrics.h) are change-only step
-// functions that *wrap* — old samples fall off, which is right for "what was
-// the gauge doing lately" but wrong for the paper-figure shapes (Figures
-// 4-16 are whole-run timelines: per-node utilization, wave progress, tuner
-// convergence). A Series keeps whole-run coverage in bounded memory by
-// deterministic 2x downsampling instead: when the buffer fills, every other
-// point is dropped and the acceptance stride doubles, so the series always
-// spans the full run at a resolution that halves as the run grows.
+// The repo's one time-series path: the MetricsRegistry (metrics.h) keeps
+// only each metric's current scalar. The paper-figure shapes (Figures 4-16)
+// are whole-run timelines — per-node utilization, wave progress, tuner
+// convergence — and a run's length is not known in advance, so a fixed
+// buffer must either wrap (losing the run's start) or downsample. A Series
+// downsamples deterministically: when the buffer fills, every other point
+// is dropped and the acceptance stride doubles, so the series always spans
+// the full run in bounded memory at a resolution that halves as the run
+// grows.
 //
 // Determinism contract: the surviving points are a pure function of the
 // push sequence (the i-th push survives iff i % stride == 0 for the final

@@ -2,6 +2,9 @@
 # stock Python interpreter: the trace, metrics and report files must be one
 # JSON document each, the audit log one JSON object per line.
 #
+# Metrics carry the mron.metrics/2 schema tag and final values only: no
+# metric entry has a time series (those live in the report's series).
+#
 # Two runs: Terasort under the conservative tuner, and the aggressive
 # tuner's Bigram/Wikipedia test run alone (--runs=0 keeps its report), whose
 # audit log carries before/after config pairs and whose report carries the
@@ -48,6 +51,10 @@ for prefix in ('check', 'check_agg'):
     assert (sum(e['ph'] == 'B' for e in events) ==
             sum(e['ph'] == 'E' for e in events))
     assert metrics['metrics'], prefix + ': no metrics'
+    assert next(iter(metrics)) == 'schema', prefix + ': schema is not first'
+    assert metrics['schema'] == 'mron.metrics/2', metrics['schema']
+    assert not any('series' in m for m in metrics['metrics']), \\
+        prefix + ': a metric entry carries a series'
 
 trace, metrics, audit, report = load_all('check_agg')
 assert any('before' in l and 'after' in l for l in audit), \\

@@ -66,9 +66,11 @@ TEST(FlightRecorder, PlainRunPublishesMetricsAndTaskSpans) {
   EXPECT_GT(m.value("yarn.containers_allocated"), 0.0);
   EXPECT_GT(m.value("mr.map.spills"), 0.0);
   EXPECT_GT(m.value("mr.shuffle.fetches"), 0.0);
-  const auto* series = m.series("monitor.samples");
-  ASSERT_NE(series, nullptr);
-  EXPECT_GT(series->size(), 0u);
+  // The monitor pushes each entity's occupancy series exactly once per
+  // tick, so a node's offer count is the tick count.
+  const auto* cpu = rec.series().find("cluster.node0.cpu_util");
+  ASSERT_NE(cpu, nullptr);
+  EXPECT_EQ(static_cast<double>(cpu->offered()), m.value("monitor.samples"));
 
   // Without trace detail there is exactly one span per task attempt;
   // speculative kills close their spans but file no report.

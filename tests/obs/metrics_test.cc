@@ -38,29 +38,6 @@ TEST(Histogram, BucketsAreInclusiveUpperBounds) {
   EXPECT_DOUBLE_EQ(h.sum(), 1.0 + 1.001 + 50.0 + 1e9);
 }
 
-TEST(Histogram, MergeAddsBucketwise) {
-  Histogram a({1.0, 2.0});
-  Histogram b({1.0, 2.0});
-  a.observe(0.5);
-  b.observe(0.5);
-  b.observe(5.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3);
-  EXPECT_EQ(a.bucket(0), 2);
-  EXPECT_EQ(a.bucket(2), 1);
-}
-
-TEST(TimeSeries, RingEvictsOldestFirst) {
-  TimeSeries ts(3);
-  for (int i = 0; i < 5; ++i) {
-    ts.push(static_cast<double>(i), static_cast<double>(i * 10));
-  }
-  EXPECT_EQ(ts.size(), 3u);
-  EXPECT_EQ(ts.dropped(), 2u);
-  EXPECT_DOUBLE_EQ(ts.at(0).time, 2.0);
-  EXPECT_DOUBLE_EQ(ts.at(2).value, 40.0);
-}
-
 TEST(MetricsRegistry, FindOrCreateReturnsStableHandles) {
   MetricsRegistry reg;
   Counter& c1 = reg.counter("jobs");
@@ -80,65 +57,17 @@ TEST(MetricsRegistry, KindMismatchIsAnError) {
   EXPECT_THROW(reg.gauge("x"), CheckError);
 }
 
-TEST(MetricsRegistry, SampleSnapshotsEveryMetric) {
-  MetricsRegistry reg;
-  reg.counter("c").add(2.0);
-  reg.gauge("g").set(7.0);
-  reg.sample(1.0);
-  reg.counter("c").add(1.0);
-  reg.sample(2.0);
-
-  const TimeSeries* cs = reg.series("c");
-  ASSERT_NE(cs, nullptr);
-  ASSERT_EQ(cs->size(), 2u);
-  EXPECT_DOUBLE_EQ(cs->at(0).value, 2.0);
-  EXPECT_DOUBLE_EQ(cs->at(1).value, 3.0);
-  EXPECT_DOUBLE_EQ(cs->at(1).time, 2.0);
-  const TimeSeries* gs = reg.series("g");
-  ASSERT_NE(gs, nullptr);
-  EXPECT_DOUBLE_EQ(gs->at(0).value, 7.0);
-  EXPECT_EQ(reg.series("missing"), nullptr);
-}
-
-TEST(MetricsRegistry, SampleSkipsUnchangedValues) {
-  MetricsRegistry reg;
-  reg.gauge("g").set(5.0);
-  reg.sample(1.0);
-  reg.sample(2.0);  // unchanged — no new point
-  reg.gauge("g").set(6.0);
-  reg.sample(3.0);
-
-  const TimeSeries* gs = reg.series("g");
-  ASSERT_NE(gs, nullptr);
-  ASSERT_EQ(gs->size(), 2u);
-  EXPECT_DOUBLE_EQ(gs->at(0).time, 1.0);
-  EXPECT_DOUBLE_EQ(gs->at(1).time, 3.0);
-  EXPECT_DOUBLE_EQ(gs->at(1).value, 6.0);
-}
-
-TEST(MetricsRegistry, MergeFoldsByKind) {
-  MetricsRegistry a, b;
-  a.counter("c").add(1.0);
-  b.counter("c").add(2.0);
-  a.gauge("g").set(1.0);
-  b.gauge("g").set(9.0);
-  b.counter("only_b").add(4.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.value("c"), 3.0);
-  EXPECT_DOUBLE_EQ(a.value("g"), 9.0);
-  EXPECT_DOUBLE_EQ(a.value("only_b"), 4.0);
-}
-
 TEST(MetricsRegistry, WriteJsonIsWellFormed) {
   MetricsRegistry reg;
   reg.counter("a.count").add(3.0);
   reg.gauge("b.level").set(0.25);
   reg.histogram("c.lat", {1.0, 2.0}).observe(1.5);
-  reg.sample(1.0);
   std::ostringstream os;
   reg.write_json(os);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"metrics\":["), std::string::npos);
+  EXPECT_EQ(json.rfind("{\"schema\":\"mron.metrics/2\",\"metrics\":[", 0),
+            0u)
+      << json;
   EXPECT_NE(json.find("\"a.count\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"gauge\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
@@ -151,6 +80,23 @@ TEST(MetricsRegistry, WriteJsonIsWellFormed) {
     EXPECT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+TEST(MetricsRegistry, WriteJsonDependsOnlyOnFinalValues) {
+  // The export is a snapshot of final state: how a gauge got to its value
+  // leaves no trace in the bytes, and an entry carries no timeline.
+  MetricsRegistry busy, quiet;
+  for (int i = 0; i < 1000; ++i) {
+    busy.gauge("g").set(static_cast<double>(i));
+  }
+  quiet.gauge("g").set(999.0);
+  std::ostringstream busy_os, quiet_os;
+  busy.write_json(busy_os);
+  quiet.write_json(quiet_os);
+  EXPECT_EQ(busy_os.str(), quiet_os.str());
+  EXPECT_EQ(quiet_os.str(),
+            "{\"schema\":\"mron.metrics/2\",\"metrics\":[{\"name\":\"g\","
+            "\"kind\":\"gauge\",\"value\":999}]}\n");
 }
 
 TEST(Histogram, QuantileInterpolatesWithinTheBucket) {

@@ -34,6 +34,10 @@ terasort, observed+profiled vs observed): it must not exceed PCT
 other absolute floors it reads only the current file, so it works with
 any baseline, including pre-schema-4 ones.
 
+An informational observe_surcharge row (never gated) reports the
+current file's terasort_32gb_observed_wall_ms / terasort_32gb_wall_ms:
+what switching the flight recorder on costs a steady-state run.
+
 When $GITHUB_STEP_SUMMARY is set (or --summary FILE is given), the same
 comparison is appended there as a markdown table for the job summary page.
 """
@@ -221,6 +225,17 @@ def main() -> int:
                          args.profile_overhead_max, pct, None, "lower"))
             if bad:
                 failures.append("profile_overhead_pct(max)")
+
+    # Recorder cost on the steady-state 32 GB terasort, observed / plain.
+    # Informational only: a trajectory to watch, not a gate.
+    plain = cur_m.get("terasort_32gb_wall_ms")
+    observed = cur_m.get("terasort_32gb_observed_wall_ms")
+    if plain and observed is not None:
+        ratio = float(observed) / float(plain)
+        print(f"info  observe_surcharge: {ratio:.3f} "
+              f"(observed {float(observed):g} ms / plain {float(plain):g} ms)")
+        rows.append(("info", "observe_surcharge", None, ratio, None,
+                     "lower (not gated)"))
 
     # Scalebench gate: event throughput must not fall off a cliff as the
     # simulated cluster grows (the indexed hot paths' whole point).
