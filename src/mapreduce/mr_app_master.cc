@@ -138,7 +138,7 @@ bool MrAppMaster::set_task_config(const TaskRef& task, const JobConfig& config) 
   if (task.kind == TaskKind::Map) {
     if (task.index < 0 || task.index >= num_maps_) return false;
     auto& m = maps_[static_cast<std::size_t>(task.index)];
-    if (m.requested || m.done) return false;
+    if (m.requested || m.done()) return false;
     m.override_config = clamped;
     return true;
   }
@@ -349,7 +349,7 @@ void MrAppMaster::wait_for_input_block(int index) {
     auto& mm = maps_[static_cast<std::size_t>(index)];
     if (!mm.waiting_block) return;
     mm.waiting_block = false;
-    if (finished_ || mm.done || mm.running) return;
+    if (finished_ || mm.done() || mm.running) return;
     request_map(index);
   });
 }
@@ -380,14 +380,14 @@ void MrAppMaster::on_map_container(int index, const yarn::Container& c) {
     if (auto* rec = engine_.recorder()) {
       rec->metrics().counter("yarn.stale_grants").add(1.0);
     }
-    if (!m.done) request_map(index);
+    if (!m.done()) request_map(index);
     return;
   }
   if (spec_.input.valid() && !dfs_.has_live_replica(spec_.input, m.block)) {
     // The split's last replica died while this grant was queued: give the
     // container back and park until storage recovers a copy.
     rm_.release_container(c);
-    if (!m.done) wait_for_input_block(index);
+    if (!m.done()) wait_for_input_block(index);
     return;
   }
   m.container = c;
@@ -491,19 +491,24 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
   r.run->set_fetch_failure([this, index](int mi, cluster::NodeId src) {
     on_shuffle_fetch_failure(index, mi, src);
   });
-  // Feed map outputs that completed before this reducer existed. Their
-  // shuffle edges target the attempt's not-yet-stamped "reduce_shuffle_done"
-  // node — the reduce task stamps it when the last segment lands, and
-  // extraction then follows whichever arrival was latest.
-  auto* cpb = cp();
-  for (const auto& [mi, src, bytes] : r.stashed) {
-    r.run->add_map_output(mi, src, bytes);
-    if (cpb != nullptr) {
-      cpb->edge(maps_[static_cast<std::size_t>(mi)].cp_done,
-                r.cp_shuffle_done, obs::Blame::ShuffleNet);
+  // Feed the live completions: those before the cursor in map-index order,
+  // the rest in log order. Their shuffle edges target the attempt's
+  // not-yet-stamped "reduce_shuffle_done" node — the reduce task stamps it
+  // when the last segment lands, and extraction then follows whichever
+  // arrival was latest.
+  for (int mi = 0; mi < num_maps_; ++mi) {
+    const int pos = maps_[static_cast<std::size_t>(mi)].log_pos;
+    if (pos >= 0 && static_cast<std::size_t>(pos) < r.cursor) {
+      feed_reducer(index, mi);
     }
   }
-  r.stashed.clear();
+  for (std::size_t pos = r.cursor; pos < completions_.size(); ++pos) {
+    const int mi = completions_[pos];
+    if (maps_[static_cast<std::size_t>(mi)].log_pos ==
+        static_cast<int>(pos)) {
+      feed_reducer(index, mi);
+    }
+  }
   r.run->start();
   arm_injected_failure(TaskKind::Reduce, index, r.attempts);
   schedule_pump();
@@ -537,7 +542,7 @@ void MrAppMaster::on_map_done(int index, const TaskReport& report,
   }
   // A late duplicate (e.g. an OOM-retried original finishing after the
   // speculative copy already won) only needs its container back.
-  if (m.done) return;
+  if (m.done()) return;
   result_.map_reports.push_back(rep);
   if (task_listener_) task_listener_(rep);
 
@@ -571,7 +576,8 @@ void MrAppMaster::on_map_done(int index, const TaskReport& report,
     return;
   }
 
-  m.done = true;
+  m.log_pos = static_cast<int>(completions_.size());
+  completions_.push_back(index);
   if (auto* cpb = cp()) {
     // The winning attempt's completion node (the task stamped it); keyed by
     // rep.attempt so a speculative win binds the backup's chain.
@@ -591,7 +597,11 @@ void MrAppMaster::on_map_done(int index, const TaskReport& report,
     m.spec_requested = false;
   }
   settle_speculation(index, speculative);
-  deliver_map_output(index);
+  // Reducers not running read the log when their attempt launches.
+  for (int rix = 0; rix < spec_.num_reduces; ++rix) {
+    const auto& r = reduces_[static_cast<std::size_t>(rix)];
+    if (r.running && r.run != nullptr) feed_reducer(rix, index);
+  }
   if (spec_.speculative_execution) {
     check_stragglers();
     schedule_speculation_scan();
@@ -636,7 +646,7 @@ void MrAppMaster::check_stragglers() {
   for (int i = 0; i < num_maps_; ++i) {
     if (active_speculations_ >= spec_cap) break;
     auto& m = maps_[static_cast<std::size_t>(i)];
-    if (!m.running || m.done || m.spec_requested || m.attempts > 1) continue;
+    if (!m.running || m.done() || m.spec_requested || m.attempts > 1) continue;
     const double elapsed = engine_.now() - m.run_started;
     if (elapsed < spec_.speculative_slowdown * mean) continue;
     m.spec_requested = true;
@@ -686,7 +696,7 @@ void MrAppMaster::schedule_speculation_scan() {
 void MrAppMaster::on_speculative_container(int index,
                                            const yarn::Container& c) {
   auto& m = maps_[static_cast<std::size_t>(index)];
-  if (m.done || !m.spec_requested) {
+  if (m.done() || !m.spec_requested) {
     // The race settled while this container was queued.
     rm_.release_container(c);
     --active_speculations_;
@@ -754,23 +764,17 @@ void MrAppMaster::on_speculative_container(int index,
   m.spec_run->start();
 }
 
-void MrAppMaster::deliver_map_output(int map_index) {
+void MrAppMaster::feed_reducer(int reduce_index, int map_index) {
   const auto& m = maps_[static_cast<std::size_t>(map_index)];
-  auto* cpb = cp();
-  for (int rix = 0; rix < spec_.num_reduces; ++rix) {
-    const Bytes part =
-        m.combined_output * partition_weights_[static_cast<std::size_t>(rix)];
-    auto& r = reduces_[static_cast<std::size_t>(rix)];
-    if (r.running && r.run != nullptr) {
-      r.run->add_map_output(map_index, m.ran_on, part);
-      // This delivery may be what the reducer's shuffle ends on; extraction
-      // keeps whichever arrival into "reduce_shuffle_done" was last.
-      if (cpb != nullptr) {
-        cpb->edge(m.cp_done, r.cp_shuffle_done, obs::Blame::ShuffleNet);
-      }
-    } else if (!r.done) {
-      r.stashed.emplace_back(map_index, m.ran_on, part);
-    }
+  auto& r = reduces_[static_cast<std::size_t>(reduce_index)];
+  r.run->add_map_output(
+      map_index, m.ran_on,
+      m.combined_output *
+          partition_weights_[static_cast<std::size_t>(reduce_index)]);
+  // This delivery may be what the reducer's shuffle ends on; extraction
+  // keeps whichever arrival into "reduce_shuffle_done" was last.
+  if (auto* cpb = cp()) {
+    cpb->edge(m.cp_done, r.cp_shuffle_done, obs::Blame::ShuffleNet);
   }
 }
 
@@ -805,17 +809,7 @@ void MrAppMaster::on_reduce_done(int index, const TaskReport& report) {
     r.override_config = retry;
     r.cp_fail = cp_fail_node("reduce_fail", index, r.attempts, r.cp_start);
     r.run.reset();
-    r.stashed.clear();
-    // Re-stash every completed map's partition for the fresh attempt.
-    for (int mi = 0; mi < num_maps_; ++mi) {
-      const auto& m = maps_[static_cast<std::size_t>(mi)];
-      if (m.done) {
-        r.stashed.emplace_back(
-            mi, m.ran_on,
-            m.combined_output *
-                partition_weights_[static_cast<std::size_t>(index)]);
-      }
-    }
+    r.cursor = completions_.size();
     // Bypass the wave budget, as for map retries: a retry is not a new
     // launch and must not stall a tuner wave.
     request_reduce(index);
@@ -894,16 +888,7 @@ void MrAppMaster::handle_node_failure(cluster::NodeId node) {
       end_task_span(r.span);
       r.cp_fail = cp_fail_node("reduce_fail", i, r.attempts, r.cp_start);
       // The aborted run is parked by the next on_reduce_container().
-      r.stashed.clear();
-      for (int mi = 0; mi < num_maps_; ++mi) {
-        const auto& m = maps_[static_cast<std::size_t>(mi)];
-        if (m.done) {
-          r.stashed.emplace_back(
-              mi, m.ran_on,
-              m.combined_output *
-                  partition_weights_[static_cast<std::size_t>(i)]);
-        }
-      }
+      r.cursor = completions_.size();
       request_reduce(i);
     } else if (r.running && r.run != nullptr) {
       // Survivors must forget segments sourced from the dead node so the
@@ -916,14 +901,14 @@ void MrAppMaster::handle_node_failure(cluster::NodeId node) {
   //    keep it; the re-delivered duplicate is deduped by map index).
   for (int i = 0; i < num_maps_; ++i) {
     auto& m = maps_[static_cast<std::size_t>(i)];
-    if (m.done && m.ran_on == node) reexecute_lost_map(i);
+    if (m.done() && m.ran_on == node) reexecute_lost_map(i);
   }
   schedule_pump();
 }
 
 void MrAppMaster::reexecute_lost_map(int map_index) {
   auto& m = maps_[static_cast<std::size_t>(map_index)];
-  m.done = false;
+  m.log_pos = -1;
   m.combined_output = Bytes(0);
   --completed_maps_;
   ++result_.lost_maps_reexecuted;
@@ -943,20 +928,13 @@ void MrAppMaster::reexecute_lost_map(int map_index) {
     m.cp_fail = lost;
     m.cp_done = obs::kInvalidCpNode;
   }
-  // Drop stale stash entries pointing at the lost copy; the fresh
-  // completion will re-stash.
-  for (auto& r : reduces_) {
-    std::erase_if(r.stashed, [map_index](const auto& entry) {
-      return std::get<0>(entry) == map_index;
-    });
-  }
   request_map(map_index);
 }
 
 bool MrAppMaster::map_output_available(int map_index,
                                        cluster::NodeId source) const {
   const auto& m = maps_[static_cast<std::size_t>(map_index)];
-  return m.done && m.ran_on == source && rm_.node_alive(source);
+  return m.done() && m.ran_on == source && rm_.node_alive(source);
 }
 
 void MrAppMaster::on_shuffle_fetch_failure(int reduce_index, int map_index,
@@ -968,7 +946,7 @@ void MrAppMaster::on_shuffle_fetch_failure(int reduce_index, int map_index,
                                     static_cast<int>(source.value()));
   }
   auto& m = maps_[static_cast<std::size_t>(map_index)];
-  if (!m.done) {
+  if (!m.done()) {
     // Re-execution is already under way (node-failure or fault retry); the
     // fresh completion will re-deliver to every reducer.
     return;
@@ -1029,7 +1007,7 @@ void MrAppMaster::arm_injected_failure(TaskKind kind, int index, int attempt) {
 void MrAppMaster::fail_map_attempt(int index, int attempt) {
   auto& m = maps_[static_cast<std::size_t>(index)];
   m.fault_kill_pending = false;
-  if (finished_ || m.done || !m.running || m.attempts != attempt) return;
+  if (finished_ || m.done() || !m.running || m.attempts != attempt) return;
   m.run->abort();
   m.running = false;
   rm_.release_container(m.container);
@@ -1059,7 +1037,7 @@ void MrAppMaster::fail_map_attempt(int index, int attempt) {
   // OOM retries. A speculative attempt may win during the backoff.
   engine_.schedule_after(retry_backoff(attempt), [this, index] {
     auto& m2 = maps_[static_cast<std::size_t>(index)];
-    if (finished_ || m2.done || m2.running) return;
+    if (finished_ || m2.done() || m2.running) return;
     request_map(index);
   });
 }
@@ -1093,21 +1071,12 @@ void MrAppMaster::fail_reduce_attempt(int index, int attempt) {
     rec->metrics().counter("mr.reduce.failed_attempts.injected").add(1.0);
   }
   r.cp_fail = cp_fail_node("reduce_fail", index, attempt, r.cp_start);
-  // The stash is rebuilt at retry time — the set of completed maps may
-  // change during the backoff.
+  // The cursor moves at retry time, not now: maps completing during the
+  // backoff are fed in map-index order with the rest.
   engine_.schedule_after(retry_backoff(attempt), [this, index] {
     auto& r2 = reduces_[static_cast<std::size_t>(index)];
     if (finished_ || r2.done || r2.running) return;
-    r2.stashed.clear();
-    for (int mi = 0; mi < num_maps_; ++mi) {
-      const auto& m = maps_[static_cast<std::size_t>(mi)];
-      if (m.done) {
-        r2.stashed.emplace_back(
-            mi, m.ran_on,
-            m.combined_output *
-                partition_weights_[static_cast<std::size_t>(index)]);
-      }
-    }
+    r2.cursor = completions_.size();
     request_reduce(index);
   });
 }

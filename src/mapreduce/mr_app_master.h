@@ -2,9 +2,9 @@
 //
 // Owns one job's lifecycle on the YARN substrate: builds map tasks from the
 // input dataset's blocks (one split per block), requests containers with
-// per-task Resources, launches task models, routes map-completion events to
-// running reducers, applies slowstart gating, retries OOM-killed attempts,
-// and aggregates the JobResult.
+// per-task Resources, launches task models, keeps the job's map-completion
+// log and feeds it to each reducer attempt, applies slowstart gating, retries
+// OOM-killed attempts, and aggregates the JobResult.
 //
 // Dynamic-configuration hooks (consumed by MRONLINE's dynamic configurator,
 // Table 1 of the paper):
@@ -128,12 +128,14 @@ class MrAppMaster {
     int attempts = 0;
     bool requested = false;
     bool running = false;
-    bool done = false;
     /// Parked on a dead input block (no live replica); a DFS waiter will
     /// re-request the map when storage recovers one.
     bool waiting_block = false;
     Bytes combined_output{0};
     cluster::NodeId ran_on;
+    /// This map's live entry in completions_, -1 while not done. An entry
+    /// whose map points elsewhere is stale (that output was lost).
+    int log_pos = -1;
     SimTime run_started = 0.0;
     obs::SpanId span = obs::kInvalidSpan;  ///< open attempt trace span
     // Critical-path nodes (obs/critical_path.h): current attempt's start,
@@ -154,6 +156,8 @@ class MrAppMaster {
     bool spec_requested = false;
     bool spec_running = false;
     obs::SpanId spec_span = obs::kInvalidSpan;
+
+    [[nodiscard]] bool done() const { return log_pos >= 0; }
   };
   struct ReduceState {
     std::optional<JobConfig> override_config;
@@ -175,9 +179,10 @@ class MrAppMaster {
     // Injected-fault kill scheduled against the current attempt.
     sim::EventId fault_kill;
     bool fault_kill_pending = false;
-    /// Map outputs (index, location, bytes) that completed before this
-    /// reducer started.
-    std::vector<std::tuple<int, cluster::NodeId, Bytes>> stashed;
+    /// Where the next attempt starts reading completions_ in log order; the
+    /// live entries before it are fed first, in map-index order. 0 for the
+    /// first attempt; a retry sets it to the log's end.
+    std::size_t cursor = 0;
   };
 
   void pump();
@@ -204,7 +209,9 @@ class MrAppMaster {
   void on_speculative_container(int index, const yarn::Container& c);
   /// Kill whichever attempt of map `index` lost the race.
   void settle_speculation(int index, bool speculative_won);
-  void deliver_map_output(int map_index);
+  /// Hand map `map_index`'s partition to reducer `reduce_index`'s running
+  /// attempt, with its critical-path shuffle edge.
+  void feed_reducer(int reduce_index, int map_index);
   void maybe_finish();
   // --- fault recovery -------------------------------------------------------
   /// Consult the injector and, when this attempt is fated to fail, schedule
@@ -218,7 +225,7 @@ class MrAppMaster {
   void on_shuffle_fetch_failure(int reduce_index, int map_index,
                                 cluster::NodeId source);
   /// Invalidate completed map `map_index` (its output host died) and
-  /// relaunch it; purges stale reducer stashes.
+  /// relaunch it; its completion-log entry goes stale.
   void reexecute_lost_map(int map_index);
   /// Exponential backoff before re-running a failed attempt.
   [[nodiscard]] double retry_backoff(int attempts) const;
@@ -262,6 +269,9 @@ class MrAppMaster {
   std::vector<MapState> maps_;
   std::vector<ReduceState> reduces_;
   std::vector<double> partition_weights_;
+  /// Map indices in completion order, one entry per completion (a
+  /// re-executed map appends again). Reducers read it through their cursor.
+  std::vector<int> completions_;
   std::deque<int> map_queue_;
   std::deque<int> reduce_queue_;
   int outstanding_requests_ = 0;
