@@ -229,8 +229,7 @@ BENCHMARK(BM_EndToEndTerasortMonitored)
 // Compare against the monitored run above. The 2 GB job is a stress case —
 // the whole simulation runs in a fraction of a millisecond, so per-tick
 // metric sampling looms large; the 32 GB job shows how the fixed sampling
-// cost amortizes as simulated work grows. With MRON_OBS=OFF the hooks
-// compile away entirely (identical to the monitored run).
+// cost amortizes as simulated work grows.
 void BM_EndToEndTerasortObserved(benchmark::State& state) {
   const auto gb = state.range(0);
   for (auto _ : state) {
@@ -250,9 +249,7 @@ BENCHMARK(BM_EndToEndTerasortObserved)
 // The self-profiler overhead check: the observed run plus the host-side
 // profiler (rdtsc per dispatched event, per-subsystem attribution, frame
 // tree). Compare against the observed run above — the delta is pure
-// profiler cost and is what check_perf.py gates at <=2%. With MRON_OBS=OFF
-// the profiler is never constructed and this is identical to the observed
-// run.
+// profiler cost and is what check_perf.py gates at <=2%.
 void BM_EndToEndTerasortProfiled(benchmark::State& state) {
   const auto gb = state.range(0);
   for (auto _ : state) {
@@ -513,9 +510,7 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
   const double terasort2_ms = measure_terasort_wall_ms(2, 5);
   const double terasort32_ms = measure_terasort_wall_ms(32, 3);
 
-  // Host self-profiler overhead on the steady-state job. Under MRON_OBS=OFF
-  // both runs are identical (the profiler is compiled out of the hooks), so
-  // the delta is just timer noise and check_perf.py's gate trivially holds.
+  // Host self-profiler overhead on the steady-state job.
   double observed32_ms = 0.0, profiled32_ms = 0.0;
   ProfiledWalls walls;
   const double profile_overhead_pct =

@@ -45,7 +45,9 @@
 #include <vector>
 
 #include "cluster/cluster_spec.h"
+#include "common/check.h"
 #include "common/flags.h"
+#include "common/parse.h"
 #include "common/units.h"
 #include "mapreduce/simulation.h"
 #include "obs/host_profile.h"
@@ -123,17 +125,13 @@ std::vector<int> parse_nodes(const std::string& csv) {
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    const int n = std::atoi(item.c_str());
-    if (n < 2) {
-      std::cerr << "bad --nodes entry '" << item << "' (want >= 2)\n";
-      std::exit(2);
-    }
-    out.push_back(n);
+    const auto n = parse_integer<int>(item);
+    MRON_INPUT_CHECK(n.has_value() && *n >= 2,
+                     "bad --nodes entry '" << item << "' (want >= 2)");
+    out.push_back(*n);
   }
-  if (out.size() < 2) {
-    std::cerr << "--nodes wants at least two comma-separated counts\n";
-    std::exit(2);
-  }
+  MRON_INPUT_CHECK(out.size() >= 2,
+                   "--nodes wants at least two comma-separated counts");
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -184,8 +182,7 @@ int write_json(const std::string& path, const std::vector<Point>& points) {
 
 /// One extra run at `spec` with the host profiler attached; writes the
 /// host-profile document to `path` and prints the per-phase / per-subsystem
-/// breakdown. Returns nonzero on I/O failure only (a MRON_OBS=OFF build
-/// warns and skips — the sweep's numbers above are still valid).
+/// breakdown. Returns nonzero on I/O failure only.
 int run_profiled_point(const cluster::ClusterSpec& spec, double size_gb,
                        const std::string& path) {
   mapreduce::SimulationOptions opt;
@@ -198,11 +195,6 @@ int run_profiled_point(const cluster::ClusterSpec& spec, double size_gb,
   mapreduce::Simulation sim(opt);
   auto job = workloads::make_terasort(sim, gibibytes(size_gb));
   sim.run_job(std::move(job));
-  if (sim.host_profiler() == nullptr) {
-    std::fprintf(stderr,
-                 "--profile-out skipped: built with MRON_OBS=OFF\n");
-    return 0;
-  }
   obs::HostProfiler& hp = *sim.host_profiler();
   hp.set_meta("source", "scalebench");
   char gb[32];
@@ -238,9 +230,7 @@ int run_profiled_point(const cluster::ClusterSpec& spec, double size_gb,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Flags flags(argc, argv);
   if (flags.get("help", false)) {
     std::printf("usage: scalebench [--out=BENCH_scale.json]"
@@ -295,4 +285,15 @@ int main(int argc, char** argv) {
     return run_profiled_point(spec_for(nodes.back()), size_gb, profile_out);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const InputError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

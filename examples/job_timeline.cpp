@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "common/check.h"
 #include "common/flags.h"
 #include "mapreduce/simulation.h"
 #include "trace/timeline.h"
@@ -13,7 +14,9 @@
 
 using namespace mron;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Flags flags(argc, argv);
   const double gb = flags.get("gb", 20.0);
   const int fail_node = flags.get("fail-node", -1);
@@ -55,4 +58,15 @@ int main(int argc, char** argv) {
     std::printf("\nwrote per-attempt trace to %s\n", csv_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const InputError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

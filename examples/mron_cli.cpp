@@ -54,6 +54,10 @@ using namespace mron;
 
 namespace {
 
+/// Largest --size-gb: 64 TiB is 524,288 map tasks of 128 MiB, far from
+/// overflowing the int64 byte count or the int map count.
+constexpr double kMaxSizeGb = 65536.0;
+
 /// Flight-recorder destinations (empty path = don't write). When any is
 /// set, every simulation runs observed; each finished run rewrites the
 /// files, so they describe the last simulation of the invocation.
@@ -150,8 +154,7 @@ AppChoice parse_app(const std::string& app, const std::string& corpus) {
   if (app == "textsearch" || app == "grep") {
     return {Benchmark::TextSearch, c};
   }
-  std::fprintf(stderr, "unknown --app=%s\n", app.c_str());
-  std::exit(2);
+  throw InputError("unknown --app=" + app);
 }
 
 mapreduce::JobSpec make_spec(mapreduce::Simulation& sim, const AppChoice& app,
@@ -274,24 +277,23 @@ int run_cli(int argc, char** argv) {
   const AppChoice app = parse_app(flags.get("app", std::string("terasort")),
                                   flags.get("corpus", std::string("wikipedia")));
   const double size_gb = flags.get("size-gb", 20.0);
+  MRON_INPUT_CHECK(size_gb >= 0.0 && size_gb <= kMaxSizeGb,
+                   "--size-gb=" << size_gb << " outside [0, " << kMaxSizeGb
+                                << "]");
   const std::string strategy = flags.get("strategy", std::string("none"));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", 1));
   const int runs = flags.get("runs", 1);
+  MRON_INPUT_CHECK(runs >= 0, "--runs wants a non-negative integer");
   const int jobs = flags.get("jobs", 1);
-  if (jobs < 1) {
-    std::fprintf(stderr, "--jobs wants a positive integer\n");
-    return 2;
-  }
+  MRON_INPUT_CHECK(jobs >= 1, "--jobs wants a positive integer");
   mron::sim::ParallelRunner pool(jobs);
   const bool fair = flags.get("fair", false);
   const bool show_config = flags.get("show-config", false);
   const std::string log_level = flags.get("log-level", std::string(""));
   if (!log_level.empty()) {
     LogLevel level = LogLevel::Warn;
-    if (!log_level_from_name(log_level, level)) {
-      std::fprintf(stderr, "unknown --log-level=%s\n", log_level.c_str());
-      return 2;
-    }
+    MRON_INPUT_CHECK(log_level_from_name(log_level, level),
+                     "unknown --log-level=" << log_level);
     Logger::instance().set_level(level);
   }
   if (flags.has("metrics-out")) {
@@ -318,10 +320,8 @@ int run_cli(int argc, char** argv) {
   const std::string fault_plan_path =
       flags.get("fault-plan", std::string(""));
   const std::string fault_spec = flags.get("fault-spec", std::string(""));
-  if (!fault_plan_path.empty() && !fault_spec.empty()) {
-    std::fprintf(stderr, "--fault-plan and --fault-spec are exclusive\n");
-    return 2;
-  }
+  MRON_INPUT_CHECK(fault_plan_path.empty() || fault_spec.empty(),
+                   "--fault-plan and --fault-spec are exclusive");
   if (!fault_plan_path.empty()) {
     g_fault_plan = faults::FaultPlan::load(fault_plan_path);
   } else if (!fault_spec.empty()) {
@@ -333,16 +333,12 @@ int run_cli(int argc, char** argv) {
     g_cluster = cluster::load_cluster_spec(cluster_spec);
   }
   g_dfs_replication = flags.get("dfs-replication", 3);
-  if (g_dfs_replication < 1) {
-    std::fprintf(stderr, "--dfs-replication wants a positive integer\n");
-    return 2;
-  }
+  MRON_INPUT_CHECK(g_dfs_replication >= 1,
+                   "--dfs-replication wants a positive integer");
   g_dfs_policy = flags.get("dfs-policy", std::string(""));
-  if (!g_dfs_policy.empty() && g_dfs_policy != "rack-aware" &&
-      g_dfs_policy != "same-rack" && g_dfs_policy != "spread") {
-    std::fprintf(stderr, "unknown --dfs-policy=%s\n", g_dfs_policy.c_str());
-    return 2;
-  }
+  MRON_INPUT_CHECK(g_dfs_policy.empty() || g_dfs_policy == "rack-aware" ||
+                       g_dfs_policy == "same-rack" || g_dfs_policy == "spread",
+                   "unknown --dfs-policy=" << g_dfs_policy);
   for (const auto& u : flags.unused()) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", u.c_str());
   }
@@ -451,16 +447,15 @@ int run_cli(int argc, char** argv) {
     return 0;
   }
 
-  std::fprintf(stderr, "unknown --strategy=%s\n", strategy.c_str());
-  return 2;
+  throw InputError("unknown --strategy=" + strategy);
 }
 
 int main(int argc, char** argv) {
   try {
     return run_cli(argc, argv);
   } catch (const InputError& e) {
-    // A malformed --fault-spec/--fault-plan/--cluster is the user's to fix:
-    // one line, and the same exit code as any other bad flag.
+    // A bad flag value, --fault-spec, --fault-plan or --cluster is the
+    // user's to fix: one line, exit 2.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {

@@ -1,6 +1,7 @@
 #include "cluster/cluster_spec.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -9,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/format.h"
+#include "common/parse.h"
 
 namespace mron::cluster {
 
@@ -62,13 +64,23 @@ double parse_number(const std::string& value, const std::string& stmt) {
 }
 
 int parse_int(const std::string& value, const std::string& stmt) {
-  const double v = parse_number(value, stmt);
-  const int i = static_cast<int>(v);
-  MRON_INPUT_CHECK(static_cast<double>(i) == v,
-                 "expected integer, got '" << value
-                                           << "' in cluster spec statement: "
-                                           << stmt);
-  return i;
+  const auto v = parse_integer<int>(value);
+  MRON_INPUT_CHECK(v.has_value(), "expected integer, got '"
+                                      << value
+                                      << "' in cluster spec statement: "
+                                      << stmt);
+  return *v;
+}
+
+/// GiB as an int64 byte count: values past its range are rejected here
+/// rather than cast.
+Bytes parse_gib(const std::string& value, const std::string& stmt) {
+  const double gb = parse_number(value, stmt);
+  MRON_INPUT_CHECK(std::abs(gb) < 0x1p33, "'" << value
+                                              << "' GiB out of range in "
+                                                 "cluster spec statement: "
+                                              << stmt);
+  return gibibytes(gb);
 }
 
 NodeGroup parse_group(const std::vector<std::string>& toks,
@@ -100,9 +112,9 @@ NodeGroup parse_group(const std::vector<std::string>& toks,
     } else if (key == "container_vcores") {
       g.hardware.container_vcores = parse_int(value, stmt);
     } else if (key == "mem_gb") {
-      g.hardware.node_memory = gibibytes(parse_number(value, stmt));
+      g.hardware.node_memory = parse_gib(value, stmt);
     } else if (key == "container_mem_gb") {
-      g.hardware.container_memory = gibibytes(parse_number(value, stmt));
+      g.hardware.container_memory = parse_gib(value, stmt);
     } else if (key == "cpu_quota") {
       g.hardware.cpu_quota_per_vcore = parse_number(value, stmt);
     } else if (key == "disk_mbps") {

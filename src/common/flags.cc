@@ -1,6 +1,10 @@
 #include "common/flags.h"
 
 #include <cstdlib>
+#include <limits>
+
+#include "common/check.h"
+#include "common/parse.h"
 
 namespace mron {
 
@@ -49,11 +53,21 @@ double Flags::get(const std::string& name, double fallback) const {
   if (!v.has_value() || v->empty()) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
-  return end != v->c_str() ? parsed : fallback;
+  MRON_INPUT_CHECK(end == v->c_str() + v->size(),
+                   "--" << name << " wants a number, got '" << *v << "'");
+  return parsed;
 }
 
 int Flags::get(const std::string& name, int fallback) const {
-  return static_cast<int>(get(name, static_cast<double>(fallback)));
+  const auto v = raw(name);
+  if (!v.has_value() || v->empty()) return fallback;
+  const auto parsed = parse_integer<int>(*v);
+  MRON_INPUT_CHECK(parsed.has_value(),
+                   "--" << name << " wants an integer in ["
+                        << std::numeric_limits<int>::min() << ", "
+                        << std::numeric_limits<int>::max() << "], got '"
+                        << *v << "'");
+  return *parsed;
 }
 
 bool Flags::get(const std::string& name, bool fallback) const {

@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for the example/CLI binaries.
 //
 // Supports `--name=value`, `--name value`, and bare boolean `--name`.
-// Unknown flags are collected so callers can reject or report them.
+// Unknown flags are collected so callers can reject or report them. A
+// numeric value that does not parse in full (or, for int, is not an integer
+// in range) throws InputError.
 #pragma once
 
 #include <map>

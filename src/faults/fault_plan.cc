@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/format.h"
+#include "common/parse.h"
 
 namespace mron::faults {
 
@@ -33,6 +34,17 @@ double parse_num(const std::string& value, const std::string& directive) {
                  "fault plan: bad number '" << value << "' in '" << directive
                                             << "'");
   return v;
+}
+
+/// A seed or a node: the whole value as an integer of type T (no
+/// fraction, no exponent, in T's range).
+template <typename T>
+T parse_int(const std::string& value, const std::string& directive) {
+  const auto v = parse_integer<T>(value);
+  MRON_INPUT_CHECK(v.has_value(), "fault plan: bad number '"
+                                      << value << "' in '" << directive
+                                      << "'");
+  return *v;
 }
 
 }  // namespace
@@ -115,7 +127,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       std::string v;
       MRON_INPUT_CHECK(static_cast<bool>(words >> v),
                      "fault plan: 'seed' needs a value");
-      plan.seed = static_cast<std::uint64_t>(parse_num(v, line));
+      plan.seed = parse_int<std::uint64_t>(v, line);
     } else if (keyword == "taskfail") {
       std::string token;
       while (words >> token) {
@@ -143,7 +155,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       while (words >> token) {
         const auto [key, value] = split_kv(token, line);
         if (key == "node") {
-          c.node = static_cast<int>(parse_num(value, line));
+          c.node = parse_int<int>(value, line);
         } else if (key == "at") {
           c.at = parse_num(value, line);
         } else if (key == "restart") {
@@ -162,7 +174,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       while (words >> token) {
         const auto [key, value] = split_kv(token, line);
         if (key == "node") {
-          d.node = static_cast<int>(parse_num(value, line));
+          d.node = parse_int<int>(value, line);
         } else if (key == "from") {
           d.from = parse_num(value, line);
         } else if (key == "until") {

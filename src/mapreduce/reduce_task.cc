@@ -234,9 +234,8 @@ void ReduceTask::abort() {
 }
 
 void ReduceTask::update_config(const JobConfig& config) {
-  // The pending run was proven absorbable under the *old* thresholds;
-  // settle it before they change.
-  drain_fetch_run();
+  // Segments already landed stay accounted under the old thresholds; the
+  // new ones govern the next add_segment().
   config_.sort_spill_percent = config.sort_spill_percent;
   config_.shuffle_merge_percent = config.shuffle_merge_percent;
   config_.shuffle_memory_limit_percent = config.shuffle_memory_limit_percent;
@@ -463,22 +462,7 @@ void ReduceTask::on_visit_done(std::int32_t v) {
 }
 
 void ReduceTask::accept_segment(Bytes bytes) {
-  // Uniform partitions arrive as long runs of equal-sized segments. A
-  // segment the buffer would absorb with no flush has no observable effect
-  // (add_segment returns 0 and schedules nothing), so such runs are
-  // deferred and later applied in one closed-form add_segments() call —
-  // identical state, O(1) bookkeeping per segment.
-  Bytes flushed{0};
-  if (fetch_run_count_ > 0 && bytes == fetch_run_segment_ &&
-      buffer_.would_absorb(fetch_run_count_, bytes)) {
-    ++fetch_run_count_;
-  } else if (fetch_run_count_ == 0 && buffer_.would_absorb(0, bytes)) {
-    fetch_run_segment_ = bytes;
-    fetch_run_count_ = 1;
-  } else {
-    drain_fetch_run();
-    flushed = buffer_.add_segment(bytes);
-  }
+  const Bytes flushed = buffer_.add_segment(bytes);
   if (flushed > Bytes(0)) {
     ++outstanding_spill_writes_;
     node_.disk().submit(flushed.as_double(), [this] {
@@ -486,16 +470,6 @@ void ReduceTask::accept_segment(Bytes bytes) {
       maybe_finish_shuffle();
     });
   }
-}
-
-void ReduceTask::drain_fetch_run() {
-  if (fetch_run_count_ == 0) return;
-  const Bytes flushed = buffer_.add_segments(
-      static_cast<int>(fetch_run_count_), fetch_run_segment_);
-  // Every deferred copy passed would_absorb(), so the batch cannot flush.
-  MRON_CHECK(flushed == Bytes(0));
-  fetch_run_count_ = 0;
-  fetch_run_segment_ = Bytes(0);
 }
 
 void ReduceTask::maybe_finish_shuffle() {
@@ -506,7 +480,6 @@ void ReduceTask::maybe_finish_shuffle() {
   if (outstanding_spill_writes_ > 0) return;
   shuffle_done_ = true;
 
-  drain_fetch_run();
   const Bytes final_flush = buffer_.finalize();
   if (final_flush > Bytes(0)) {
     node_.disk().submit(final_flush.as_double(), [this] { phase_merge(); });

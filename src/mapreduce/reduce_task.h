@@ -17,12 +17,13 @@
 // and per-host state exists only for hosts with pending output or a visit
 // in flight. A visit allocates nothing on the heap.
 //
-// Buffer mechanics are delegated to ShuffleBufferModel, so every reduce-side
-// Table-2 parameter shapes the disk traffic this task generates. After the
-// last segment lands, on-disk files beyond io.sort.factor cost intermediate
-// merge rounds; the final merge streams into the user reduce(), which is
-// CPU work pipelined with the disk read, and the output is written locally
-// and replicated to one remote node.
+// Buffer mechanics are delegated to ShuffleBufferModel, one add_segment()
+// per landed segment, so every reduce-side Table-2 parameter shapes the
+// disk traffic this task generates. After the last segment lands, on-disk
+// files beyond io.sort.factor cost intermediate merge rounds; the final
+// merge streams into the user reduce(), which is CPU work pipelined with
+// the disk read, and the output is written locally and replicated to one
+// remote node.
 #pragma once
 
 #include <cstdint>
@@ -182,11 +183,8 @@ class ReduceTask {
   void fail_segment(int map_index, cluster::NodeId source);
   /// Release visit slot `v` and its host's in-flight mark.
   void end_visit(std::int32_t v);
-  /// Buffer-account one landed segment (run batching, see the .cc).
+  /// Buffer-account one landed segment; a flush becomes a disk write.
   void accept_segment(Bytes bytes);
-  /// Apply the deferred uniform fetch run (see accept_segment) through the
-  /// closed-form kernel. Must run before any other buffer interaction.
-  void drain_fetch_run();
   void maybe_finish_shuffle();
   void phase_merge();
   void phase_reduce();
@@ -208,11 +206,6 @@ class ReduceTask {
   FetchFailure fetch_failure_;
 
   ShuffleBufferModel buffer_;
-  /// Deferred run of equal-sized absorbable segments, not yet applied to
-  /// buffer_. Only segments proven side-effect-free (would_absorb) are
-  /// deferred, so batching is observationally invisible.
-  Bytes fetch_run_segment_{0};
-  std::int64_t fetch_run_count_ = 0;
 
   std::vector<Segment> segments_;  ///< indexed by map index
   std::vector<Host> hosts_;

@@ -6,10 +6,20 @@
 #include "common/check.h"
 
 namespace mron::mapreduce {
+namespace {
+
+constexpr SimTime kMonitorPeriod = 1.0;
+/// Above this node count the monitor publishes per-rack aggregate
+/// gauges/series instead of per-node ones, keeping report and trace size
+/// bounded at 1,000+ nodes. The 19-node testbed stays per-node.
+constexpr int kMonitorNodeSeriesLimit = 64;
+/// Disk/NIC utilization above which hotspot_aware placement avoids a node.
+constexpr double kHotThreshold = 0.9;
+
+}  // namespace
 
 Simulation::Simulation(SimulationOptions options)
     : options_(options), rng_(options.seed) {
-#if MRON_OBS_ENABLED
   if (options_.host_profile) {
     // Created before everything else so the Setup phase covers all of
     // construction; the engine stamps scheduled events with subsystem
@@ -24,7 +34,6 @@ Simulation::Simulation(SimulationOptions options)
     recorder_->trace().set_detail(options_.trace_detail);
     engine_.set_recorder(recorder_.get());
   }
-#endif
   if (options_.progress) {
     progress_ = std::make_unique<obs::ProgressMeter>(
         options_.progress_label.empty() ? "mron" : options_.progress_label);
@@ -63,8 +72,7 @@ Simulation::Simulation(SimulationOptions options)
     HOST_PROF_SCOPE("sim.setup.monitor");
     HOST_PROF_CATEGORY(kMonitor);
     monitor_ = std::make_unique<cluster::ClusterMonitor>(
-        engine_, ptrs, options_.monitor_period, topo_.get(),
-        options_.monitor_node_series_limit);
+        engine_, ptrs, kMonitorPeriod, topo_.get(), kMonitorNodeSeriesLimit);
   }
   {
     HOST_PROF_SCOPE("sim.setup.dfs");
@@ -100,7 +108,7 @@ Simulation::Simulation(SimulationOptions options)
     });
     if (options_.hotspot_aware) {
       monitor_->start();
-      rm_->set_cluster_monitor(monitor_.get(), options_.hot_threshold);
+      rm_->set_cluster_monitor(monitor_.get(), kHotThreshold);
     }
     if (options_.locality_delay_passes > 0) {
       rm_->set_locality_delay(options_.locality_delay_passes);
@@ -213,15 +221,12 @@ std::vector<JobResult> Simulation::run_jobs(std::vector<JobSpec> specs) {
 }
 
 void Simulation::run() {
-#if MRON_OBS_ENABLED
   // Setup ends where the event loop begins. Re-entering run() later flips
   // Teardown back to Steady; both accumulate across runs.
   if (host_profiler_ != nullptr) {
     host_profiler_->begin_phase(obs::HostPhase::kSteady);
   }
-#endif
   engine_.run();
-#if MRON_OBS_ENABLED
   // The loop has drained: everything from here on (final flush, result
   // assembly, export prep) is teardown, so Steady measures exactly the
   // dispatch loop and the subsystem totals tile it — the coverage rule
@@ -238,12 +243,10 @@ void Simulation::run() {
     recorder_->flush();
     emit_critical_path_flows();
   }
-#endif
 }
 
 bool Simulation::write_host_profile(std::ostream& os) {
   if (host_profiler_ == nullptr) return false;
-#if MRON_OBS_ENABLED
   obs::HostProfiler& hp = *host_profiler_;
   // Arena byte counters: how much each long-lived structure holds, split
   // out from RSS (which the profiler snapshots itself).
@@ -262,13 +265,8 @@ bool Simulation::write_host_profile(std::ostream& os) {
   hp.set_meta("events", std::to_string(engine_.total_dispatched()));
   hp.write_json(os);
   return true;
-#else
-  (void)os;
-  return false;
-#endif
 }
 
-#if MRON_OBS_ENABLED
 void Simulation::emit_critical_path_flows() {
   // Chrome-trace flow arrows along each finished job's critical path, so
   // the trace viewer visually connects producers to consumers across
@@ -289,6 +287,5 @@ void Simulation::emit_critical_path_flows() {
     }
   }
 }
-#endif
 
 }  // namespace mron::mapreduce

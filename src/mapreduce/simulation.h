@@ -39,21 +39,14 @@ struct SimulationOptions {
   /// shares instead of FIFO/fair; jobs pick a queue via
   /// JobSpec::scheduler_queue.
   std::vector<double> capacity_queues;
-  SimTime monitor_period = 1.0;
-  /// Above this node count the monitor publishes per-rack aggregate
-  /// gauges/series instead of per-node ones, keeping report and trace size
-  /// bounded at 1,000+ nodes. The 19-node testbed stays per-node.
-  int monitor_node_series_limit = 64;
   /// Start the cluster monitor and let the RM route containers away from
   /// nodes whose disk/NIC ran hot in the last window (Section 3's
   /// hot-spot avoidance).
   bool hotspot_aware = false;
-  double hot_threshold = 0.9;
   /// Delay-scheduling passes for data locality (0 = off).
   int locality_delay_passes = 0;
   /// Attach the flight recorder (metrics + trace + audit) and start the
-  /// cluster monitor as its sampling clock. No-op when compiled out
-  /// (cmake -DMRON_OBS=OFF).
+  /// cluster monitor as its sampling clock.
   bool observe = false;
   /// Record phase-level spans and per-fetch async spans too. With detail
   /// off the trace holds exactly one span per task attempt plus one per
@@ -67,7 +60,7 @@ struct SimulationOptions {
   /// *simulator's* own wall-clock time and memory go, per subsystem and
   /// setup-vs-steady phase. Host time is nondeterministic, so the profile
   /// exports only through write_host_profile() — never into the run
-  /// report. No-op when compiled out (cmake -DMRON_OBS=OFF).
+  /// report.
   bool host_profile = false;
   /// Stderr progress heartbeat for long runs (events/sec + sim-time + RSS),
   /// wall-clock throttled. Never touches report output.
@@ -155,11 +148,9 @@ class Simulation {
   void run();
 
  private:
-#if MRON_OBS_ENABLED
   /// After a drain: emit Chrome-trace flow arrows along the critical path
   /// of every newly finished job (see obs/critical_path.h).
   void emit_critical_path_flows();
-#endif
 
   SimulationOptions options_;
   sim::Engine engine_;
@@ -167,7 +158,7 @@ class Simulation {
   /// handles into the recorder, so it must outlive them.
   std::unique_ptr<obs::Recorder> recorder_;
   /// Host self-profiler; created first so Setup-phase frames cover all of
-  /// construction. Always null when MRON_OBS is compiled out.
+  /// construction. Null unless options.host_profile.
   std::unique_ptr<obs::HostProfiler> host_profiler_;
   std::unique_ptr<obs::ProgressMeter> progress_;
   Rng rng_;

@@ -193,18 +193,6 @@ Bytes ShuffleBufferModel::add_segments(int count, Bytes segment) {
   return flushed_total;
 }
 
-bool ShuffleBufferModel::would_absorb(std::int64_t pending,
-                                      Bytes segment) const {
-  if (finalized_ || segment <= Bytes(0)) return false;
-  if (segment > segment_limit_) return false;
-  const std::int64_t adds = pending + 1;
-  if (inmem_threshold_ > 0 &&
-      pool_segments_ + adds >= inmem_threshold_) {
-    return false;
-  }
-  return pool_.count() + adds * segment.count() < merge_trigger_.count();
-}
-
 void ShuffleBufferModel::flush_pool() {
   if (pool_ <= Bytes(0)) return;
   ++inmem_merges_;

@@ -92,13 +92,6 @@ class ShuffleBufferModel {
   /// O(1) in `count` except for appending the flushed-file entries.
   Bytes add_segments(int count, Bytes segment);
 
-  /// True iff one more add_segment(segment) — issued after `pending`
-  /// additional copies of the same segment have been absorbed — would be
-  /// absorbed into the in-memory pool with no observable side effect (no
-  /// flush, no direct-to-disk write, return value 0). Lets callers defer a
-  /// run of uniform segments and apply it later via add_segments().
-  [[nodiscard]] bool would_absorb(std::int64_t pending, Bytes segment) const;
-
   /// Account end-of-shuffle: applies reduce.input.buffer.percent and
   /// returns bytes flushed by the final spill (0 if everything left in
   /// memory fits the reduce-phase budget).
@@ -114,7 +107,6 @@ class ShuffleBufferModel {
   [[nodiscard]] int inmem_merges() const { return inmem_merges_; }
 
   [[nodiscard]] Bytes shuffle_buffer() const { return shuffle_buffer_; }
-  [[nodiscard]] Bytes segment_memory_limit() const { return segment_limit_; }
 
   /// Live re-tuning (category-III parameters): refresh thresholds from a
   /// changed config without losing pool state.

@@ -36,10 +36,6 @@
 // are stored raw and converted to nanoseconds at export, using a ratio
 // measured between two (ticks, steady_clock) anchor pairs spanning the
 // profiler's whole lifetime — no upfront calibration spin.
-//
-// The profiler *class* is always compiled (tests exercise it in both
-// builds); the macros and every engine/simulation hook compile away under
-// cmake -DMRON_OBS=OFF, so the unprofiled hot path pays nothing there.
 #pragma once
 
 #include <chrono>
@@ -52,8 +48,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "obs/enabled.h"
 
 namespace mron::obs {
 
@@ -307,9 +301,7 @@ inline constexpr const char* kHostProfileSchema = "mron.host_profile/1";
 
 }  // namespace mron::obs
 
-// Scoped-frame + category macros: active only in MRON_OBS builds, so the
-// compiled-out configuration pays nothing at the instrumentation sites.
-#if MRON_OBS_ENABLED
+// Scoped-frame + category macros.
 #define MRON_HP_CONCAT2(a, b) a##b
 #define MRON_HP_CONCAT(a, b) MRON_HP_CONCAT2(a, b)
 #define HOST_PROF_SCOPE(label)     \
@@ -318,11 +310,3 @@ inline constexpr const char* kHostProfileSchema = "mron.host_profile/1";
 #define HOST_PROF_CATEGORY(cat)       \
   ::mron::obs::HostProfiler::CatScope \
   MRON_HP_CONCAT(mron_hp_cat_, __LINE__)(::mron::obs::HostCat::cat)
-#else
-#define HOST_PROF_SCOPE(label) \
-  do {                         \
-  } while (false)
-#define HOST_PROF_CATEGORY(cat) \
-  do {                          \
-  } while (false)
-#endif

@@ -7,7 +7,6 @@
 //
 // Host-side only and off by default: it writes to stderr, never to any
 // exported artifact, so enabling it cannot perturb report determinism.
-// Plain code — available in MRON_OBS=OFF builds too.
 #pragma once
 
 #include <chrono>

@@ -81,7 +81,7 @@ class RunReport {
   [[nodiscard]] std::map<std::string, double> run_totals() const;
 
   /// Serialize. `rec` contributes the metrics/series/audit sections and may
-  /// be null (e.g. MRON_OBS=OFF builds), leaving them empty.
+  /// be null (a run without observe), leaving them empty.
   void write_json(std::ostream& os, const Recorder* rec) const;
   void write_json(JsonWriter& w, const Recorder* rec) const;
   [[nodiscard]] std::string to_json(const Recorder* rec) const;

@@ -27,14 +27,12 @@ EventId Engine::schedule_impl(SimTime t, Callback cb, bool daemon) {
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
   s.daemon = daemon;
-#if MRON_OBS_ENABLED
   // Inherit the scheduling context's subsystem category (a dispatched
   // callback's own category is re-established around cb(), so re-arms
   // inherit transitively). Only read when profiling.
   if (host_profiler_ != nullptr) {
     s.cat = obs::HostProfiler::CatScope::current();
   }
-#endif
   heap_.push_back(EventEntry{t, next_seq_++, slot, s.gen});
   std::push_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
   ++live_events_;
@@ -113,11 +111,7 @@ bool Engine::pop_next(Callback* cb, std::uint8_t* cat) {
     }
     *cb = std::move(slots_[entry.slot].cb);
     if (slots_[entry.slot].daemon) --daemon_events_;
-#if MRON_OBS_ENABLED
     *cat = slots_[entry.slot].cat;
-#else
-    *cat = 0;
-#endif
     release_slot(entry.slot);
     --live_events_;
     now_ = entry.time;
@@ -131,7 +125,6 @@ bool Engine::dispatch_next() {
   Callback cb;
   std::uint8_t cat = 0;
   if (!pop_next(&cb, &cat)) return false;
-#if MRON_OBS_ENABLED
   if (host_profiler_ != nullptr) {
     // Re-establish the event's category around its callback so anything
     // it schedules inherits it.
@@ -139,15 +132,12 @@ bool Engine::dispatch_next() {
     cb();
     return true;
   }
-#endif
   cb();
   return true;
 }
 
 std::int64_t Engine::run(std::int64_t max_events) {
-#if MRON_OBS_ENABLED
   if (host_profiler_ != nullptr) return run_profiled(max_events);
-#endif
   std::int64_t fired = 0;
   while (fired < max_events && dispatch_next()) {
     ++fired;
@@ -157,7 +147,6 @@ std::int64_t Engine::run(std::int64_t max_events) {
   return fired;
 }
 
-#if MRON_OBS_ENABLED
 std::int64_t Engine::run_profiled(std::int64_t max_events) {
   // Clock reads only at category transitions: a contiguous run of
   // same-category events is billed as one batch whose wall is the delta
@@ -199,7 +188,6 @@ std::int64_t Engine::run_profiled(std::int64_t max_events) {
   MRON_CHECK_MSG(fired < max_events, "engine hit max_events guard");
   return fired;
 }
-#endif
 
 std::int64_t Engine::run_until(SimTime t) {
   MRON_CHECK(t >= now_);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
+
 namespace mron {
 namespace {
 
@@ -45,9 +47,13 @@ TEST(Flags, Fallbacks) {
   EXPECT_DOUBLE_EQ(f.get("bad", 1.5), 1.5);
 }
 
-TEST(Flags, NonNumericFallsBack) {
-  const auto f = make({"--n=abc"});
-  EXPECT_EQ(f.get("n", 9), 9);
+TEST(Flags, NumbersMustParseInFull) {
+  // Not the fallback, not a truncating cast: a user error.
+  for (const char* bad : {"abc", "1.5", "1e10", "3x", "99999999999"}) {
+    EXPECT_THROW((void)make({"--n", bad}).get("n", 9), InputError) << bad;
+  }
+  EXPECT_THROW((void)make({"--x=2.5GB"}).get("x", 1.0), InputError);
+  EXPECT_EQ(make({"--n=-3"}).get("n", 9), -3);
 }
 
 TEST(Flags, PositionalCollected) {

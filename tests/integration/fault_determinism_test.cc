@@ -11,7 +11,6 @@
 #include "faults/injector.h"
 #include "mapreduce/report_rollup.h"
 #include "mapreduce/simulation.h"
-#include "obs/enabled.h"
 #include "workloads/benchmarks.h"
 
 namespace mron::mapreduce {
@@ -92,8 +91,6 @@ TEST(FaultDeterminism, DifferentPlanSeedsChangeTheInjectionPattern) {
   EXPECT_EQ(b.stats.crashes, 1);  // planned events unchanged
 }
 
-#if MRON_OBS_ENABLED
-
 TEST(FaultDeterminism, RunReportIsByteIdenticalAcrossRepeats) {
   const RunOutcome a = run_once(21, true);
   const RunOutcome b = run_once(21, true);
@@ -105,8 +102,6 @@ TEST(FaultDeterminism, RunReportIsByteIdenticalAcrossRepeats) {
   EXPECT_NE(a.report.find("\"faults\":"), std::string::npos);
   EXPECT_NE(a.report.find("\"crashes\""), std::string::npos);
 }
-
-#endif  // MRON_OBS_ENABLED
 
 }  // namespace
 }  // namespace mron::mapreduce

@@ -224,7 +224,6 @@ TEST(ReduceTask, VisitsRespectSegmentHostAndCopyLimits) {
   EXPECT_EQ(r.tracked_hosts(), 0);
 }
 
-#if MRON_OBS_ENABLED
 TEST(ReduceTask, VisitCarriesAtMostTwentySegments) {
   // 45 segments queued on one host before the shuffle starts: three visits
   // carrying 20, 20 and 5 segments, one counted connection each.
@@ -259,7 +258,6 @@ TEST(ReduceTask, VisitCarriesAtMostTwentySegments) {
   EXPECT_EQ(count("\"segments\":5}"), 1);
   EXPECT_EQ(count("\"name\":\"shuffle_fetch\""), 6);  // 3 b/e pairs
 }
-#endif  // MRON_OBS_ENABLED
 
 TEST(ReduceTask, HostStateOnlyForHostsWithPendingOutput) {
   // A 10,240-node cluster whose five map hosts are scattered across it:

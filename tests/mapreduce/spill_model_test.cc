@@ -327,34 +327,6 @@ TEST(ShuffleBufferProperty, AddSegmentsMatchesIncrementalExactly) {
   }
 }
 
-TEST(ShuffleBufferProperty, WouldAbsorbPredictsZeroReturnRuns) {
-  // Whenever would_absorb approves a pending run, replaying it through
-  // add_segment must produce no flush and no disk file — the predicate
-  // that makes the reduce task's deferred fetch runs observationally
-  // invisible.
-  for (std::uint64_t trial = 0; trial < 100; ++trial) {
-    Rng rng(7000 + trial);
-    const JobConfig cfg = random_shuffle_cfg(rng);
-    ShuffleBufferModel probe(cfg, 100.0);
-    const Bytes segment{rng.uniform_int(1, 32 * 1024 * 1024)};
-    std::int64_t pending = 0;
-    while (probe.would_absorb(pending, segment) && pending < 2000) {
-      ++pending;
-    }
-    ShuffleBufferModel replay(cfg, 100.0);
-    Bytes flushed{0};
-    for (std::int64_t i = 0; i < pending; ++i) {
-      flushed += replay.add_segment(segment);
-    }
-    EXPECT_EQ(flushed, Bytes(0)) << "trial " << trial;
-    EXPECT_TRUE(replay.disk_files().empty()) << "trial " << trial;
-    // ...and the first non-approved add is exactly where behavior starts.
-    if (pending < 2000 && segment <= probe.segment_memory_limit()) {
-      EXPECT_GT(replay.add_segment(segment), Bytes(0)) << "trial " << trial;
-    }
-  }
-}
-
 TEST(ShuffleBuffer, AddSegmentsZeroCountOrEmptySegmentIsNoOp) {
   JobConfig cfg;
   ShuffleBufferModel buf(cfg, 100.0);

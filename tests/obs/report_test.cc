@@ -13,7 +13,6 @@
 
 #include "mapreduce/report_rollup.h"
 #include "mapreduce/simulation.h"
-#include "obs/enabled.h"
 #include "obs/recorder.h"
 #include "workloads/benchmarks.h"
 
@@ -113,8 +112,6 @@ TEST(ReportCollector, ExportsTheLexicographicallyGreatestKey) {
   EXPECT_EQ(slurp(path), "{\"run\":\"c\"}");
 }
 
-#if MRON_OBS_ENABLED
-
 TEST(RunReport, SimulationRollupProducesFullSchema) {
   mapreduce::SimulationOptions sopt;
   sopt.seed = 41;
@@ -180,8 +177,6 @@ TEST(RunReport, IdenticalSimulationsSerializeIdentically) {
   };
   EXPECT_EQ(run_one(), run_one());
 }
-
-#endif  // MRON_OBS_ENABLED
 
 }  // namespace
 }  // namespace mron::obs
