@@ -11,6 +11,7 @@
 
 #include "cluster/cluster_spec.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "mapreduce/report_rollup.h"
 #include "obs/report.h"
 
@@ -199,13 +200,10 @@ void parse_flags(int argc, char** argv) {
     } else if (!(v = value_of("--report-out", i)).empty()) {
       out.report_out = v;
     } else if (!(v = value_of("--jobs", i)).empty()) {
-      const int n = std::atoi(v.c_str());
-      if (n < 1) {
-        std::fprintf(stderr, "--jobs wants a positive integer, got %s\n",
-                     v.c_str());
-        std::exit(2);
-      }
-      set_jobs(n);
+      const auto n = parse_integer<int>(v);
+      MRON_INPUT_CHECK(n.has_value() && *n >= 1,
+                       "--jobs wants a positive integer, got " << v);
+      set_jobs(*n);
     } else if (!(v = value_of("--audit-out", i)).empty()) {
       out.audit_out = v;
     } else if (!(v = value_of("--fault-plan", i)).empty()) {
@@ -236,8 +234,8 @@ void init_obs_from_flags(int argc, char** argv) {
     // id would abort the process; check it against the cluster up front.
     fault_plan().validate(cluster_spec().total_slaves());
   } catch (const InputError& e) {
-    // A malformed --fault-spec/--fault-plan/--cluster is the user's to fix:
-    // one line and exit 2, as mron_cli does.
+    // A malformed --jobs/--fault-spec/--fault-plan/--cluster is the user's
+    // to fix: one line and exit 2, as mron_cli does.
     std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);
   }

@@ -280,6 +280,10 @@ int run_cli(int argc, char** argv) {
   MRON_INPUT_CHECK(size_gb >= 0.0 && size_gb <= kMaxSizeGb,
                    "--size-gb=" << size_gb << " outside [0, " << kMaxSizeGb
                                 << "]");
+  // The other apps run their fixed Table-3 input size.
+  MRON_INPUT_CHECK(!flags.has("size-gb") ||
+                       app.benchmark == workloads::Benchmark::Terasort,
+                   "--size-gb applies only to --app=terasort");
   const std::string strategy = flags.get("strategy", std::string("none"));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", 1));
   const int runs = flags.get("runs", 1);

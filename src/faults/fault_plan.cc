@@ -47,6 +47,15 @@ T parse_int(const std::string& value, const std::string& directive) {
   return *v;
 }
 
+/// A node= value: a node id, so never negative.
+int parse_node(const std::string& value, const std::string& directive) {
+  const int node = parse_int<int>(value, directive);
+  MRON_INPUT_CHECK(node >= 0, "fault plan: negative node " << node << " in '"
+                                                           << directive
+                                                           << "'");
+  return node;
+}
+
 }  // namespace
 
 std::string FaultPlan::to_string() const {
@@ -155,7 +164,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       while (words >> token) {
         const auto [key, value] = split_kv(token, line);
         if (key == "node") {
-          c.node = parse_int<int>(value, line);
+          c.node = parse_node(value, line);
         } else if (key == "at") {
           c.at = parse_num(value, line);
         } else if (key == "restart") {
@@ -165,6 +174,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
                          "fault plan: unknown crash key '" << key << "'");
         }
       }
+      // parse_node never yields a negative id: -1 here means "not given".
       MRON_INPUT_CHECK(c.node >= 0, "fault plan: crash without node= in '"
                                       << line << "'");
       plan.crashes.push_back(c);
@@ -174,7 +184,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       while (words >> token) {
         const auto [key, value] = split_kv(token, line);
         if (key == "node") {
-          d.node = parse_int<int>(value, line);
+          d.node = parse_node(value, line);
         } else if (key == "from") {
           d.from = parse_num(value, line);
         } else if (key == "until") {

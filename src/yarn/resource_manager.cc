@@ -354,6 +354,11 @@ void ResourceManager::schedule_pass() {
   // requests; an app that fails placement is skipped for the rest of the
   // pass so the loop always terminates.
   std::vector<AppSchedState> view;
+  // Shapes no alive node could take this pass. Free resources only shrink
+  // within a pass (grant callbacks are deferred; releases and node failures
+  // are separate events), so a request dominating one of these cannot fit
+  // either and fails without searching the index.
+  std::vector<Resource> failed_shapes;
   auto rebuild_view = [&] {
     // Preserve skip flags across rebuilds within this pass.
     std::map<AppId, bool> skipped;
@@ -385,7 +390,7 @@ void ResourceManager::schedule_pass() {
     // requests behind it.
     bool placed = false;
     for (auto it = app.queue.begin(); it != app.queue.end(); ++it) {
-      if (try_place(*next, app, *it)) {
+      if (try_place(*next, app, *it, failed_shapes)) {
         app.queue.erase(it);
         placed = true;
         break;
@@ -419,7 +424,8 @@ bool ResourceManager::is_hot(const cluster::Node& node) const {
 }
 
 bool ResourceManager::try_place(AppId app_id, AppState& app,
-                                PendingRequest& req) {
+                                PendingRequest& req,
+                                std::vector<Resource>& failed_shapes) {
   // Delay scheduling: a request with preferences holds out for a
   // node-local slot for a bounded number of passes.
   if (locality_delay_passes_ > 0 && !req.preferred.empty() &&
@@ -438,11 +444,21 @@ bool ResourceManager::try_place(AppId app_id, AppState& app,
       return false;
     }
   }
+  for (const Resource& f : failed_shapes) {
+    if (req.resource.memory >= f.memory && req.resource.vcores >= f.vcores) {
+      return false;
+    }
+  }
   // Prefer placements that dodge monitor-flagged hot spots; fall back to
   // hot nodes rather than leaving the request starved.
   cluster::Node* target = find_node(req, /*avoid_hot=*/monitor_ != nullptr);
-  if (target == nullptr) target = find_node(req, /*avoid_hot=*/false);
-  if (target == nullptr) return false;
+  if (target == nullptr && monitor_ != nullptr) {
+    target = find_node(req, /*avoid_hot=*/false);
+  }
+  if (target == nullptr) {
+    failed_shapes.push_back(req.resource);
+    return false;
+  }
   target->allocate(req.resource.memory, req.resource.vcores);
   app.allocated_memory += req.resource.memory;
   ++live_containers_;

@@ -182,8 +182,11 @@ class ResourceManager {
   /// visits the silent set — O(silent nodes), not O(nodes).
   void heartbeat_tick();
   /// Try to place request `req`; returns true and fires its callback on
-  /// success.
-  bool try_place(AppId app_id, AppState& app, PendingRequest& req);
+  /// success. `failed_shapes` is the pass's memo of shapes no alive node
+  /// could take: a request dominating one fails without a search, and a
+  /// request that finds no node anywhere is added to it.
+  bool try_place(AppId app_id, AppState& app, PendingRequest& req,
+                 std::vector<Resource>& failed_shapes);
   /// Best node for `req` following node-local -> rack-local -> any;
   /// `avoid_hot` filters out monitor-flagged hot nodes.
   [[nodiscard]] cluster::Node* find_node(const PendingRequest& req,

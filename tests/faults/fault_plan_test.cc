@@ -133,5 +133,27 @@ TEST(FaultPlan, BadInputIsAUserError) {
   EXPECT_THROW(p.validate(4), InputError);
 }
 
+TEST(FaultPlan, NegativeNodeIsNotReportedAsMissing) {
+  // A node= that is given but negative names the bad value; only an absent
+  // node= is "without node=".
+  const auto message = [](const std::string& text) {
+    try {
+      (void)FaultPlan::parse(text);
+    } catch (const InputError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message("crash node=-1 at=3"),
+            "fault plan: negative node -1 in 'crash node=-1 at=3'");
+  EXPECT_EQ(message("degrade node=-2 from=0 until=5 disk=0.5"),
+            "fault plan: negative node -2 in "
+            "'degrade node=-2 from=0 until=5 disk=0.5'");
+  EXPECT_EQ(message("crash at=3"),
+            "fault plan: crash without node= in 'crash at=3'");
+  EXPECT_EQ(message("degrade from=0 until=5"),
+            "fault plan: degrade without node= in 'degrade from=0 until=5'");
+}
+
 }  // namespace
 }  // namespace mron::faults

@@ -49,49 +49,58 @@ class FreeIndexTest : public ::testing::Test {
     rm.reset();  // the RM observes its nodes: destroy it before them
   }
 
-  bool fits(const cluster::Node& n, const Resource& r) const {
-    return alive.count(static_cast<int>(n.id().value())) != 0 &&
-           r.memory <= n.memory_available() &&
-           r.vcores <= n.vcores_available();
+  /// Free (memory, vcores) of every node right now; dead nodes have none.
+  std::vector<Resource> free_now() const {
+    std::vector<Resource> free;
+    for (const auto& n : nodes) {
+      if (alive.count(static_cast<int>(n->id().value())) != 0) {
+        free.push_back({n->memory_available(), n->vcores_available()});
+      } else {
+        free.push_back({Bytes(-1), -1});
+      }
+    }
+    return free;
   }
 
-  /// The legacy placement scan: first fitting preferred node, else the
-  /// fitting node with the most free memory on a preferred rack (racks in
-  /// preference order, strict greater-than between racks), else the
-  /// fitting node with the most free memory anywhere; ties to lowest id.
+  /// The legacy placement scan over the free snapshot `free`: first
+  /// fitting preferred node, else the fitting node with the most free
+  /// memory on a preferred rack (racks in preference order, strict
+  /// greater-than between racks), else the fitting node with the most
+  /// free memory anywhere; ties to lowest id.
   std::optional<NodeId> reference_find(const Resource& r,
-                                       const std::vector<NodeId>& pref) {
+                                       const std::vector<NodeId>& pref,
+                                       const std::vector<Resource>& free) {
+    auto fits = [&](std::size_t i) {
+      return r.fits_in(free[i].memory, free[i].vcores);
+    };
     for (NodeId p : pref) {
-      if (fits(*nodes[static_cast<std::size_t>(p.value())], r)) return p;
+      if (fits(static_cast<std::size_t>(p.value()))) return p;
     }
-    const cluster::Node* best = nullptr;
+    std::optional<std::size_t> best;
+    auto more_free = [&](std::size_t i, std::optional<std::size_t> than) {
+      return !than.has_value() || free[i].memory > free[*than].memory;
+    };
     for (NodeId p : pref) {
       const auto rack = topo->rack_of(p);
-      const cluster::Node* rack_best = nullptr;
-      for (const auto& n : nodes) {
-        if (topo->rack_of(n->id()) != rack || !fits(*n, r)) continue;
-        if (rack_best == nullptr ||
-            n->memory_available() > rack_best->memory_available()) {
-          rack_best = n.get();
+      std::optional<std::size_t> rack_best;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (topo->rack_of(NodeId(static_cast<std::int64_t>(i))) != rack ||
+            !fits(i)) {
+          continue;
         }
+        if (more_free(i, rack_best)) rack_best = i;
       }
-      if (rack_best != nullptr &&
-          (best == nullptr ||
-           rack_best->memory_available() > best->memory_available())) {
+      if (rack_best.has_value() && more_free(*rack_best, best)) {
         best = rack_best;
       }
     }
-    if (best == nullptr) {
-      for (const auto& n : nodes) {
-        if (!fits(*n, r)) continue;
-        if (best == nullptr ||
-            n->memory_available() > best->memory_available()) {
-          best = n.get();
-        }
+    if (!best.has_value()) {
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (fits(i) && more_free(i, best)) best = i;
       }
     }
-    if (best == nullptr) return std::nullopt;
-    return best->id();
+    if (!best.has_value()) return std::nullopt;
+    return NodeId(static_cast<std::int64_t>(*best));
   }
 
   sim::Engine eng;
@@ -111,31 +120,57 @@ TEST_F(FreeIndexTest, GrantsMatchTheReferenceScanUnderChurn) {
   for (int step = 0; step < 600; ++step) {
     const int op = static_cast<int>(rng.uniform_int(0, 9));
     if (op < 6) {
-      // Request: random size/vcores, random preference list (0-2 nodes).
-      // Sizes reach past the mid-class containers so the largest requests
-      // depend on big-node headroom and can genuinely starve under churn.
-      Resource r;
-      r.memory = gibibytes(0.5 * static_cast<double>(rng.uniform_int(1, 32)));
-      r.vcores = static_cast<int>(rng.uniform_int(1, 8));
-      std::vector<NodeId> pref;
-      for (std::int64_t k = rng.uniform_int(0, 2); k > 0; --k) {
-        pref.emplace_back(rng.uniform_int(0, topo->num_nodes() - 1));
+      // A batch of 1-3 requests queued together, so they share one
+      // placement pass. Sizes reach past the mid-class containers so the
+      // largest requests depend on big-node headroom and can genuinely
+      // starve under churn. A third of the requests are vcore-heavy (past
+      // what the small and mid nodes offer, sometimes past any node), so a
+      // request that fails on vcores is often followed in the same pass by
+      // one with more memory but fewer vcores that still fits.
+      const auto batch = static_cast<std::size_t>(rng.uniform_int(1, 3));
+      std::vector<Resource> free = free_now();
+      std::vector<std::optional<NodeId>> expected;
+      std::vector<RequestId> reqs;
+      std::vector<std::vector<Container>> got(batch);
+      for (std::size_t b = 0; b < batch; ++b) {
+        Resource r;
+        r.memory =
+            gibibytes(0.5 * static_cast<double>(rng.uniform_int(1, 32)));
+        r.vcores = rng.uniform_int(0, 2) == 0
+                       ? static_cast<int>(rng.uniform_int(24, 60))
+                       : static_cast<int>(rng.uniform_int(1, 8));
+        std::vector<NodeId> pref;
+        for (std::int64_t k = rng.uniform_int(0, 2); k > 0; --k) {
+          pref.emplace_back(rng.uniform_int(0, topo->num_nodes() - 1));
+        }
+        // Within a pass the queue is served in order and a request that
+        // fails stays failed, so each expectation is the reference scan
+        // after the grants queued ahead of it.
+        expected.push_back(reference_find(r, pref, free));
+        if (expected.back().has_value()) {
+          const auto i = static_cast<std::size_t>(expected.back()->value());
+          Resource& f = free[i];
+          f.memory -= r.memory;
+          f.vcores -= r.vcores;
+        }
+        reqs.push_back(rm->request_container(
+            app, r, pref,
+            [&got, b](const Container& c) { got[b].push_back(c); }));
       }
-      const auto expected = reference_find(r, pref);
-      std::vector<Container> got;
-      const RequestId req = rm->request_container(
-          app, r, pref, [&](const Container& c) { got.push_back(c); });
       eng.run();
-      if (expected.has_value()) {
-        ASSERT_EQ(got.size(), 1u) << "step " << step;
-        EXPECT_EQ(got[0].node, *expected) << "step " << step;
-        held.push_back(got[0]);
-        ++grants;
-      } else {
-        // Nothing fits: the request must stay pending, not misplace.
-        EXPECT_TRUE(got.empty()) << "step " << step;
-        rm->cancel_request(req);
-        ++starved;
+      for (std::size_t b = 0; b < batch; ++b) {
+        if (expected[b].has_value()) {
+          ASSERT_EQ(got[b].size(), 1u) << "step " << step << " #" << b;
+          EXPECT_EQ(got[b][0].node, *expected[b])
+              << "step " << step << " #" << b;
+          held.push_back(got[b][0]);
+          ++grants;
+        } else {
+          // Nothing fits: the request must stay pending, not misplace.
+          EXPECT_TRUE(got[b].empty()) << "step " << step << " #" << b;
+          rm->cancel_request(reqs[b]);
+          ++starved;
+        }
       }
     } else if (op < 8 && !held.empty()) {
       // Release a pseudo-random held container.
@@ -182,7 +217,7 @@ TEST_F(FreeIndexTest, IndexTracksDirectNodeMutations) {
   Resource r;
   r.memory = gibibytes(8);
   r.vcores = 4;
-  const auto expected = reference_find(r, {});
+  const auto expected = reference_find(r, {}, free_now());
   ASSERT_TRUE(expected.has_value());
   std::vector<Container> got;
   rm->request_container(app, r, {},

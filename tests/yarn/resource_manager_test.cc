@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "obs/recorder.h"
 
 namespace mron::yarn {
 namespace {
@@ -183,6 +184,57 @@ TEST_F(RmTest, FifoPolicyServesFirstAppFirst) {
   // requests arrived first.
   EXPECT_EQ(got_a, 24);
   EXPECT_EQ(got_b, 0);
+}
+
+// Runs one placement pass over `unplaceable` requests that no node can take
+// (more vcores than any node has) queued ahead of one request that is not
+// dominated by them (more memory, fewer vcores) and fits. Returns the
+// yarn.alloc.index_probes the pass spent; `granted` reports the last one.
+double probes_for_one_pass(int unplaceable, bool& granted) {
+  sim::Engine eng;
+  obs::Recorder rec;
+  eng.set_recorder(&rec);
+  cluster::ClusterSpec spec;
+  spec.num_slaves = 4;
+  spec.rack_sizes = {2, 2};
+  const cluster::Topology topo(spec);
+  std::vector<std::unique_ptr<cluster::Node>> nodes;
+  std::vector<cluster::Node*> ptrs;
+  for (int i = 0; i < 4; ++i) {
+    nodes.push_back(
+        std::make_unique<cluster::Node>(eng, cluster::NodeId(i), spec));
+    ptrs.push_back(nodes.back().get());
+  }
+  granted = false;
+  {
+    ResourceManager rm(eng, topo, ptrs, make_fifo_policy());
+    const AppId app = rm.register_app("a");
+    for (int i = 0; i < unplaceable; ++i) {
+      rm.request_container(app, {gibibytes(1), 29}, {},
+                           [](const Container&) { FAIL() << "placed"; });
+    }
+    rm.request_container(app, {gibibytes(2), 1}, {},
+                         [&](const Container&) { granted = true; });
+    eng.run();
+    EXPECT_EQ(rm.pending_requests(), static_cast<std::size_t>(unplaceable));
+  }
+  eng.set_recorder(nullptr);
+  return rec.metrics().counter("yarn.alloc.index_probes").value();
+}
+
+TEST(ResourceManager, FailedShapeIsSearchedOncePerPass) {
+  // Within a pass free resources only shrink, so once a shape found no node
+  // anywhere, every request of that shape (or larger in both dimensions)
+  // fails without touching the index: the pass's search cost does not grow
+  // with the number of stuck requests.
+  bool granted_one = false;
+  bool granted_many = false;
+  const double one = probes_for_one_pass(1, granted_one);
+  const double many = probes_for_one_pass(50, granted_many);
+  EXPECT_TRUE(granted_one);
+  EXPECT_TRUE(granted_many);
+  EXPECT_GT(one, 0.0);
+  EXPECT_EQ(one, many);
 }
 
 }  // namespace
