@@ -180,12 +180,21 @@ namespace {
 
 void parse_flags(int argc, char** argv) {
   ObsOutputs out;
+  // Empty when argv[i] is not `flag`; a known flag with an empty or
+  // missing value is a user error.
   auto value_of = [&](const char* flag, int& i) -> std::string {
     const std::size_t len = std::strlen(flag);
     if (std::strncmp(argv[i], flag, len) != 0) return {};
-    if (argv[i][len] == '=') return argv[i] + len + 1;
-    if (argv[i][len] == '\0' && i + 1 < argc) return argv[++i];
-    return {};
+    const char* v = nullptr;
+    if (argv[i][len] == '=') {
+      v = argv[i] + len + 1;
+    } else if (argv[i][len] == '\0') {
+      v = i + 1 < argc ? argv[++i] : "";
+    } else {
+      return {};
+    }
+    MRON_INPUT_CHECK(*v != '\0', flag << " needs a value");
+    return v;
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-detail") == 0) {

@@ -65,21 +65,13 @@ void MrAppMaster::submit() {
     auto* reduces_frac = &store.series(prefix + "reduces_completed_frac");
     rec->add_flush_hook([this, maps_running, maps_frac, reduces_running,
                          reduces_frac] {
-      int live_maps = 0;
-      for (const auto& m : maps_) {
-        if (m.running || m.spec_running) ++live_maps;
-      }
-      int live_reduces = 0;
-      for (const auto& r : reduces_) {
-        if (r.running) ++live_reduces;
-      }
       const SimTime now = engine_.now();
-      maps_running->push(now, static_cast<double>(live_maps));
+      maps_running->push(now, static_cast<double>(live_maps_));
       maps_frac->push(now, num_maps_ == 0
                                ? 1.0
                                : static_cast<double>(completed_maps_) /
                                      static_cast<double>(num_maps_));
-      reduces_running->push(now, static_cast<double>(live_reduces));
+      reduces_running->push(now, static_cast<double>(live_reduces_));
       reduces_frac->push(
           now, spec_.num_reduces == 0
                    ? 1.0
@@ -185,6 +177,14 @@ void MrAppMaster::set_launch_budget(TaskKind kind, int n) {
     budget += n;
   }
   schedule_pump();
+}
+
+bool MrAppMaster::attempt_running(const TaskRef& task) const {
+  if (task.kind == TaskKind::Map) {
+    const auto& m = maps_[static_cast<std::size_t>(task.index)];
+    return m.running || m.spec_running;
+  }
+  return reduces_[static_cast<std::size_t>(task.index)].running;
 }
 
 std::vector<TaskRef> MrAppMaster::queued_tasks() const {
@@ -391,7 +391,7 @@ void MrAppMaster::on_map_container(int index, const yarn::Container& c) {
     return;
   }
   m.container = c;
-  m.running = true;
+  set_map_running(m, m.running, true);
   m.run_started = engine_.now();
   ++m.attempts;
   begin_task_span(m.span, "map_attempt", c, m.attempts);
@@ -448,7 +448,7 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
     return;
   }
   r.container = c;
-  r.running = true;
+  set_reduce_running(r, true);
   r.run_started = engine_.now();
   ++r.attempts;
   begin_task_span(r.span, "reduce_attempt", c, r.attempts);
@@ -492,10 +492,9 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
     on_shuffle_fetch_failure(index, mi, src);
   });
   // Feed the live completions: those before the cursor in map-index order,
-  // the rest in log order. Their shuffle edges target the attempt's
-  // not-yet-stamped "reduce_shuffle_done" node — the reduce task stamps it
-  // when the last segment lands, and extraction then follows whichever
-  // arrival was latest.
+  // the rest in log order. Each delivery is offered to the attempt as a
+  // source of its "reduce_shuffle_done" node; the reduce task stamps that
+  // node when the last segment lands and draws one edge, from the latest.
   for (int mi = 0; mi < num_maps_; ++mi) {
     const int pos = maps_[static_cast<std::size_t>(mi)].log_pos;
     if (pos >= 0 && static_cast<std::size_t>(pos) < r.cursor) {
@@ -518,11 +517,11 @@ void MrAppMaster::on_map_done(int index, const TaskReport& report,
                               bool speculative) {
   auto& m = maps_[static_cast<std::size_t>(index)];
   if (speculative) {
-    m.spec_running = false;
+    set_map_running(m, m.spec_running, false);
     rm_.release_container(m.spec_container);
     end_task_span(m.spec_span);
   } else {
-    m.running = false;
+    set_map_running(m, m.running, false);
     disarm_fault_kill(m.fault_kill, m.fault_kill_pending);
     rm_.release_container(m.container);
     end_task_span(m.span);
@@ -616,7 +615,7 @@ void MrAppMaster::settle_speculation(int index, bool speculative_won) {
     // Kill the original attempt.
     if (m.running && m.run != nullptr) {
       m.run->abort();
-      m.running = false;
+      set_map_running(m, m.running, false);
       disarm_fault_kill(m.fault_kill, m.fault_kill_pending);
       rm_.release_container(m.container);
       end_task_span(m.span);
@@ -624,7 +623,7 @@ void MrAppMaster::settle_speculation(int index, bool speculative_won) {
   } else {
     if (m.spec_running && m.spec_run != nullptr) {
       m.spec_run->abort();
-      m.spec_running = false;
+      set_map_running(m, m.spec_running, false);
       rm_.release_container(m.spec_container);
       end_task_span(m.spec_span);
       --active_speculations_;
@@ -722,7 +721,7 @@ void MrAppMaster::on_speculative_container(int index,
     return;
   }
   m.spec_container = c;
-  m.spec_running = true;
+  set_map_running(m, m.spec_running, true);
   begin_task_span(m.spec_span, "map_attempt", c, m.attempts + 1);
 
   MapTask::Inputs inputs;
@@ -771,16 +770,26 @@ void MrAppMaster::feed_reducer(int reduce_index, int map_index) {
       map_index, m.ran_on,
       m.combined_output *
           partition_weights_[static_cast<std::size_t>(reduce_index)]);
-  // This delivery may be what the reducer's shuffle ends on; extraction
-  // keeps whichever arrival into "reduce_shuffle_done" was last.
-  if (auto* cpb = cp()) {
-    cpb->edge(m.cp_done, r.cp_shuffle_done, obs::Blame::ShuffleNet);
-  }
+  // This delivery may be what the reducer's shuffle ends on; the attempt
+  // keeps the latest and draws its one edge when the shuffle completes.
+  if (auto* cpb = cp()) r.run->offer_shuffle_source(*cpb, m.cp_done);
+}
+
+void MrAppMaster::set_map_running(MapState& m, bool& flag, bool value) {
+  const bool was_live = m.running || m.spec_running;
+  flag = value;
+  live_maps_ += static_cast<int>(m.running || m.spec_running) -
+                static_cast<int>(was_live);
+}
+
+void MrAppMaster::set_reduce_running(ReduceState& r, bool value) {
+  live_reduces_ += static_cast<int>(value) - static_cast<int>(r.running);
+  r.running = value;
 }
 
 void MrAppMaster::on_reduce_done(int index, const TaskReport& report) {
   auto& r = reduces_[static_cast<std::size_t>(index)];
-  r.running = false;
+  set_reduce_running(r, false);
   disarm_fault_kill(r.fault_kill, r.fault_kill_pending);
   --running_reduces_or_requested_;
   rm_.release_container(r.container);
@@ -861,7 +870,7 @@ void MrAppMaster::handle_node_failure(cluster::NodeId node) {
     auto& m = maps_[static_cast<std::size_t>(i)];
     if (m.running && m.container.node == node) {
       m.run->abort();
-      m.running = false;
+      set_map_running(m, m.running, false);
       disarm_fault_kill(m.fault_kill, m.fault_kill_pending);
       rm_.release_container(m.container);
       end_task_span(m.span);
@@ -870,7 +879,7 @@ void MrAppMaster::handle_node_failure(cluster::NodeId node) {
     }
     if (m.spec_running && m.spec_container.node == node) {
       m.spec_run->abort();
-      m.spec_running = false;
+      set_map_running(m, m.spec_running, false);
       m.spec_requested = false;
       --active_speculations_;
       rm_.release_container(m.spec_container);
@@ -881,7 +890,7 @@ void MrAppMaster::handle_node_failure(cluster::NodeId node) {
     auto& r = reduces_[static_cast<std::size_t>(i)];
     if (r.running && r.container.node == node) {
       r.run->abort();
-      r.running = false;
+      set_reduce_running(r, false);
       disarm_fault_kill(r.fault_kill, r.fault_kill_pending);
       --running_reduces_or_requested_;
       rm_.release_container(r.container);
@@ -1009,7 +1018,7 @@ void MrAppMaster::fail_map_attempt(int index, int attempt) {
   m.fault_kill_pending = false;
   if (finished_ || m.done() || !m.running || m.attempts != attempt) return;
   m.run->abort();
-  m.running = false;
+  set_map_running(m, m.running, false);
   rm_.release_container(m.container);
   end_task_span(m.span);
 
@@ -1047,7 +1056,7 @@ void MrAppMaster::fail_reduce_attempt(int index, int attempt) {
   r.fault_kill_pending = false;
   if (finished_ || r.done || !r.running || r.attempts != attempt) return;
   r.run->abort();
-  r.running = false;
+  set_reduce_running(r, false);
   --running_reduces_or_requested_;
   rm_.release_container(r.container);
   end_task_span(r.span);

@@ -88,6 +88,9 @@ class MrAppMaster {
   [[nodiscard]] int num_reduces() const { return spec_.num_reduces; }
   [[nodiscard]] int completed_maps() const { return completed_maps_; }
   [[nodiscard]] int completed_reduces() const { return completed_reduces_; }
+  /// True while an attempt of `task` runs (for a map, the original or its
+  /// speculative backup).
+  [[nodiscard]] bool attempt_running(const TaskRef& task) const;
   [[nodiscard]] bool finished() const { return finished_; }
   /// Tasks still waiting to be requested (the tuner's "queued tasks list").
   [[nodiscard]] std::vector<TaskRef> queued_tasks() const;
@@ -173,8 +176,8 @@ class MrAppMaster {
     obs::CpNode cp_start = obs::kInvalidCpNode;
     obs::CpNode cp_done = obs::kInvalidCpNode;
     obs::CpNode cp_fail = obs::kInvalidCpNode;
-    /// The running attempt's "reduce_shuffle_done", resolved at launch so
-    /// each map delivery draws its edge without a keyed lookup.
+    /// The running attempt's "reduce_shuffle_done", resolved at launch and
+    /// handed to the reduce task, which stamps it and draws its edges.
     obs::CpNode cp_shuffle_done = obs::kInvalidCpNode;
     // Injected-fault kill scheduled against the current attempt.
     sim::EventId fault_kill;
@@ -210,8 +213,13 @@ class MrAppMaster {
   /// Kill whichever attempt of map `index` lost the race.
   void settle_speculation(int index, bool speculative_won);
   /// Hand map `map_index`'s partition to reducer `reduce_index`'s running
-  /// attempt, with its critical-path shuffle edge.
+  /// attempt, and offer its "map_done" as the attempt's shuffle source.
   void feed_reducer(int reduce_index, int map_index);
+  /// Set `flag` (m.running or m.spec_running) to `value`, keeping
+  /// live_maps_ in step. Every change of either flag goes through here.
+  void set_map_running(MapState& m, bool& flag, bool value);
+  /// Set r.running to `value`, keeping live_reduces_ in step.
+  void set_reduce_running(ReduceState& r, bool value);
   void maybe_finish();
   // --- fault recovery -------------------------------------------------------
   /// Consult the injector and, when this attempt is fated to fail, schedule
@@ -278,6 +286,10 @@ class MrAppMaster {
   int running_reduces_or_requested_ = 0;
   int completed_maps_ = 0;
   int completed_reduces_ = 0;
+  /// Maps with an attempt running (original, backup or both count once)
+  /// and reducers with one running: the wave-progress hook's samples.
+  int live_maps_ = 0;
+  int live_reduces_ = 0;
   int map_budget_ = -1;
   int reduce_budget_ = -1;
   double ws_factor_ = 1.0;

@@ -491,17 +491,17 @@ void ReduceTask::maybe_finish_shuffle() {
 void ReduceTask::phase_merge() {
   if (aborted_) return;
   switch_phase_span("merge");
-  // Critical path: the shuffle (all fetches + final flush) ends here. The
-  // AM also draws map_done → reduce_shuffle_done edges at delivery time;
-  // extraction follows whichever arrival was last.
+  // Critical path: the shuffle (all fetches + final flush) ends here. It
+  // waited on the latest map delivery, or on the attempt's own start if
+  // that came later.
   if (inputs_.cp_job >= 0) {
     if (auto* rec = engine_.recorder()) {
       obs::CriticalPathBuilder& cp = rec->critical_path();
       cp.stamp(inputs_.cp_shuffle_done, engine_.now(),
                static_cast<int>(node_.id().value()),
                static_cast<int>(inputs_.trace_tid));
-      cp.edge(inputs_.cp_start, inputs_.cp_shuffle_done,
-              obs::Blame::ShuffleNet);
+      cp_last_delivery_.emit(cp, inputs_.cp_shuffle_done, inputs_.cp_start,
+                             obs::Blame::ShuffleNet);
     }
   }
   report_.counters.spilled_records += buffer_.spilled_records();

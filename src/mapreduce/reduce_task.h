@@ -35,6 +35,7 @@
 #include "common/rng.h"
 #include "mapreduce/job.h"
 #include "mapreduce/spill_model.h"
+#include "obs/critical_path.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 
@@ -62,9 +63,9 @@ class ReduceTask {
     /// (task.index, attempt), so the AM can address them without handles.
     std::int64_t cp_job = -1;
     std::int64_t cp_start = -1;
-    /// The attempt's "reduce_shuffle_done" node, resolved once by the AM
-    /// (which draws the map_done edges into it); stamped when the shuffle
-    /// ends.
+    /// The attempt's "reduce_shuffle_done" node, resolved once by the AM;
+    /// stamped when the shuffle ends, with one edge from the latest
+    /// delivered "map_done" (offer_shuffle_source) and one from cp_start.
     std::int64_t cp_shuffle_done = -1;
   };
   using Done = std::function<void(const TaskReport&)>;
@@ -100,6 +101,12 @@ class ReduceTask {
   /// before and after start(); duplicate indices (a map re-executed after a
   /// node failure) are ignored — the first copy was already accepted.
   void add_map_output(int map_index, cluster::NodeId source, Bytes bytes);
+  /// Critical path: a delivered map's "map_done" node. The shuffle's end
+  /// draws one edge from the latest of them (obs::LastArrival).
+  void offer_shuffle_source(const obs::CriticalPathBuilder& cp,
+                            obs::CpNode map_done) {
+    cp_last_delivery_.offer(cp, map_done);
+  }
   /// Node fail-stop on `node`: drop queued segments sourced there and
   /// forget their map indices so the AM's re-delivery is accepted. Segments
   /// already fetched are local data and are kept; a visit in flight is
@@ -235,6 +242,7 @@ class ReduceTask {
   obs::Counter* bytes_counter_ = nullptr;
   obs::Counter* failures_counter_ = nullptr;
   std::int64_t cp_merge_done_ = -1;
+  obs::LastArrival cp_last_delivery_;
 
   Bytes total_input_{0};
   Bytes resident_memory_{0};

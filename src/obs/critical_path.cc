@@ -21,16 +21,15 @@ const char* blame_name(Blame b) {
 
 CpNode CriticalPathBuilder::node(std::int64_t job, const char* kind,
                                  std::int64_t a, std::int64_t b) {
-  const auto key = std::make_tuple(job, std::string(kind), a, b);
-  const auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  const CpNode id = static_cast<CpNode>(nodes_.size());
-  Node n;
-  n.job = job;
-  n.kind = kind;
-  nodes_.push_back(std::move(n));
-  index_.emplace(key, id);
-  return id;
+  const auto [it, created] = index_.try_emplace(
+      Key{job, kind, a, b}, static_cast<CpNode>(nodes_.size()));
+  if (created) {
+    Node n;
+    n.job = job;
+    n.kind = kind;
+    nodes_.push_back(std::move(n));
+  }
+  return it->second;
 }
 
 void CriticalPathBuilder::stamp(CpNode n, double time, int pid, int tid) {

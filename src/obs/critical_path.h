@@ -14,16 +14,19 @@
 // ("map_done", "container_grant", ...) and a/b are small integers (task
 // index, attempt). `node()` is find-or-create, so producers and consumers
 // in different components can refer to the same event without sharing
-// handles: the AM creates "reduce_shuffle_done" edges at map-output
-// delivery time, and the reduce task stamps the same node when its
-// shuffle actually completes.
+// handles. A node fed by many sources draws one edge, not one per source:
+// a reduce attempt's "reduce_shuffle_done" waits on every map, so the AM
+// offers each delivered "map_done" to the attempt's LastArrival and the
+// reduce task, when its shuffle completes, stamps the node and draws the
+// one delivery edge extraction would have followed.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
-#include <string>
-#include <tuple>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace mron::obs {
@@ -158,13 +161,60 @@ class CriticalPathBuilder {
 
   std::vector<Node> nodes_;
   // Key carries the kind by value: literal pointer identity is not
-  // guaranteed across translation units.
-  std::map<std::tuple<std::int64_t, std::string, std::int64_t, std::int64_t>,
-           CpNode>
-      index_;
+  // guaranteed across translation units. A view of the literal hashes and
+  // compares its characters without copying them. The index is only ever
+  // probed, never iterated, so its order cannot reach an export.
+  struct Key {
+    std::int64_t job;
+    std::string_view kind;
+    std::int64_t a;
+    std::int64_t b;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      std::size_t h = std::hash<std::string_view>{}(k.kind);
+      for (const std::int64_t v : {k.job, k.a, k.b}) {
+        h ^= std::hash<std::int64_t>{}(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+             (h >> 2);
+      }
+      return h;
+    }
+  };
+  std::unordered_map<Key, CpNode, KeyHash> index_;
   std::map<std::int64_t, CpNode> finish_;  ///< job → finish node
   std::map<std::int64_t, CpNode> latest_;  ///< job → last stamped node
   std::size_t edge_count_ = 0;
+};
+
+/// The one in-edge extract() would follow out of many sources into the same
+/// node, kept as the sources arrive so that only that edge is drawn. offer()
+/// applies the extractor's rule: the greatest stamp wins, a tie keeps the
+/// earliest offer, and an unstamped source never binds. emit() then draws
+/// the node's in-edges, and extraction from it follows exactly what one
+/// edge per offer would have. Stamps are read at offer time, so a source
+/// whose stamp changes after its offer must be offered again before `to`
+/// is stamped, at a stamp above every source offered so far, and keep it
+/// (the AM re-delivers a re-executed map when it completes).
+class LastArrival {
+ public:
+  void offer(const CriticalPathBuilder& cp, CpNode from) {
+    if (cp.is_stamped(from) &&
+        (best_ == kInvalidCpNode || cp.time(from) > cp.time(best_))) {
+      best_ = from;
+    }
+  }
+  /// Draw kept source → `to`, then `then_from` → `to`, both charged to
+  /// `blame`. The order is the per-offer order: every offer came before
+  /// the node's own last cause, and a tie keeps the earlier edge.
+  void emit(CriticalPathBuilder& cp, CpNode to, CpNode then_from,
+            Blame blame) const {
+    cp.edge(best_, to, blame);
+    cp.edge(then_from, to, blame);
+  }
+
+ private:
+  CpNode best_ = kInvalidCpNode;
 };
 
 }  // namespace mron::obs

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mron::obs {
@@ -174,6 +178,246 @@ TEST(CriticalPath, RetryChainChargesRetryRecovery) {
   EXPECT_DOUBLE_EQ(blame[static_cast<int>(Blame::MapCompute)], 4.5);
   EXPECT_DOUBLE_EQ(blame[static_cast<int>(Blame::SchedWait)], 1.0);
   EXPECT_DOUBLE_EQ(blame[static_cast<int>(Blame::Speculation)], 0.0);
+}
+
+/// A job's shuffle in miniature, played from `seed`. Maps complete (1 in 8
+/// leaving their "map_done" unstamped), lose their output and complete
+/// again — under the next attempt's node, or re-stamping the same node as a
+/// re-execution does when it reuses a speculative backup's attempt number.
+/// Reduce attempts launch (fed every done map, in a shuffled order), die,
+/// or close their shuffle; the last phase completes every map and then
+/// launches the reducers never started, so their reduce_start comes after
+/// every map. With `one_edge` false each delivery draws map_done →
+/// reduce_shuffle_done, as the AM did before LastArrival, and a close adds
+/// the reduce_start edge; with it true deliveries are offered and the close
+/// emits.
+struct Played {
+  std::vector<std::vector<CpSegment>> paths;  ///< one per closed shuffle
+  std::size_t edges = 0;
+  int restamps = 0;
+};
+
+Played play_shuffle(std::uint64_t seed, bool one_edge) {
+  Played out;
+  std::mt19937_64 gen(seed);
+  auto pick = [&gen](std::size_t n) {
+    return static_cast<std::size_t>(gen() % n);
+  };
+  CriticalPathBuilder cp;
+  const CpNode submit = cp.stamped(0, "job_submit", 0.0);
+  const int num_maps = 3 + static_cast<int>(pick(10));
+  const int num_reducers = 1 + static_cast<int>(pick(4));
+
+  struct MapState {
+    int attempt = 0;
+    bool done = false;
+    bool restamp = false;  ///< the next completion re-stamps `node`
+    CpNode node = kInvalidCpNode;
+  };
+  struct Attempt {
+    CpNode start = kInvalidCpNode;
+    CpNode shuffle = kInvalidCpNode;
+    LastArrival last;
+    std::vector<char> got;  ///< per map: delivered to this attempt
+    bool closed = false;
+  };
+  std::vector<MapState> maps(static_cast<std::size_t>(num_maps));
+  std::vector<Attempt> attempts;
+  std::vector<int> open(static_cast<std::size_t>(num_reducers), -1);
+  std::vector<int> tries(static_cast<std::size_t>(num_reducers), 0);
+  std::vector<char> finished(static_cast<std::size_t>(num_reducers), 0);
+  double t = 1.0;
+
+  auto deliver = [&](Attempt& a, int mi) {
+    const CpNode from = maps[static_cast<std::size_t>(mi)].node;
+    a.got[static_cast<std::size_t>(mi)] = 1;
+    if (one_edge) {
+      if (!a.closed) a.last.offer(cp, from);
+    } else {
+      // The AM fed every running attempt, its shuffle closed or not.
+      cp.edge(from, a.shuffle, Blame::ShuffleNet);
+    }
+  };
+  auto complete = [&](int mi) {
+    MapState& m = maps[static_cast<std::size_t>(mi)];
+    // Re-stamping is only sound while no closed shuffle holds the node
+    // (LastArrival's contract); otherwise the re-execution gets the next
+    // attempt's node.
+    for (const Attempt& a : attempts) {
+      if (a.closed && a.got[static_cast<std::size_t>(mi)] != 0) {
+        m.restamp = false;
+      }
+    }
+    if (m.restamp) {
+      // A re-execution completes at an instant of its own, after every
+      // stamp so far.
+      t += 1.0;
+      ++out.restamps;
+    } else {
+      m.node = cp.node(0, "map_done", mi, ++m.attempt);
+    }
+    m.restamp = false;
+    m.done = true;
+    if (pick(8) != 0) {
+      const CpNode st = cp.stamped(0, "map_start",
+                                   t - 0.5 * static_cast<double>(1 + pick(3)),
+                                   mi, m.attempt);
+      cp.edge(submit, st, Blame::SchedWait);
+      cp.stamp(m.node, t);
+      cp.edge(st, m.node, Blame::MapCompute);
+    }
+    for (const int ai : open) {
+      if (ai >= 0) deliver(attempts[static_cast<std::size_t>(ai)], mi);
+    }
+  };
+  auto launch = [&](int r) {
+    Attempt a;
+    const int k = ++tries[static_cast<std::size_t>(r)];
+    a.start = cp.stamped(0, "reduce_start", t, r, k);
+    cp.edge(submit, a.start, Blame::SchedWait);
+    a.shuffle = cp.node(0, "reduce_shuffle_done", r, k);
+    a.got.assign(maps.size(), 0);
+    attempts.push_back(std::move(a));
+    open[static_cast<std::size_t>(r)] = static_cast<int>(attempts.size()) - 1;
+    std::vector<int> done;
+    for (int mi = 0; mi < num_maps; ++mi) {
+      if (maps[static_cast<std::size_t>(mi)].done) done.push_back(mi);
+    }
+    std::shuffle(done.begin(), done.end(), gen);
+    for (const int mi : done) deliver(attempts.back(), mi);
+  };
+  auto close = [&](int r) {
+    Attempt& a = attempts[static_cast<std::size_t>(
+        open[static_cast<std::size_t>(r)])];
+    cp.stamp(a.shuffle, t);
+    if (one_edge) {
+      a.last.emit(cp, a.shuffle, a.start, Blame::ShuffleNet);
+    } else {
+      cp.edge(a.start, a.shuffle, Blame::ShuffleNet);
+    }
+    // Attempts stay "open" to late deliveries, like a running reducer
+    // past its shuffle; the maps it waited on all landed before this
+    // instant, so a later completion is a re-execution at a later one.
+    a.closed = true;
+    finished[static_cast<std::size_t>(r)] = 1;
+    t += 0.25;
+  };
+  auto pending = [&] {
+    std::vector<int> ids;
+    for (int mi = 0; mi < num_maps; ++mi) {
+      if (!maps[static_cast<std::size_t>(mi)].done) ids.push_back(mi);
+    }
+    return ids;
+  };
+
+  constexpr double kSteps[] = {0.0, 0.0, 0.5, 1.25};
+  for (int step = 0; step < 60; ++step) {
+    t += kSteps[pick(4)];
+    switch (pick(5)) {
+      case 0:
+      case 1: {
+        const std::vector<int> p = pending();
+        if (!p.empty()) complete(p[pick(p.size())]);
+        break;
+      }
+      case 2: {
+        const auto r = pick(open.size());
+        if (finished[r] == 0 && open[r] < 0) launch(static_cast<int>(r));
+        break;
+      }
+      case 3: {
+        const int mi = static_cast<int>(pick(maps.size()));
+        MapState& m = maps[static_cast<std::size_t>(mi)];
+        if (!m.done || !cp.is_stamped(m.node)) break;
+        m.done = false;
+        m.restamp = pick(2) == 0;
+        break;
+      }
+      default: {
+        const int r = static_cast<int>(pick(open.size()));
+        const int ai = open[static_cast<std::size_t>(r)];
+        if (ai < 0 || attempts[static_cast<std::size_t>(ai)].closed) break;
+        if (pick(4) == 0) {
+          open[static_cast<std::size_t>(r)] = -1;  // the attempt dies
+        } else {
+          close(r);
+        }
+        break;
+      }
+    }
+  }
+  // Every map completes, then the reducers never started launch after
+  // them all and close at once or a step later.
+  for (const int mi : pending()) {
+    t += kSteps[pick(4)];
+    complete(mi);
+  }
+  for (int r = 0; r < num_reducers; ++r) {
+    if (finished[static_cast<std::size_t>(r)] != 0) continue;
+    t += kSteps[pick(4)];
+    if (open[static_cast<std::size_t>(r)] < 0) launch(r);
+    t += kSteps[pick(4)];
+    close(r);
+  }
+
+  for (const Attempt& a : attempts) {
+    if (a.closed) out.paths.push_back(cp.extract(a.shuffle));
+  }
+  out.edges = cp.edge_count();
+  return out;
+}
+
+TEST(LastArrival, OneEdgeExtractsWhatAnEdgePerDeliveryDid) {
+  int from_map = 0;
+  int from_start = 0;
+  int restamps = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const Played want = play_shuffle(seed, /*one_edge=*/false);
+    const Played got = play_shuffle(seed, /*one_edge=*/true);
+    restamps += got.restamps;
+    EXPECT_LE(got.edges, want.edges) << "seed " << seed;
+    ASSERT_EQ(got.paths.size(), want.paths.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.paths.size(); ++i) {
+      const std::vector<CpSegment>& w = want.paths[i];
+      const std::vector<CpSegment>& g = got.paths[i];
+      ASSERT_EQ(g.size(), w.size()) << "seed " << seed << " shuffle " << i;
+      for (std::size_t j = 0; j < w.size(); ++j) {
+        EXPECT_EQ(g[j].from, w[j].from) << "seed " << seed << " shuffle " << i;
+        EXPECT_EQ(g[j].to, w[j].to) << "seed " << seed << " shuffle " << i;
+        EXPECT_EQ(g[j].t0, w[j].t0) << "seed " << seed << " shuffle " << i;
+        EXPECT_EQ(g[j].t1, w[j].t1) << "seed " << seed << " shuffle " << i;
+        EXPECT_EQ(g[j].blame, w[j].blame)
+            << "seed " << seed << " shuffle " << i;
+      }
+      if (!w.empty()) {
+        ++(std::string(w.back().from_kind) == "map_done" ? from_map
+                                                         : from_start);
+      }
+    }
+  }
+  // The seeds reach both ends a shuffle can wait on, and re-stamps.
+  EXPECT_GT(from_map, 0);
+  EXPECT_GT(from_start, 0);
+  EXPECT_GT(restamps, 0);
+}
+
+TEST(LastArrival, TiesKeepTheEarliestOfferAndStartComesLast) {
+  CriticalPathBuilder cp;
+  const CpNode start = cp.stamped(0, "reduce_start", 5.0, 0, 1);
+  const CpNode a = cp.stamped(0, "map_done", 5.0, 0, 1);
+  const CpNode b = cp.stamped(0, "map_done", 5.0, 1, 1);
+  const CpNode ghost = cp.node(0, "map_done", 2, 1);  // never stamped
+  const CpNode shuffle = cp.stamped(0, "reduce_shuffle_done", 6.0, 0, 1);
+  LastArrival last;
+  last.offer(cp, ghost);
+  last.offer(cp, a);
+  last.offer(cp, b);
+  last.emit(cp, shuffle, start, Blame::ShuffleNet);
+  EXPECT_EQ(cp.edge_count(), 2u);
+  // a, b and the attempt's start all stamp 5.0: the first offer binds.
+  const std::vector<CpSegment> path = cp.extract(shuffle);
+  ASSERT_EQ(path.size(), 1u);
+  EXPECT_EQ(path[0].from, a);
 }
 
 TEST(CriticalPath, BlameNamesMatchTheExportTaxonomy) {

@@ -2,11 +2,16 @@
 // artifacts trustworthy. Task spans match the attempt reports, wave spans
 // match the tuner's wave count, every configuration the aggressive search
 // tried has a config_assign audit event, and the conservative tuner logs a
-// rule_fire per Section-6 rule firing.
+// rule_fire per Section-6 rule firing. The recorder's cost grows with
+// tasks: the critical-path DAG keeps a bounded number of edges per task
+// attempt, and the AM's wave-progress samples come from counters that
+// match a recount of its task state at every flush.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "faults/fault_plan.h"
 #include "mapreduce/simulation.h"
 #include "obs/recorder.h"
 #include "tuner/online_tuner.h"
@@ -74,6 +79,84 @@ TEST(FlightRecorder, PlainRunPublishesMetricsAndTaskSpans) {
   EXPECT_EQ(rec.trace().span_count("task"), attempts);
   EXPECT_EQ(rec.trace().span_count("phase"), 0u);
   EXPECT_EQ(rec.trace().open_spans(), 0u);
+}
+
+TEST(FlightRecorder, CriticalPathEdgesGrowWithTasksNotMapsTimesReducers) {
+  SimulationOptions sopt;
+  sopt.seed = 33;
+  sopt.observe = true;
+  Simulation sim(sopt);
+  // 120 maps x 30 reducers: an edge per delivery would be 3,600 edges.
+  const JobResult r = sim.run_job(small_terasort(sim, 120));
+  const std::size_t maps = 120;
+  const std::size_t reduces = 30;
+  const std::size_t attempts = r.map_reports.size() + r.reduce_reports.size() +
+                               static_cast<std::size_t>(r.speculative_launches);
+  const std::size_t edges = sim.recorder()->critical_path().edge_count();
+  EXPECT_GT(edges, 0u);
+  EXPECT_LT(edges, 4 * (maps + reduces + attempts));
+  EXPECT_LT(edges, maps * reduces);
+}
+
+TEST(FlightRecorder, WaveCountersMatchARecountAtEveryFlush) {
+  SimulationOptions sopt;
+  sopt.seed = 34;
+  sopt.observe = true;
+  sopt.cluster.num_slaves = 6;
+  sopt.cluster.rack_sizes = {3, 3};
+  // Node 1 dies in the first map wave and node 4 once every node runs
+  // reducers, killing running maps and reducers; both come back later.
+  sopt.fault_plan = faults::FaultPlan::parse(
+      "seed 34\nheartbeat period=0.5 timeout=2\n"
+      "crash node=1 at=15 restart=60\ncrash node=4 at=130 restart=170");
+  Simulation sim(sopt);
+  JobSpec spec = small_terasort(sim, 48);
+  spec.noise_cv = 1.0;  // stragglers, so backups run beside originals
+  spec.speculative_execution = true;
+  mapreduce::MrAppMaster& am = sim.submit_job(std::move(spec));
+  const std::string prefix = "job" + std::to_string(am.id().value()) + ".";
+  const obs::Series* maps_running =
+      sim.recorder()->series().find(prefix + "maps_running");
+  const obs::Series* reduces_running =
+      sim.recorder()->series().find(prefix + "reduces_running");
+  ASSERT_NE(maps_running, nullptr);
+  ASSERT_NE(reduces_running, nullptr);
+  // The last sample a hook pushed, if the series kept it.
+  auto last_pushed = [](const obs::Series& s, double* v) {
+    if ((s.offered() - 1) % s.stride() != 0) return false;
+    *v = s.at(s.size() - 1).value;
+    return true;
+  };
+  int checked = 0;
+  int max_maps = 0;
+  int max_reduces = 0;
+  // Registered after the AM's hook, so it sees this flush's samples.
+  sim.recorder()->add_flush_hook([&] {
+    int maps = 0;
+    int reduces = 0;
+    for (int i = 0; i < am.num_maps(); ++i) {
+      maps += am.attempt_running({mapreduce::TaskKind::Map, i}) ? 1 : 0;
+    }
+    for (int i = 0; i < am.num_reduces(); ++i) {
+      reduces += am.attempt_running({mapreduce::TaskKind::Reduce, i}) ? 1 : 0;
+    }
+    double v = 0.0;
+    if (last_pushed(*maps_running, &v)) {
+      EXPECT_EQ(v, maps) << "at t=" << sim.engine().now();
+      ++checked;
+    }
+    if (last_pushed(*reduces_running, &v)) {
+      EXPECT_EQ(v, reduces) << "at t=" << sim.engine().now();
+    }
+    max_maps = std::max(max_maps, maps);
+    max_reduces = std::max(max_reduces, reduces);
+  });
+  sim.run();
+  ASSERT_TRUE(am.finished());
+  EXPECT_GT(checked, 20);
+  EXPECT_GT(max_maps, 0);
+  EXPECT_GT(max_reduces, 0);
+  EXPECT_EQ(sim.fault_injector()->stats().crashes, 2);
 }
 
 TEST(FlightRecorder, TraceDetailAddsPhaseSpans) {

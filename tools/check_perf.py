@@ -34,9 +34,12 @@ terasort, observed+profiled vs observed): it must not exceed PCT
 other absolute floors it reads only the current file, so it works with
 any baseline, including pre-schema-4 ones.
 
-An informational observe_surcharge row (never gated) reports the
-current file's terasort_32gb_observed_wall_ms / terasort_32gb_wall_ms:
-what switching the flight recorder on costs a steady-state run.
+Informational observe_surcharge rows (never gated) report what
+switching the flight recorder on costs: observe_surcharge is the current
+file's terasort_32gb_observed_wall_ms / terasort_32gb_wall_ms (a
+steady-state run), observe_surcharge_bigram is
+bigram_aggressive_observed_wall_ms / bigram_aggressive_wall_ms (a
+shuffle-heavy aggressive tuning run).
 
 When $GITHUB_STEP_SUMMARY is set (or --summary FILE is given), the same
 comparison is appended there as a markdown table for the job summary page.
@@ -226,16 +229,19 @@ def main() -> int:
             if bad:
                 failures.append("profile_overhead_pct(max)")
 
-    # Recorder cost on the steady-state 32 GB terasort, observed / plain.
-    # Informational only: a trajectory to watch, not a gate.
-    plain = cur_m.get("terasort_32gb_wall_ms")
-    observed = cur_m.get("terasort_32gb_observed_wall_ms")
-    if plain and observed is not None:
-        ratio = float(observed) / float(plain)
-        print(f"info  observe_surcharge: {ratio:.3f} "
-              f"(observed {float(observed):g} ms / plain {float(plain):g} ms)")
-        rows.append(("info", "observe_surcharge", None, ratio, None,
-                     "lower (not gated)"))
+    # Recorder cost, observed / plain, on the steady-state 32 GB terasort
+    # and on the Bigram aggressive tuning run. Informational only: a
+    # trajectory to watch, not a gate.
+    for row, prefix in (("observe_surcharge", "terasort_32gb"),
+                        ("observe_surcharge_bigram", "bigram_aggressive")):
+        plain = cur_m.get(f"{prefix}_wall_ms")
+        observed = cur_m.get(f"{prefix}_observed_wall_ms")
+        if plain and observed is not None:
+            ratio = float(observed) / float(plain)
+            print(f"info  {row}: {ratio:.3f} (observed {float(observed):g} "
+                  f"ms / plain {float(plain):g} ms)")
+            rows.append(("info", row, None, ratio, None,
+                         "lower (not gated)"))
 
     # Scalebench gate: event throughput must not fall off a cliff as the
     # simulated cluster grows (the indexed hot paths' whole point).
