@@ -36,6 +36,7 @@ void MrAppMaster::submit() {
   MRON_CHECK(!submitted_);
   submitted_ = true;
   app_ = rm_.register_app(spec_.name, /*weight=*/1.0, spec_.scheduler_queue);
+  host_epochs_.assign(static_cast<std::size_t>(rm_.num_nodes()), 0);
   rm_.subscribe_node_failures(
       [this](cluster::NodeId node) { handle_node_failure(node); });
   result_.id = id_;
@@ -394,18 +395,19 @@ void MrAppMaster::on_map_container(int index, const yarn::Container& c) {
   set_map_running(m, m.running, true);
   m.run_started = engine_.now();
   ++m.attempts;
-  begin_task_span(m.span, "map_attempt", c, m.attempts);
+  m.run_number = ++m.numbered;
+  begin_task_span(m.span, "map_attempt", c, m.run_number);
 
   MapTask::Inputs inputs;
   inputs.task = TaskRef{TaskKind::Map, index};
-  inputs.attempt = m.attempts;
+  inputs.attempt = m.run_number;
   inputs.input_bytes = m.input;
   inputs.ws_factor = ws_factor_;
   inputs.noise_cv = spec_.noise_cv;
   inputs.trace_tid = c.id.value();
   if (auto* cpb = cp()) {
     m.cp_start = cpb->stamped(id_.value(), "map_start", engine_.now(), index,
-                              m.attempts, static_cast<int>(c.node.value()),
+                              m.run_number, static_cast<int>(c.node.value()),
                               static_cast<int>(c.id.value()));
     cpb->edge(c.cp_grant, m.cp_start, obs::Blame::SchedWait);
     inputs.cp_job = id_.value();
@@ -483,11 +485,14 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
       rng_.fork(1000003 + static_cast<std::uint64_t>(index) * 4 +
                 static_cast<std::uint64_t>(r.attempts)),
       [this, index](const TaskReport& rep) { on_reduce_done(index, rep); });
-  // Shuffle sources are never trusted directly: every fetch goes through
-  // the AM's availability query, and abandoned fetches come back here.
-  r.run->set_output_query([this](int mi, cluster::NodeId src) {
-    return map_output_available(mi, src);
-  });
+  // Shuffle sources are never trusted directly: a fetch whose source's
+  // loss epoch moved goes through the AM's availability query, and
+  // abandoned fetches come back here.
+  r.run->set_output_query(
+      [this](int mi, cluster::NodeId src) {
+        return map_output_available(mi, src);
+      },
+      &host_epochs_);
   r.run->set_fetch_failure([this, index](int mi, cluster::NodeId src) {
     on_shuffle_fetch_failure(index, mi, src);
   });
@@ -567,7 +572,7 @@ void MrAppMaster::on_map_done(int index, const TaskReport& report,
     clamp_constraints(retry);
     m.override_config = retry;
     // The whole dead attempt (start → kill) is recovery time on the path.
-    m.cp_fail = cp_fail_node("map_fail", index, m.attempts, m.cp_start);
+    m.cp_fail = cp_fail_node("map_fail", index, m.run_number, m.cp_start);
     // Retries are re-executions, not new launches: they bypass the wave
     // budget and go straight back to the RM (otherwise a retry would eat a
     // budget unit granted for a tuner wave and stall the wave).
@@ -722,18 +727,21 @@ void MrAppMaster::on_speculative_container(int index,
   }
   m.spec_container = c;
   set_map_running(m, m.spec_running, true);
-  begin_task_span(m.spec_span, "map_attempt", c, m.attempts + 1);
+  // The backup takes a number of its own but no original-line attempt:
+  // max_task_attempts bounds retries of the original only.
+  const int number = ++m.numbered;
+  begin_task_span(m.spec_span, "map_attempt", c, number);
 
   MapTask::Inputs inputs;
   inputs.task = TaskRef{TaskKind::Map, index};
-  inputs.attempt = m.attempts + 1;
+  inputs.attempt = number;
   inputs.input_bytes = m.input;
   inputs.ws_factor = ws_factor_;
   inputs.noise_cv = spec_.noise_cv;
   inputs.trace_tid = c.id.value();
   if (auto* cpb = cp()) {
     m.spec_cp_start = cpb->stamped(
-        id_.value(), "map_start", engine_.now(), index, m.attempts + 1,
+        id_.value(), "map_start", engine_.now(), index, number,
         static_cast<int>(c.node.value()), static_cast<int>(c.id.value()));
     cpb->edge(c.cp_grant, m.spec_cp_start, obs::Blame::Speculation);
     inputs.cp_job = id_.value();
@@ -769,7 +777,8 @@ void MrAppMaster::feed_reducer(int reduce_index, int map_index) {
   r.run->add_map_output(
       map_index, m.ran_on,
       m.combined_output *
-          partition_weights_[static_cast<std::size_t>(reduce_index)]);
+          partition_weights_[static_cast<std::size_t>(reduce_index)],
+      epoch_of(m.ran_on));
   // This delivery may be what the reducer's shuffle ends on; the attempt
   // keeps the latest and draws its one edge when the shuffle completes.
   if (auto* cpb = cp()) r.run->offer_shuffle_source(*cpb, m.cp_done);
@@ -863,6 +872,9 @@ cluster::NodeId MrAppMaster::pick_live_replica(const MapState& m,
 }
 
 void MrAppMaster::handle_node_failure(cluster::NodeId node) {
+  // Output on the node is gone: move its epoch before any reducer code
+  // runs again, so no visit to it trusts an earlier availability answer.
+  ++host_epochs_[static_cast<std::size_t>(node.value())];
   if (finished_) return;
   // 1. Running tasks on the node die with it; re-execute immediately
   //    (node loss does not count against the task's OOM-attempt limit).
@@ -874,7 +886,7 @@ void MrAppMaster::handle_node_failure(cluster::NodeId node) {
       disarm_fault_kill(m.fault_kill, m.fault_kill_pending);
       rm_.release_container(m.container);
       end_task_span(m.span);
-      m.cp_fail = cp_fail_node("map_fail", i, m.attempts, m.cp_start);
+      m.cp_fail = cp_fail_node("map_fail", i, m.run_number, m.cp_start);
       request_map(i);
     }
     if (m.spec_running && m.spec_container.node == node) {
@@ -917,6 +929,9 @@ void MrAppMaster::handle_node_failure(cluster::NodeId node) {
 
 void MrAppMaster::reexecute_lost_map(int map_index) {
   auto& m = maps_[static_cast<std::size_t>(map_index)];
+  // The output at ran_on is no longer available: reducers holding it from
+  // there must re-ask segment by segment.
+  ++host_epochs_[static_cast<std::size_t>(m.ran_on.value())];
   m.log_pos = -1;
   m.combined_output = Bytes(0);
   --completed_maps_;
@@ -967,7 +982,8 @@ void MrAppMaster::on_shuffle_fetch_failure(int reduce_index, int map_index,
       r.run->add_map_output(
           map_index, m.ran_on,
           m.combined_output *
-              partition_weights_[static_cast<std::size_t>(reduce_index)]);
+              partition_weights_[static_cast<std::size_t>(reduce_index)],
+          epoch_of(m.ran_on));
     }
     return;
   }
@@ -1024,7 +1040,7 @@ void MrAppMaster::fail_map_attempt(int index, int attempt) {
 
   TaskReport rep;
   rep.task = TaskRef{TaskKind::Map, index};
-  rep.attempt = attempt;
+  rep.attempt = m.run_number;
   rep.start_time = m.run_started;
   rep.end_time = engine_.now();
   rep.config = config_for(rep.task);
@@ -1041,7 +1057,7 @@ void MrAppMaster::fail_map_attempt(int index, int attempt) {
   }
   // Recovery chain: the re-request after the backoff draws its wait edge
   // from this fail node, so the backoff itself lands in retry_recovery.
-  m.cp_fail = cp_fail_node("map_fail", index, attempt, m.cp_start);
+  m.cp_fail = cp_fail_node("map_fail", index, m.run_number, m.cp_start);
   // Exponential backoff, then re-request — bypassing the wave budget, like
   // OOM retries. A speculative attempt may win during the backoff.
   engine_.schedule_after(retry_backoff(attempt), [this, index] {

@@ -109,12 +109,19 @@ class MrAppMaster {
     injector_ = injector;
   }
 
-  /// AM-mediated shuffle availability — the single choke point reducers
-  /// consult instead of assuming map hosts stay reachable: true while map
-  /// `map_index`'s output exists at `source` (the map completed there and
-  /// the node is alive).
+  /// AM-mediated shuffle availability — what reducers consult instead of
+  /// assuming map hosts stay reachable: true while map `map_index`'s output
+  /// exists at `source` (the map completed there and the node is alive).
   [[nodiscard]] bool map_output_available(int map_index,
                                           cluster::NodeId source) const;
+  /// Loss epoch of every node, indexed by NodeId value. A node's epoch
+  /// moves before any reducer code runs again whenever output on it may
+  /// have stopped being available: the node was lost, or a map that ran
+  /// there was invalidated. Reducers skip map_output_available() while the
+  /// epoch a segment was delivered at is still current.
+  [[nodiscard]] const ReduceTask::HostEpochs& host_epochs() const {
+    return host_epochs_;
+  }
 
   /// The engine this job runs on — the tuner and configurator reach the
   /// flight recorder through it.
@@ -128,7 +135,15 @@ class MrAppMaster {
     std::optional<JobConfig> override_config;
     std::unique_ptr<MapTask> run;
     yarn::Container container;
+    /// Launches of the original line (first run, retries, re-executions);
+    /// max_task_attempts bounds it. Backups are not counted.
     int attempts = 0;
+    /// Attempt numbers handed out, backups included: each launch takes the
+    /// next, so no two attempts of a map share a number (reports, trace
+    /// spans and critical-path nodes are keyed by it).
+    int numbered = 0;
+    /// The number of the attempt in `run`.
+    int run_number = 0;
     bool requested = false;
     bool running = false;
     /// Parked on a dead input block (no live replica); a DFS waiter will
@@ -233,8 +248,13 @@ class MrAppMaster {
   void on_shuffle_fetch_failure(int reduce_index, int map_index,
                                 cluster::NodeId source);
   /// Invalidate completed map `map_index` (its output host died) and
-  /// relaunch it; its completion-log entry goes stale.
+  /// relaunch it; its completion-log entry goes stale and its host's loss
+  /// epoch moves.
   void reexecute_lost_map(int map_index);
+  /// Current loss epoch of `node`, stamped on every delivery from it.
+  [[nodiscard]] std::uint32_t epoch_of(cluster::NodeId node) const {
+    return host_epochs_[static_cast<std::size_t>(node.value())];
+  }
   /// Exponential backoff before re-running a failed attempt.
   [[nodiscard]] double retry_backoff(int attempts) const;
   void disarm_fault_kill(sim::EventId& ev, bool& pending);
@@ -280,6 +300,8 @@ class MrAppMaster {
   /// Map indices in completion order, one entry per completion (a
   /// re-executed map appends again). Reducers read it through their cursor.
   std::vector<int> completions_;
+  /// See host_epochs(). Sized once at submit(); reducers hold a pointer.
+  ReduceTask::HostEpochs host_epochs_;
   std::deque<int> map_queue_;
   std::deque<int> reduce_queue_;
   int outstanding_requests_ = 0;

@@ -169,7 +169,10 @@ void ReduceTask::unlink_ready(std::int32_t h) {
 }
 
 void ReduceTask::add_map_output(int map_index, cluster::NodeId source,
-                                Bytes bytes) {
+                                Bytes bytes, std::uint32_t epoch) {
+  // Once the shuffle has closed every map is Fetched, so any delivery is a
+  // duplicate; the per-map index it would be checked against is gone.
+  if (shuffle_done_) return;
   MRON_CHECK(map_index >= 0 &&
              static_cast<std::size_t>(map_index) < segments_.size());
   Segment& seg = segments_[static_cast<std::size_t>(map_index)];
@@ -185,6 +188,7 @@ void ReduceTask::add_map_output(int map_index, cluster::NodeId source,
     segments_[static_cast<std::size_t>(host.tail)].next = map_index;
   } else {
     host.head = map_index;
+    host.epoch = epoch;
   }
   host.tail = map_index;
   ++host.queued;
@@ -308,6 +312,7 @@ void ReduceTask::begin_visit(std::int32_t h) {
   visit.host = h;
   visit.head = host.head;
   visit.count = 0;
+  visit.epoch = host.epoch;
   visit.bytes = Bytes(0);
   std::int32_t last = kNone;
   std::int32_t s = host.head;
@@ -347,8 +352,7 @@ void ReduceTask::begin_visit(std::int32_t h) {
 
 void ReduceTask::on_visit_connected(std::int32_t v) {
   if (aborted_) return;
-  // The AM-mediated choke point: never open a connection for an output the
-  // AM no longer vouches for.
+  // Never open a connection for an output the AM no longer vouches for.
   if (!drop_unavailable(v)) return;
   const Visit& visit = visits_[static_cast<std::size_t>(v)];
   if (visit.count == 0) {
@@ -369,6 +373,15 @@ bool ReduceTask::drop_unavailable(std::int32_t v) {
   Visit& visit = visits_[static_cast<std::size_t>(v)];
   const cluster::NodeId source =
       hosts_[static_cast<std::size_t>(visit.host)].node;
+  // Every segment of the visit was available when it was delivered, at an
+  // epoch no lower than visit.epoch. Output at `source` stops being
+  // available only through a bump of its epoch, so an unmoved epoch
+  // vouches for the whole visit.
+  if (host_epochs_ != nullptr &&
+      (*host_epochs_)[static_cast<std::size_t>(source.value())] ==
+          visit.epoch) {
+    return true;
+  }
   std::int32_t prev = kNone;
   for (std::int32_t s = visit.head; s != kNone;) {
     Segment& seg = segments_[static_cast<std::size_t>(s)];
@@ -479,6 +492,14 @@ void ReduceTask::maybe_finish_shuffle() {
   if (active_visits_ > 0 || queued_segments_ > 0) return;
   if (outstanding_spill_writes_ > 0) return;
   shuffle_done_ = true;
+  // Every map is Fetched and every host record is free: nothing reads the
+  // per-map index or the host records again, so a finished attempt keeps
+  // no O(maps) state for the rest of the job.
+  MRON_CHECK(live_hosts_ == 0);
+  std::vector<Segment>().swap(segments_);
+  std::vector<Host>().swap(hosts_);
+  std::vector<std::int32_t>().swap(host_index_);
+  free_host_ = kNone;
 
   const Bytes final_flush = buffer_.finalize();
   if (final_flush > Bytes(0)) {

@@ -8,14 +8,23 @@
 // hosts are served FIFO in the order they became eligible (gained pending
 // output, or still had some when their previous visit ended). A visit pays
 // kFetchLatency once, then moves the summed bytes as one flow that contends
-// on the network fabric. The AM's availability query runs per segment when
-// the connection opens and again when the transfer lands, so a source that
-// dies mid-visit fails exactly that visit's segments.
+// on the network fabric.
+//
+// Availability is checked per host, by loss epoch. The AM keeps one epoch
+// per node and bumps it whenever output there may stop being available:
+// when the node is lost, and when a map that ran there is invalidated. Each
+// delivery carries its source's epoch, and a host remembers the epoch of
+// its oldest queued delivery; epochs only grow, so that is a lower bound
+// for every segment a visit takes. When the visit connects and again when
+// its transfer lands, an unmoved epoch vouches for all of its segments at
+// once. A moved one re-asks the AM segment by segment, so a source that
+// dies mid-visit still fails exactly that visit's segments.
 //
 // Per-segment bookkeeping is a few array writes: segments live in a dense
 // vector indexed by map index, per-host queues are intrusive links into it,
 // and per-host state exists only for hosts with pending output or a visit
-// in flight. A visit allocates nothing on the heap.
+// in flight. A visit allocates nothing on the heap. All of it is freed when
+// the shuffle closes, so a finished attempt holds no O(maps) state.
 //
 // Buffer mechanics are delegated to ShuffleBufferModel, one add_segment()
 // per landed segment, so every reduce-side Table-2 parameter shapes the
@@ -72,11 +81,13 @@ class ReduceTask {
   /// Resolves a NodeId to the node (for charging source-disk reads).
   using NodeResolver = std::function<cluster::Node&(cluster::NodeId)>;
   /// AM-mediated "is map `map_index`'s output still available at `source`?"
-  /// query — the single choke point every segment passes through (when its
-  /// visit connects and again when the transfer lands, since the source may
-  /// die mid-visit). The task itself never assumes a map host stays
-  /// reachable.
+  /// query. A visit asks it for each of its segments when it connects and
+  /// again when the transfer lands, unless the source's loss epoch shows
+  /// that nothing there was lost since the segments were delivered. The
+  /// task itself never assumes a map host stays reachable.
   using OutputQuery = std::function<bool(int, cluster::NodeId)>;
+  /// The AM's current loss epoch of every node, indexed by NodeId value.
+  using HostEpochs = std::vector<std::uint32_t>;
   /// Fired once per segment abandoned because its source disappeared; the
   /// AM re-executes the lost map (or re-delivers from the live copy) and
   /// this reducer accepts the re-delivery.
@@ -92,15 +103,25 @@ class ReduceTask {
 
   /// Install the AM's availability query / failure hooks. Must be called
   /// before start(); without them the task falls back to trusting every
-  /// source (unit-test mode only).
-  void set_output_query(OutputQuery query) { output_query_ = std::move(query); }
+  /// source (unit-test mode only). `epochs`, owned by the AM and never
+  /// resized, lets a visit skip the query while its source's epoch equals
+  /// the one its segments were delivered at; without it every segment is
+  /// queried.
+  void set_output_query(OutputQuery query,
+                        const HostEpochs* epochs = nullptr) {
+    output_query_ = std::move(query);
+    host_epochs_ = epochs;
+  }
   void set_fetch_failure(FetchFailure cb) { fetch_failure_ = std::move(cb); }
 
   void start();
-  /// Feed map `map_index`'s partition for this reducer. Safe to call both
+  /// Feed map `map_index`'s partition for this reducer, available at
+  /// `source` as of that node's loss epoch `epoch`. Safe to call both
   /// before and after start(); duplicate indices (a map re-executed after a
-  /// node failure) are ignored — the first copy was already accepted.
-  void add_map_output(int map_index, cluster::NodeId source, Bytes bytes);
+  /// node failure) are ignored — the first copy was already accepted — and
+  /// so is every delivery once the shuffle has closed.
+  void add_map_output(int map_index, cluster::NodeId source, Bytes bytes,
+                      std::uint32_t epoch = 0);
   /// Critical path: a delivered map's "map_done" node. The shuffle's end
   /// draws one edge from the latest of them (obs::LastArrival).
   void offer_shuffle_source(const obs::CriticalPathBuilder& cp,
@@ -123,7 +144,8 @@ class ReduceTask {
   /// queued segments or a visit in flight.
   [[nodiscard]] int tracked_hosts() const { return live_hosts_; }
   /// Host records ever allocated (live + free), i.e. the footprint of the
-  /// per-host state; bounded by the peak of tracked_hosts().
+  /// per-host state; bounded by the peak of tracked_hosts(), and 0 once the
+  /// shuffle has closed.
   [[nodiscard]] std::size_t host_slots() const { return hosts_.size(); }
   /// Calls `fn(source, segments)` for every visit in flight.
   template <typename Fn>
@@ -150,6 +172,9 @@ class ReduceTask {
   /// with `prev`, and the free list while the record is unused.
   struct Host {
     cluster::NodeId node;
+    /// Loss epoch of the oldest queued delivery, set when the queue goes
+    /// from empty to non-empty: no queued segment was delivered earlier.
+    std::uint32_t epoch = 0;
     std::int32_t head = -1;  ///< oldest queued segment
     std::int32_t tail = -1;  ///< newest queued segment
     std::int32_t queued = 0;
@@ -159,11 +184,12 @@ class ReduceTask {
     bool in_flight = false;
   };
   /// One connection to one host. `head` chains its segments (queue order);
-  /// `host` < 0 marks a free slot.
+  /// `host` < 0 marks a free slot. `epoch` is the host's at begin_visit.
   struct Visit {
     std::int32_t host = -1;
     std::int32_t head = -1;
     std::int32_t count = 0;
+    std::uint32_t epoch = 0;
     Bytes bytes{0};
     std::int64_t trace_id = 0;
   };
@@ -183,8 +209,9 @@ class ReduceTask {
   void begin_visit(std::int32_t h);
   void on_visit_connected(std::int32_t v);
   void on_visit_done(std::int32_t v);
-  /// Re-ask the AM about every segment of visit `v`; fail and unlink those
-  /// it no longer vouches for. Returns false when the task was aborted.
+  /// Unless the source's epoch still equals the visit's, re-ask the AM
+  /// about every segment of visit `v`; fail and unlink those it no longer
+  /// vouches for. Returns false when the task was aborted.
   bool drop_unavailable(std::int32_t v);
   /// Un-accept a segment whose source disappeared and tell the AM.
   void fail_segment(int map_index, cluster::NodeId source);
@@ -210,11 +237,14 @@ class ReduceTask {
   Rng rng_;
   Done done_;
   OutputQuery output_query_;
+  const HostEpochs* host_epochs_ = nullptr;
   FetchFailure fetch_failure_;
 
   ShuffleBufferModel buffer_;
 
-  std::vector<Segment> segments_;  ///< indexed by map index
+  /// Indexed by map index. This, hosts_ and host_index_ are released when
+  /// the shuffle closes.
+  std::vector<Segment> segments_;
   std::vector<Host> hosts_;
   std::vector<std::int32_t> host_index_;  ///< open-addressed; -1 = empty
   std::int32_t free_host_ = -1;

@@ -192,10 +192,11 @@ class CriticalPathBuilder {
 /// applies the extractor's rule: the greatest stamp wins, a tie keeps the
 /// earliest offer, and an unstamped source never binds. emit() then draws
 /// the node's in-edges, and extraction from it follows exactly what one
-/// edge per offer would have. Stamps are read at offer time, so a source
-/// whose stamp changes after its offer must be offered again before `to`
-/// is stamped, at a stamp above every source offered so far, and keep it
-/// (the AM re-delivers a re-executed map when it completes).
+/// edge per offer would have. Stamps are read at offer time, and that is
+/// exact: an offered "map_done" is never stamped again, because every
+/// attempt of a map, speculative backups included, has a number of its
+/// own, and a re-executed map's completion is a new node, offered anew
+/// when it is delivered.
 class LastArrival {
  public:
   void offer(const CriticalPathBuilder& cp, CpNode from) {

@@ -84,6 +84,14 @@ StreamId SharedServer::submit(double work, double cap, Done done) {
   const StreamId id = ids_.next();
   const double remaining = std::max(work, kWorkEpsilon);
   streams_.push_back(Stream{id, remaining, cap, 0.0, std::move(done)});
+  if (cats_ == nullptr && engine_.host_profiler() != nullptr) {
+    cats_ = std::make_unique<SubmitterCats>();
+  }
+  if (cats_ != nullptr) {
+    // Streams submitted before a profiler attached stay unattributed.
+    cats_->live.resize(streams_.size() - 1, 0);
+    cats_->live.push_back(obs::HostProfiler::CatScope::current());
+  }
   agg.add(remaining, cap);
   alloc_dirty_ = true;
   reallocate(agg);
@@ -95,6 +103,7 @@ void SharedServer::cancel(StreamId id) {
   if (i < 0) return;
   advance();
   streams_.erase(streams_.begin() + i);
+  if (cats_ != nullptr) cats_->live.erase(cats_->live.begin() + i);
   alloc_dirty_ = true;
   reallocate(aggregate_scan());
 }
@@ -330,6 +339,9 @@ void SharedServer::on_completion() {
   // event loop.
   std::vector<Done>& finished = finished_scratch_;
   finished.clear();
+  // Submitter categories move in lockstep with their streams.
+  SubmitterCats* cats = cats_.get();
+  if (cats != nullptr) cats->finished.clear();
   std::size_t kept = 0;
   Agg agg;
   for (std::size_t i = 0; i < streams_.size(); ++i) {
@@ -338,8 +350,12 @@ void SharedServer::on_completion() {
     s.remaining = std::max(0.0, s.remaining - rate * dt);
     if (s.remaining <= kWorkEpsilon + rate * time_eps) {
       finished.push_back(std::move(s.done));
+      if (cats != nullptr) cats->finished.push_back(cats->live[i]);
     } else {
-      if (kept != i) streams_[kept] = std::move(s);
+      if (kept != i) {
+        streams_[kept] = std::move(s);
+        if (cats != nullptr) cats->live[kept] = cats->live[i];
+      }
       agg.add(streams_[kept].remaining, streams_[kept].cap);
       ++kept;
     }
@@ -348,12 +364,21 @@ void SharedServer::on_completion() {
   last_update_ = now;
   if (kept != streams_.size()) {
     streams_.resize(kept);
+    if (cats != nullptr) cats->live.resize(kept);
     alloc_dirty_ = true;
   }
   reallocate(agg);
   // Callbacks run after the server is in a consistent state; they may submit
-  // new streams re-entrantly.
-  for (auto& done : finished) done();
+  // new streams re-entrantly, each under its submitter's category.
+  for (std::size_t k = 0; k < finished.size(); ++k) {
+    if (cats != nullptr) {
+      const obs::HostProfiler::CatScope scope(
+          static_cast<obs::HostCat>(cats->finished[k]));
+      finished[k]();
+    } else {
+      finished[k]();
+    }
+  }
   finished.clear();
 }
 

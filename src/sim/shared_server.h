@@ -28,6 +28,7 @@
 #pragma once
 
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -167,16 +168,27 @@ class SharedServer {
   /// Set when membership or caps changed, i.e. the current rates are stale.
   bool alloc_dirty_ = false;
   RateMode mode_ = RateMode::kExplicit;
+  /// Packed with the flags above, so cats_ below leaves the size as is.
+  bool has_pending_event_ = false;
   double flat_share_ = 0.0;  ///< every stream's rate while mode_ == kFlat
   /// Scratch for recompute_rates(); member so the hot path never allocates.
   std::vector<std::uint32_t> unsat_scratch_;
   /// Scratch for on_completion()'s finished-callback batch, same reason.
   std::vector<Done> finished_scratch_;
+  /// Host-profiler category of each stream's submitter. done() runs under
+  /// it, so what done() schedules is billed to the code that asked for the
+  /// work, not to this server. Allocated by the first submit() with a
+  /// profiler attached: an unprofiled server pays one pointer, and Stream,
+  /// which the hot loops scan, does not grow.
+  struct SubmitterCats {
+    std::vector<std::uint8_t> live;      ///< in streams_ order
+    std::vector<std::uint8_t> finished;  ///< on_completion() scratch
+  };
+  std::unique_ptr<SubmitterCats> cats_;
   SimTime last_update_ = 0.0;
   double busy_integral_ = 0.0;
   double total_rate_ = 0.0;
   EventId pending_event_;
-  bool has_pending_event_ = false;
   Callback activity_cb_;  ///< see set_activity_callback()
   // Flight-recorder handles, resolved once at construction when a recorder
   // is attached to the engine; null otherwise.

@@ -192,13 +192,15 @@ TEST(FaultRecovery, FaultedReportsAreStamped) {
   EXPECT_GT(clean, 0);
 }
 
-TEST(FaultRecovery, SourceCrashMidVisitFailsOnlyThatVisit) {
-  // One reducer on node 0 with parallelcopies 2. Host 2 holds maps 0-29
-  // (a visit of 20, then 10 queued behind it); host 3 holds maps 30-39.
-  // Host 2 dies while its first visit is transferring. A stand-in AM
-  // answers the availability query from liveness, drops the reducer's
-  // queued host-2 segments (invalidate_source) and re-runs every lost map
-  // on host 4, as MrAppMaster does.
+// One reducer on node 0 with parallelcopies 2. Host 2 holds maps 0-29 (a
+// visit of 20, then 10 queued behind it); host 3 holds maps 30-39. Host 2
+// dies while its first visit is transferring. A stand-in AM answers the
+// availability query from liveness, drops the reducer's queued host-2
+// segments (invalidate_source) and re-runs every lost map on host 4, as
+// MrAppMaster does. `with_epochs` also hands the reducer a loss-epoch
+// table, stamps each delivery with its source's epoch and bumps host 2's
+// when it dies, as MrAppMaster does.
+void source_crash_mid_visit(bool with_epochs) {
   sim::Engine eng;
   cluster::ClusterSpec spec;
   spec.num_slaves = 6;
@@ -235,28 +237,36 @@ TEST(FaultRecovery, SourceCrashMidVisitFailsOnlyThatVisit) {
   }
   bool host2_alive = true;
   std::vector<int> failed;
-  r.set_output_query([&](int mi, cluster::NodeId src) {
-    return ran_on[static_cast<std::size_t>(mi)] == src &&
-           (src.value() != 2 || host2_alive);
-  });
+  int queries = 0;
+  ReduceTask::HostEpochs epochs(6, 0);
+  r.set_output_query(
+      [&](int mi, cluster::NodeId src) {
+        ++queries;
+        return ran_on[static_cast<std::size_t>(mi)] == src &&
+               (src.value() != 2 || host2_alive);
+      },
+      with_epochs ? &epochs : nullptr);
+  auto deliver = [&](int mi, cluster::NodeId src) {
+    r.add_map_output(mi, src, seg,
+                     epochs[static_cast<std::size_t>(src.value())]);
+  };
   r.set_fetch_failure([&](int mi, cluster::NodeId) {
     failed.push_back(mi);
-    r.add_map_output(mi, ran_on[static_cast<std::size_t>(mi)], seg);
+    deliver(mi, ran_on[static_cast<std::size_t>(mi)]);
   });
-  for (int i = 0; i < 40; ++i) {
-    r.add_map_output(i, ran_on[static_cast<std::size_t>(i)], seg);
-  }
+  for (int i = 0; i < 40; ++i) deliver(i, ran_on[static_cast<std::size_t>(i)]);
   int in_flight_to_host2 = -1;
   eng.schedule_at(0.3, [&] {
     r.for_each_visit([&](cluster::NodeId host, int segments) {
       if (host.value() == 2) in_flight_to_host2 = segments;
     });
     host2_alive = false;
+    ++epochs[2];
     for (int i = 0; i < 30; ++i) {
       ran_on[static_cast<std::size_t>(i)] = cluster::NodeId(4);
     }
     r.invalidate_source(cluster::NodeId(2));
-    for (int i = 20; i < 30; ++i) r.add_map_output(i, cluster::NodeId(4), seg);
+    for (int i = 20; i < 30; ++i) deliver(i, cluster::NodeId(4));
   });
   r.start();
   eng.run();
@@ -271,6 +281,49 @@ TEST(FaultRecovery, SourceCrashMidVisitFailsOnlyThatVisit) {
   // Every map's partition landed exactly once.
   EXPECT_EQ(report->counters.shuffle_bytes, seg * 40.0);
   EXPECT_EQ(r.tracked_hosts(), 0);
+  // Without epochs every segment is asked about at connect and at landing
+  // (the re-run maps 0-19 twice more). With them only the doomed visit's
+  // landing asks, once per segment.
+  EXPECT_EQ(queries, with_epochs ? kMaxSegmentsPerFetch : 2 * 40 + 2 * 20);
+}
+
+TEST(FaultRecovery, SourceCrashMidVisitFailsOnlyThatVisit) {
+  source_crash_mid_visit(/*with_epochs=*/false);
+}
+
+TEST(FaultRecovery, SourceCrashMidVisitFailsOnlyThatVisitByEpoch) {
+  source_crash_mid_visit(/*with_epochs=*/true);
+}
+
+TEST(FaultRecovery, LossEpochsMoveWithNodeLossAndLostOutput) {
+  // The AM bumps a node's loss epoch once when the node is lost, even
+  // with no output there, and once more for each completed map whose
+  // output died with it. Node 5 dies before any map completes; node 0
+  // dies at t=60 holding completed output that no reducer has fetched.
+  Simulation sim(small_cluster(13, "seed 13"));
+  JobSpec spec = job(sim, 48, 4);
+  spec.slowstart = 1.0;
+  JobResult result;
+  auto& am = sim.submit_job(std::move(spec),
+                            [&](const JobResult& r) { result = r; });
+  int completed_at_first_loss = -1;
+  std::uint32_t epoch5_after = 0;
+  sim.engine().schedule_at(1.0, [&] {
+    completed_at_first_loss = am.completed_maps();
+    sim.rm().fail_node(cluster::NodeId(5));
+    epoch5_after = am.host_epochs()[5];
+  });
+  sim.engine().schedule_at(60.0,
+                           [&] { sim.rm().fail_node(cluster::NodeId(0)); });
+  sim.run();
+  ASSERT_EQ(completed_at_first_loss, 0);
+  EXPECT_EQ(epoch5_after, 1U);
+  ASSERT_GT(result.lost_maps_reexecuted, 0);
+  EXPECT_EQ(am.host_epochs()[0],
+            1U + static_cast<std::uint32_t>(result.lost_maps_reexecuted));
+  for (int n = 1; n < 5; ++n) {
+    EXPECT_EQ(am.host_epochs()[static_cast<std::size_t>(n)], 0U) << n;
+  }
 }
 
 }  // namespace

@@ -313,6 +313,87 @@ TEST(ReduceTask, HostStateSurvivesChurnOnALargeCluster) {
   EXPECT_EQ(r.tracked_hosts(), 0);
 }
 
+TEST(ReduceTask, UnmovedEpochSkipsTheAvailabilityQuery) {
+  // With the AM's epoch table installed, a visit asks nothing while its
+  // source's epoch is still the one its segments were delivered at. Once
+  // the epoch moves, the visit asks about each of its segments when it
+  // connects and again when it lands, as it does without the table.
+  for (const bool bump : {false, true}) {
+    World w;
+    auto& r = w.make_reduce(JobConfig{}, 30);
+    ReduceTask::HostEpochs epochs(w.nodes.size(), 3);
+    int queries = 0;
+    r.set_output_query(
+        [&](int, cluster::NodeId) {
+          ++queries;
+          return true;
+        },
+        &epochs);
+    for (int i = 0; i < 30; ++i) {
+      r.add_map_output(i, cluster::NodeId(1 + i % 3), kibibytes(64), 3);
+    }
+    if (bump) epochs[2] = 4;  // host 2 holds 10 segments, one visit
+    r.start();
+    w.eng.run();
+    ASSERT_TRUE(w.report.has_value());
+    EXPECT_EQ(w.report->counters.shuffle_bytes, kibibytes(64) * 30.0);
+    EXPECT_EQ(queries, bump ? 2 * 10 : 0) << "bump " << bump;
+  }
+}
+
+TEST(ReduceTask, HostEpochIsItsOldestQueuedDelivery) {
+  // Map 0 is delivered from host 1, then invalidated there (the epoch
+  // moves), then map 1 arrives from host 1 at the new epoch while map 0 is
+  // still queued. The visit that takes both must re-ask about each: the
+  // newer delivery's epoch does not vouch for the older one.
+  World w;
+  auto& r = w.make_reduce(JobConfig{}, 2);
+  ReduceTask::HostEpochs epochs(w.nodes.size(), 0);
+  bool map0_available = true;
+  std::vector<int> failed;
+  r.set_output_query(
+      [&](int mi, cluster::NodeId) { return mi != 0 || map0_available; },
+      &epochs);
+  r.set_fetch_failure([&](int mi, cluster::NodeId) {
+    failed.push_back(mi);
+    r.add_map_output(mi, cluster::NodeId(2), kibibytes(64), epochs[2]);
+  });
+  r.add_map_output(0, cluster::NodeId(1), kibibytes(64), epochs[1]);
+  map0_available = false;
+  ++epochs[1];
+  r.add_map_output(1, cluster::NodeId(1), kibibytes(64), epochs[1]);
+  r.start();
+  w.eng.run();
+  ASSERT_TRUE(w.report.has_value());
+  EXPECT_EQ(failed, std::vector<int>{0});
+  EXPECT_EQ(w.report->counters.shuffle_bytes, kibibytes(64) * 2.0);
+}
+
+TEST(ReduceTask, ShuffleCloseReleasesThePerMapIndex) {
+  // Once the last segment has landed the attempt keeps no per-map or
+  // per-host state, and a late duplicate delivery (a re-executed map's
+  // second completion) is ignored instead of touching the freed index.
+  World w;
+  auto& r = w.make_reduce(JobConfig{}, 40);
+  for (int i = 0; i < 40; ++i) {
+    r.add_map_output(i, cluster::NodeId(1 + i % 3), kibibytes(64));
+  }
+  std::size_t slots_while_shuffling = 0;
+  w.eng.schedule_at(0.01, [&] { slots_while_shuffling = r.host_slots(); });
+  r.start();
+  w.eng.run();
+  ASSERT_TRUE(w.report.has_value());
+  EXPECT_EQ(slots_while_shuffling, 3U);
+  EXPECT_EQ(r.host_slots(), 0U);
+  EXPECT_EQ(r.tracked_hosts(), 0);
+  r.add_map_output(7, cluster::NodeId(2), kibibytes(64));
+  r.invalidate_source(cluster::NodeId(2));
+  EXPECT_EQ(r.host_slots(), 0U);
+  EXPECT_EQ(r.tracked_hosts(), 0);
+  EXPECT_EQ(w.eng.run(), 0);
+  EXPECT_EQ(w.report->counters.shuffle_bytes, kibibytes(64) * 40.0);
+}
+
 TEST(ReduceTask, ZeroMapsCompletesImmediately) {
   World w;
   auto& r = w.make_reduce(JobConfig{}, 0);

@@ -4,6 +4,9 @@
 // external load.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "mapreduce/simulation.h"
 
 namespace mron::mapreduce {
@@ -115,6 +118,37 @@ TEST(Speculation, SurvivesNodeFailureDuringRace) {
                            [&] { sim.rm().fail_node(cluster::NodeId(2)); });
   sim.run();
   EXPECT_TRUE(done);
+}
+
+TEST(Speculation, EveryAttemptOfAMapHasItsOwnNumber) {
+  // A backup that wins and whose output then dies with its node: the
+  // re-execution is a new attempt and must not reuse the backup's number,
+  // or two successful reports share (map, attempt) and the re-execution
+  // re-stamps the backup's critical-path nodes. On each of these seeds a
+  // crash of node seed % 6 at t=70 re-executes such a map.
+  for (const std::uint64_t seed : {2, 4, 25, 36}) {
+    Simulation sim(cluster_opts(seed));
+    JobSpec spec = noisy_job(sim, 24, 1.2, /*speculative=*/true);
+    JobResult result;
+    bool done = false;
+    sim.submit_job(std::move(spec), [&](const JobResult& r) {
+      result = r;
+      done = true;
+    });
+    const cluster::NodeId victim(static_cast<std::int64_t>(seed % 6));
+    sim.engine().schedule_at(70.0, [&] { sim.rm().fail_node(victim); });
+    sim.run();
+    ASSERT_TRUE(done) << "seed " << seed;
+    EXPECT_GT(result.speculative_wins, 0) << "seed " << seed;
+    EXPECT_GT(result.lost_maps_reexecuted, 0) << "seed " << seed;
+    std::set<std::pair<int, int>> seen;
+    for (const auto& r : result.map_reports) {
+      if (r.failed_oom || r.failed_injected) continue;
+      EXPECT_TRUE(seen.insert({r.task.index, r.attempt}).second)
+          << "seed " << seed << ": map " << r.task.index << " attempt "
+          << r.attempt << " succeeded twice";
+    }
+  }
 }
 
 }  // namespace

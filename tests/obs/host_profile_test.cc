@@ -18,6 +18,7 @@
 #include "mapreduce/simulation.h"
 #include "obs/progress.h"
 #include "sim/engine.h"
+#include "sim/shared_server.h"
 #include "workloads/benchmarks.h"
 
 namespace mron::obs {
@@ -201,6 +202,38 @@ TEST(HostProfiler, EngineAttributesEventsToSchedulingContext) {
     events += hp.subsystem(static_cast<HostCat>(c)).count;
   }
   EXPECT_EQ(events, eng.total_dispatched());
+}
+
+// A server's completion event is the server's own work, but each stream's
+// done() runs under the category of the code that submitted the stream, so
+// what done() schedules is billed to that code. The categories follow their
+// streams through a cancel and through the completion pass's compaction.
+TEST(HostProfiler, SharedServerRunsDoneUnderTheSubmittersCategory) {
+  HostProfiler hp;
+  sim::Engine eng;
+  eng.set_host_profiler(&hp);
+  sim::SharedServer server(eng, 1.0, "disk");
+  auto reschedule = [&eng] { eng.schedule_after(1.0, [] {}); };
+  {
+    HostProfiler::CatScope am(HostCat::kAmTask);
+    server.submit(1.0, reschedule);
+  }
+  sim::StreamId cancelled;
+  {
+    HostProfiler::CatScope yarn(HostCat::kYarn);
+    cancelled = server.submit(5.0, reschedule);
+  }
+  {
+    HostProfiler::CatScope dfs(HostCat::kDfs);
+    server.submit(3.0, reschedule);
+  }
+  server.cancel(cancelled);
+  eng.run();
+  // Two completion events (t=2 and t=4), one rescheduled event per done().
+  EXPECT_EQ(hp.subsystem(HostCat::kSharedServer).count, 2);
+  EXPECT_EQ(hp.subsystem(HostCat::kAmTask).count, 1);
+  EXPECT_EQ(hp.subsystem(HostCat::kDfs).count, 1);
+  EXPECT_EQ(hp.subsystem(HostCat::kYarn).count, 0);
 }
 
 // A simulation constructed with host_profile=true flips to kSteady inside
