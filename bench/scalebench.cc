@@ -253,9 +253,8 @@ int run(int argc, char** argv) {
     profile_out = flags.get("profile-out", std::string("host_profile.json"));
   }
   g_progress = flags.get("progress", false);
-  for (const auto& u : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", u.c_str());
-  }
+  const auto unknown = flags.unused();
+  MRON_INPUT_CHECK(unknown.empty(), "unknown flag --" << unknown.front());
 
   std::printf("Terasort %.0f GB, median of %d runs per point\n\n", size_gb,
               reps);

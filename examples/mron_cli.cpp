@@ -84,9 +84,8 @@ bool g_speculative = false;
 // --cluster=SPEC: the simulated cluster for every run of the invocation.
 // Defaults to the paper's 19-node testbed (cluster/cluster_spec.h grammar).
 cluster::ClusterSpec g_cluster;
-// --dfs-replication / --dfs-policy: storage layout for every run.
+// --dfs-replication: storage layout for every run.
 int g_dfs_replication = 3;
-std::string g_dfs_policy;
 // Runs may finish on several pool workers at once; exports stay whole-file.
 std::mutex g_obs_mu;
 // --report-out destination; keeps the greatest-keyed run, so the exported
@@ -97,7 +96,6 @@ void apply_obs(mapreduce::SimulationOptions& opt) {
   opt.cluster = g_cluster;
   opt.fault_plan = g_fault_plan;
   opt.dfs_replication = g_dfs_replication;
-  opt.dfs_policy = g_dfs_policy;
   opt.host_profile = !g_obs.profile_out.empty();
   opt.progress = g_obs.progress;
   opt.progress_label = "mron_cli";
@@ -257,8 +255,7 @@ int run_cli(int argc, char** argv) {
                 " [--trace-detail]"
                 " [--fault-plan=F] [--fault-spec='directives']"
                 " [--speculative] [--cluster=SPEC]"
-                " [--dfs-replication=N]"
-                " [--dfs-policy=rack-aware|same-rack|spread]\n");
+                " [--dfs-replication=N]\n");
     return 0;
   }
   if (flags.get("list", false)) {
@@ -339,13 +336,10 @@ int run_cli(int argc, char** argv) {
   g_dfs_replication = flags.get("dfs-replication", 3);
   MRON_INPUT_CHECK(g_dfs_replication >= 1,
                    "--dfs-replication wants a positive integer");
-  g_dfs_policy = flags.get("dfs-policy", std::string(""));
-  MRON_INPUT_CHECK(g_dfs_policy.empty() || g_dfs_policy == "rack-aware" ||
-                       g_dfs_policy == "same-rack" || g_dfs_policy == "spread",
-                   "unknown --dfs-policy=" << g_dfs_policy);
-  for (const auto& u : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", u.c_str());
-  }
+  // Every flag was read above, so anything left is a typo or a removed
+  // option: running on as if it were absent would hide that.
+  const auto unknown = flags.unused();
+  MRON_INPUT_CHECK(unknown.empty(), "unknown flag --" << unknown.front());
 
   if (strategy == "none" || strategy == "offline") {
     mapreduce::JobConfig cfg;

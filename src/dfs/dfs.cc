@@ -6,15 +6,109 @@
 #include "common/check.h"
 
 namespace mron::dfs {
+namespace {
+
+/// The k-th node id not present in the sorted exclusion list `excl`:
+/// increment past each exclusion at or below the running id.
+cluster::NodeId skip_excluded(std::int64_t k,
+                              const std::vector<std::int64_t>& excl) {
+  std::int64_t id = k;
+  for (std::int64_t e : excl) {
+    if (id >= e) ++id;
+  }
+  return cluster::NodeId(id);
+}
+
+/// Uniform pick among all nodes not already in `out` (one draw).
+void place_uniform_spare(const cluster::Topology& topo, Rng& rng,
+                         std::vector<cluster::NodeId>& out) {
+  const std::int64_t n = topo.num_nodes();
+  const auto placed = static_cast<std::int64_t>(out.size());
+  if (placed >= n) return;
+  std::vector<std::int64_t> excl;
+  excl.reserve(out.size());
+  for (auto r : out) excl.push_back(r.value());
+  std::sort(excl.begin(), excl.end());
+  const std::int64_t k = rng.uniform_int(0, n - placed - 1);
+  out.push_back(skip_excluded(k, excl));
+}
+
+/// HDFS default placement of one block's replicas into `out` (empty on
+/// entry; `want` already clamped to [1, topo.num_nodes()]): first replica
+/// on a random node (stand-in for the writer), second on a different rack,
+/// third on the second's rack; replicas beyond three land on uniform-random
+/// remaining nodes. A degenerate topology may yield fewer than `want`.
+void place_rack_aware(const cluster::Topology& topo, Rng& rng, int want,
+                      std::vector<cluster::NodeId>& out) {
+  const std::int64_t n = topo.num_nodes();
+
+  // First replica: uniform random node (stand-in for "writer's node").
+  const cluster::NodeId first(rng.uniform_int(0, n - 1));
+  out.push_back(first);
+  if (want == 1) return;
+
+  // Second replica: a node on a different rack when one exists (k-th
+  // off-rack node by index shift — same draw bounds as the legacy
+  // materialized list, so the same winner).
+  const auto first_rack = topo.rack_of(first);
+  const std::int64_t first_lo = topo.rack_first_node(first_rack);
+  const std::int64_t first_sz = topo.rack_size(first_rack);
+  const std::int64_t off_rack_count = n - first_sz;
+  cluster::NodeId second = first;
+  if (off_rack_count > 0) {
+    std::int64_t k = rng.uniform_int(0, off_rack_count - 1);
+    if (k >= first_lo) k += first_sz;
+    second = cluster::NodeId(k);
+  } else {
+    while (second == first && n > 1) {
+      second = cluster::NodeId(rng.uniform_int(0, n - 1));
+    }
+  }
+  out.push_back(second);
+  if (want == 2) return;
+
+  // Third replica: the second's rack, distinct node, skipping sorted
+  // exclusions — identical to indexing the old filtered vector.
+  const auto rack = topo.rack_of(second);
+  const std::int64_t lo = topo.rack_first_node(rack);
+  const std::int64_t sz = topo.rack_size(rack);
+  const std::int64_t f = first.value();
+  const std::int64_t s = second.value();
+  std::int64_t excl[2] = {s, s};
+  std::int64_t num_excl = 1;
+  if (f >= lo && f < lo + sz && f != s) {
+    excl[0] = std::min(f, s);
+    excl[1] = std::max(f, s);
+    num_excl = 2;
+  }
+  cluster::NodeId third = first;
+  if (sz > num_excl) {
+    std::int64_t id = lo + rng.uniform_int(0, sz - num_excl - 1);
+    for (std::int64_t i = 0; i < num_excl; ++i) {
+      if (id >= excl[i]) ++id;
+    }
+    third = cluster::NodeId(id);
+  }
+  if (third != first && third != second) out.push_back(third);
+
+  // Replicas beyond three (per-dataset replication overrides): uniform
+  // among the remaining nodes. Never reached at the default replication of
+  // three, so the pinned three-replica draw stream is untouched.
+  while (static_cast<std::int64_t>(out.size()) <
+             std::min<std::int64_t>(want, n) &&
+         static_cast<std::int64_t>(out.size()) < n) {
+    place_uniform_spare(topo, rng, out);
+  }
+}
+
+}  // namespace
 
 Dfs::Dfs(const cluster::Topology& topo, Rng rng, Bytes block_size,
-         int replication, std::unique_ptr<PlacementPolicy> policy)
+         int replication)
     : topo_(topo),
       rng_(rng),
       block_size_(block_size),
       replication_(replication),
-      policy_(policy != nullptr ? std::move(policy)
-                                : std::make_unique<RackAwarePolicy>()),
       alive_(static_cast<std::size_t>(topo.num_nodes()), true),
       node_blocks_(static_cast<std::size_t>(topo.num_nodes())) {
   MRON_CHECK(block_size_ > Bytes(0));
@@ -68,7 +162,7 @@ DatasetId Dfs::create_dataset(const std::string& name, Bytes total_size,
 void Dfs::place_replicas_bulk(std::vector<Block>& blocks, int want) {
   for (Block& b : blocks) {
     b.replicas.reserve(static_cast<std::size_t>(want));
-    policy_->place(topo_, rng_, want, b.replicas);
+    place_rack_aware(topo_, rng_, want, b.replicas);
   }
 }
 

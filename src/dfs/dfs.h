@@ -1,7 +1,8 @@
 // HDFS-like distributed file system model.
 //
-// Tracks datasets as sequences of fixed-size blocks with pluggable replica
-// placement (default: the rack-aware HDFS policy — see placement_policy.h).
+// Tracks datasets as sequences of fixed-size blocks placed by HDFS's
+// rack-aware policy (first replica on a random node, second off its rack,
+// third beside the second).
 // Map input splits are one-per-block; the scheduler queries replica
 // locations to make locality-aware container placements.
 //
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -32,7 +32,6 @@
 #include "common/rng.h"
 #include "common/strong_id.h"
 #include "common/units.h"
-#include "dfs/placement_policy.h"
 
 namespace mron::dfs {
 
@@ -68,8 +67,7 @@ class Dfs {
   using UnderKey = std::tuple<int, std::int64_t, std::int64_t>;
 
   Dfs(const cluster::Topology& topo, Rng rng,
-      Bytes block_size = mebibytes(128), int replication = 3,
-      std::unique_ptr<PlacementPolicy> policy = nullptr);
+      Bytes block_size = mebibytes(128), int replication = 3);
 
   /// Create a dataset of `total_size` bytes, split into ceil(size/block)
   /// blocks, the last one partial. `replication` overrides the DFS default
@@ -80,7 +78,6 @@ class Dfs {
   [[nodiscard]] const Dataset& dataset(DatasetId id) const;
   [[nodiscard]] Bytes block_size() const { return block_size_; }
   [[nodiscard]] int default_replication() const { return replication_; }
-  [[nodiscard]] const char* policy_name() const { return policy_->name(); }
 
   /// Locality class of reading `block` of `ds` from node `reader`,
   /// considering live replicas only (OffRack when none is live).
@@ -150,11 +147,10 @@ class Dfs {
   };
 
   /// The bulk-placement pass behind create_dataset(): fills `replicas` of
-  /// every block in one sweep via the placement policy, with per-dataset
-  /// invariants (node count, replica target) hoisted out of the per-block
-  /// loop. The default policy draws from rng_ exactly as the legacy
-  /// per-block placement did — same RNG stream, same placements (pinned by
-  /// the placement equivalence suite).
+  /// every block in one sweep, with per-dataset invariants (node count,
+  /// replica target) hoisted out of the per-block loop. It draws from rng_
+  /// exactly as the legacy per-block placement did — same RNG stream, same
+  /// placements (pinned by the placement equivalence suite).
   void place_replicas_bulk(std::vector<Block>& blocks, int want);
 
   [[nodiscard]] Block& block_at(DatasetId ds, std::size_t block);
@@ -168,7 +164,6 @@ class Dfs {
   Rng rng_;
   Bytes block_size_;
   int replication_;
-  std::unique_ptr<PlacementPolicy> policy_;
   std::vector<Dataset> datasets_;
   std::size_t total_blocks_ = 0;
   /// Node liveness as the DFS sees it (fed by the RM watchdog).

@@ -55,9 +55,6 @@ struct JobSpec {
   /// attempt; the first finisher wins and the other is killed.
   bool speculative_execution = false;
   double speculative_slowdown = 1.5;
-  /// Capacity-scheduler queue this job submits to (used only when the
-  /// simulation runs the capacity policy).
-  int scheduler_queue = 0;
 };
 
 struct TaskReport {

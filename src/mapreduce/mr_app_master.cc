@@ -35,7 +35,7 @@ MrAppMaster::MrAppMaster(sim::Engine& engine, yarn::ResourceManager& rm,
 void MrAppMaster::submit() {
   MRON_CHECK(!submitted_);
   submitted_ = true;
-  app_ = rm_.register_app(spec_.name, /*weight=*/1.0, spec_.scheduler_queue);
+  app_ = rm_.register_app(spec_.name);
   host_epochs_.assign(static_cast<std::size_t>(rm_.num_nodes()), 0);
   rm_.subscribe_node_failures(
       [this](cluster::NodeId node) { handle_node_failure(node); });

@@ -111,7 +111,9 @@ std::string run_report_json(
   // "storage fully recovered before drain" assertion CI pins down.
   const dfs::Dfs& d = sim.dfs();
   const dfs::Rereplicator::Stats& rs = sim.rereplicator().stats();
-  report.set_meta("dfs_policy", d.policy_name());
+  // A constant: rack-aware is the only placement, but mron.run_report/4
+  // consumers read the key and existing artifacts must stay cmp-identical.
+  report.set_meta("dfs_policy", "rack-aware");
   report.set_dfs({
       {"blocks_total", static_cast<double>(d.total_blocks())},
       {"replication", static_cast<double>(d.default_replication())},

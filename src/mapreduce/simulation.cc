@@ -13,8 +13,6 @@ constexpr SimTime kMonitorPeriod = 1.0;
 /// gauges/series instead of per-node ones, keeping report and trace size
 /// bounded at 1,000+ nodes. The 19-node testbed stays per-node.
 constexpr int kMonitorNodeSeriesLimit = 64;
-/// Disk/NIC utilization above which hotspot_aware placement avoids a node.
-constexpr double kHotThreshold = 0.9;
 
 }  // namespace
 
@@ -78,8 +76,7 @@ Simulation::Simulation(SimulationOptions options)
     HOST_PROF_SCOPE("sim.setup.dfs");
     HOST_PROF_CATEGORY(kDfs);
     dfs_ = std::make_unique<dfs::Dfs>(
-        *topo_, rng_.fork(0xdf5), mebibytes(128), options_.dfs_replication,
-        dfs::make_placement_policy(options_.dfs_policy));
+        *topo_, rng_.fork(0xdf5), mebibytes(128), options_.dfs_replication);
     dfs::RereplicatorOptions ropt;
     ropt.max_streams_per_node = options_.dfs_rerepl_streams_per_node;
     ropt.stream_bandwidth = options_.dfs_rerepl_stream_bandwidth;
@@ -89,10 +86,8 @@ Simulation::Simulation(SimulationOptions options)
   {
     HOST_PROF_SCOPE("sim.setup.rm");
     HOST_PROF_CATEGORY(kYarn);
-    auto policy = options_.capacity_queues.empty()
-                      ? (options_.fair_scheduler ? yarn::make_fair_policy()
-                                                 : yarn::make_fifo_policy())
-                      : yarn::make_capacity_policy(options_.capacity_queues);
+    auto policy = options_.fair_scheduler ? yarn::make_fair_policy()
+                                          : yarn::make_fifo_policy();
     rm_ = std::make_unique<yarn::ResourceManager>(engine_, *topo_, ptrs,
                                                   std::move(policy));
     // Storage hears about liveness before any AM: AMs subscribe at submit
@@ -106,13 +101,6 @@ Simulation::Simulation(SimulationOptions options)
       dfs_->on_node_recovered(n);
       rerepl_->on_node_recovered(n);
     });
-    if (options_.hotspot_aware) {
-      monitor_->start();
-      rm_->set_cluster_monitor(monitor_.get(), kHotThreshold);
-    }
-    if (options_.locality_delay_passes > 0) {
-      rm_->set_locality_delay(options_.locality_delay_passes);
-    }
   }
   if (!options_.fault_plan.empty()) {
     HOST_PROF_SCOPE("sim.setup.faults");

@@ -18,7 +18,6 @@
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "dfs/dfs.h"
-#include "dfs/placement_policy.h"
 #include "dfs/rereplicator.h"
 #include "faults/injector.h"
 #include "mapreduce/job.h"
@@ -35,16 +34,6 @@ struct SimulationOptions {
   cluster::ClusterSpec cluster;
   std::uint64_t seed = 1;
   bool fair_scheduler = false;
-  /// Non-empty: use the capacity scheduler with these relative queue
-  /// shares instead of FIFO/fair; jobs pick a queue via
-  /// JobSpec::scheduler_queue.
-  std::vector<double> capacity_queues;
-  /// Start the cluster monitor and let the RM route containers away from
-  /// nodes whose disk/NIC ran hot in the last window (Section 3's
-  /// hot-spot avoidance).
-  bool hotspot_aware = false;
-  /// Delay-scheduling passes for data locality (0 = off).
-  int locality_delay_passes = 0;
   /// Attach the flight recorder (metrics + trace + audit) and start the
   /// cluster monitor as its sampling clock.
   bool observe = false;
@@ -70,10 +59,6 @@ struct SimulationOptions {
   /// Default DFS replication factor for datasets (load_dataset can override
   /// per dataset). Clamped to the node count at placement time.
   int dfs_replication = 3;
-  /// Block placement policy: "" or "rack-aware" (the HDFS default — and the
-  /// legacy RNG stream, byte-identical to earlier releases), "same-rack",
-  /// or "spread". See dfs/placement_policy.h.
-  std::string dfs_policy;
   /// Re-replication work limits (HDFS replication.max-streams and the
   /// balancer bandwidth cap). See dfs/rereplicator.h.
   int dfs_rerepl_streams_per_node = 2;

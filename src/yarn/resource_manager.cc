@@ -222,15 +222,11 @@ void ResourceManager::subscribe_node_recoveries(NodeFailureCb cb) {
   recovery_subscribers_.push_back(std::move(cb));
 }
 
-AppId ResourceManager::register_app(const std::string& name, double weight,
-                                    int queue) {
-  MRON_CHECK(weight > 0.0);
+AppId ResourceManager::register_app(const std::string& name) {
   const AppId id = app_ids_.next();
   AppState state;
   state.name = name;
   state.submit_order = next_submit_order_++;
-  state.weight = weight;
-  state.sched_queue = queue;
   state.live = true;
   apps_.emplace(id, std::move(state));
   return id;
@@ -368,8 +364,6 @@ void ResourceManager::schedule_pass() {
       AppSchedState s;
       s.id = id;
       s.submit_order = app.submit_order;
-      s.weight = app.weight;
-      s.queue = app.sched_queue;
       s.allocated_memory = app.allocated_memory;
       s.pending_requests = app.queue.size();
       auto it = skipped.find(id);
@@ -406,55 +400,15 @@ void ResourceManager::schedule_pass() {
   }
 }
 
-void ResourceManager::set_cluster_monitor(
-    const cluster::ClusterMonitor* monitor, double hot_threshold) {
-  monitor_ = monitor;
-  hot_threshold_ = hot_threshold;
-}
-
-void ResourceManager::set_locality_delay(int passes) {
-  MRON_CHECK(passes >= 0);
-  locality_delay_passes_ = passes;
-}
-
-bool ResourceManager::is_hot(const cluster::Node& node) const {
-  if (monitor_ == nullptr) return false;
-  const cluster::NodeSample& s = monitor_->latest(node.id());
-  return s.disk_util > hot_threshold_ || s.net_util > hot_threshold_;
-}
-
 bool ResourceManager::try_place(AppId app_id, AppState& app,
                                 PendingRequest& req,
                                 std::vector<Resource>& failed_shapes) {
-  // Delay scheduling: a request with preferences holds out for a
-  // node-local slot for a bounded number of passes.
-  if (locality_delay_passes_ > 0 && !req.preferred.empty() &&
-      req.locality_misses < locality_delay_passes_) {
-    bool local_ok = false;
-    for (auto pref : req.preferred) {
-      cluster::Node& n = node(pref);
-      if (node_alive(pref) &&
-          req.resource.fits_in(n.memory_available(), n.vcores_available())) {
-        local_ok = true;
-        break;
-      }
-    }
-    if (!local_ok) {
-      ++req.locality_misses;
-      return false;
-    }
-  }
   for (const Resource& f : failed_shapes) {
     if (req.resource.memory >= f.memory && req.resource.vcores >= f.vcores) {
       return false;
     }
   }
-  // Prefer placements that dodge monitor-flagged hot spots; fall back to
-  // hot nodes rather than leaving the request starved.
-  cluster::Node* target = find_node(req, /*avoid_hot=*/monitor_ != nullptr);
-  if (target == nullptr && monitor_ != nullptr) {
-    target = find_node(req, /*avoid_hot=*/false);
-  }
+  cluster::Node* target = find_node(req);
   if (target == nullptr) {
     failed_shapes.push_back(req.resource);
     return false;
@@ -498,10 +452,9 @@ bool ResourceManager::try_place(AppId app_id, AppState& app,
 }
 
 cluster::Node* ResourceManager::first_fitting(const std::set<FreeKey>& index,
-                                              const PendingRequest& req,
-                                              bool avoid_hot) {
+                                              const PendingRequest& req) {
   // The index orders alive nodes by (-free memory, id), so the first entry
-  // passing the vcore/hot filters *is* the node the legacy full scan
+  // passing the vcore filter *is* the node the legacy full scan
   // picked: maximum free memory, ties to the lowest id. Memory-infeasible
   // entries end the walk early (everything after has less free memory).
   std::int64_t probes = 0;
@@ -510,8 +463,7 @@ cluster::Node* ResourceManager::first_fitting(const std::set<FreeKey>& index,
     ++probes;
     if (-neg_mem < req.resource.memory.count()) break;  // nothing fits below
     cluster::Node& n = node(cluster::NodeId(id));
-    if (req.resource.vcores <= n.vcores_available() &&
-        (!avoid_hot || !is_hot(n))) {
+    if (req.resource.vcores <= n.vcores_available()) {
       found = &n;
       break;
     }
@@ -522,17 +474,12 @@ cluster::Node* ResourceManager::first_fitting(const std::set<FreeKey>& index,
   return found;
 }
 
-cluster::Node* ResourceManager::find_node(const PendingRequest& req,
-                                          bool avoid_hot) {
-  auto fits = [&](const cluster::Node& n) {
-    return node_alive(n.id()) &&
-           req.resource.fits_in(n.memory_available(), n.vcores_available()) &&
-           (!avoid_hot || !is_hot(n));
-  };
+cluster::Node* ResourceManager::find_node(const PendingRequest& req) {
   // 1. node-local
   for (auto pref : req.preferred) {
     cluster::Node& n = node(pref);
-    if (fits(n)) {
+    if (node_alive(pref) &&
+        req.resource.fits_in(n.memory_available(), n.vcores_available())) {
       if (alloc_node_local_ != nullptr) alloc_node_local_->add(1.0);
       return &n;
     }
@@ -545,7 +492,7 @@ cluster::Node* ResourceManager::find_node(const PendingRequest& req,
   for (auto pref : req.preferred) {
     const auto rack = topo_.rack_of(pref);
     cluster::Node* cand = first_fitting(
-        free_by_rack_[static_cast<std::size_t>(rack.value())], req, avoid_hot);
+        free_by_rack_[static_cast<std::size_t>(rack.value())], req);
     if (cand != nullptr &&
         (best == nullptr ||
          cand->memory_available() > best->memory_available())) {
@@ -557,7 +504,7 @@ cluster::Node* ResourceManager::find_node(const PendingRequest& req,
     return best;
   }
   // 3. anywhere: most free memory, straight off the global index.
-  best = first_fitting(free_global_, req, avoid_hot);
+  best = first_fitting(free_global_, req);
   if (best != nullptr && alloc_any_ != nullptr) alloc_any_->add(1.0);
   return best;
 }

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/monitor.h"
 #include "cluster/node.h"
 #include "cluster/topology.h"
 #include "obs/critical_path.h"
@@ -53,9 +52,7 @@ class ResourceManager {
   ResourceManager& operator=(const ResourceManager&) = delete;
 
   // --- application lifecycle ----------------------------------------------
-  /// `queue` is consumed by the capacity policy (ignored by FIFO/fair).
-  AppId register_app(const std::string& name, double weight = 1.0,
-                     int queue = 0);
+  AppId register_app(const std::string& name);
   /// Releases nothing by itself: apps must release containers first.
   void unregister_app(AppId app);
 
@@ -114,17 +111,6 @@ class ResourceManager {
   /// may receive containers. Idempotent; lost work is not resurrected.
   void recover_node(cluster::NodeId node);
 
-  /// Enable hot-spot-aware placement (one of MRONLINE's runtime levers):
-  /// nodes whose disk or NIC utilization exceeded `threshold` in the
-  /// monitor's last window are avoided while a cooler candidate exists.
-  void set_cluster_monitor(const cluster::ClusterMonitor* monitor,
-                           double hot_threshold = 0.9);
-
-  /// Delay scheduling (Zaharia et al.): a request with node preferences
-  /// passes on non-local placements for up to `passes` scheduling passes
-  /// before relaxing to rack-local/any. 0 disables (the default).
-  void set_locality_delay(int passes);
-
   // --- introspection --------------------------------------------------------
   [[nodiscard]] Bytes app_allocated_memory(AppId app) const;
   [[nodiscard]] std::size_t pending_requests() const;
@@ -154,15 +140,12 @@ class ResourceManager {
     Resource resource;
     std::vector<cluster::NodeId> preferred;
     AllocationCb on_allocated;
-    int locality_misses = 0;  ///< passes spent waiting for a local slot
     obs::CpNode cp_from = obs::kInvalidCpNode;  ///< causal origin of the wait
     obs::Blame cp_blame = obs::Blame::SchedWait;
   };
   struct AppState {
     std::string name;
     std::int64_t submit_order = 0;
-    double weight = 1.0;
-    int sched_queue = 0;  ///< capacity-scheduler queue
     Bytes allocated_memory{0};
     std::deque<PendingRequest> queue;
     bool live = false;
@@ -187,11 +170,8 @@ class ResourceManager {
   /// request that finds no node anywhere is added to it.
   bool try_place(AppId app_id, AppState& app, PendingRequest& req,
                  std::vector<Resource>& failed_shapes);
-  /// Best node for `req` following node-local -> rack-local -> any;
-  /// `avoid_hot` filters out monitor-flagged hot nodes.
-  [[nodiscard]] cluster::Node* find_node(const PendingRequest& req,
-                                         bool avoid_hot);
-  [[nodiscard]] bool is_hot(const cluster::Node& node) const;
+  /// Best node for `req` following node-local -> rack-local -> any.
+  [[nodiscard]] cluster::Node* find_node(const PendingRequest& req);
 
   // --- free-resource index ---------------------------------------------------
   // Every *alive* node appears in the global set and its rack's set, keyed
@@ -211,10 +191,9 @@ class ResourceManager {
   /// Node resource observer: re-key `n` in the index (no-op while dead).
   void on_node_resources_changed(cluster::Node& n);
   /// First node in `index` (descending free memory) satisfying `req`, or
-  /// nullptr. Walks past nodes that fail the vcore/hot/liveness filters.
+  /// nullptr. Walks past nodes that fail the vcore filter.
   [[nodiscard]] cluster::Node* first_fitting(const std::set<FreeKey>& index,
-                                             const PendingRequest& req,
-                                             bool avoid_hot);
+                                             const PendingRequest& req);
 
   sim::Engine& engine_;
   const cluster::Topology& topo_;
@@ -227,12 +206,9 @@ class ResourceManager {
   std::int64_t next_submit_order_ = 0;
   bool pass_scheduled_ = false;
   std::size_t live_containers_ = 0;
-  const cluster::ClusterMonitor* monitor_ = nullptr;
-  double hot_threshold_ = 0.9;
   std::vector<bool> alive_;
   std::vector<NodeFailureCb> failure_subscribers_;
   std::vector<NodeFailureCb> recovery_subscribers_;
-  int locality_delay_passes_ = 0;
   /// Every granted container, keyed by id (ordered: reclaim scans must
   /// visit containers in grant order for determinism).
   std::map<ContainerId, LiveContainer> containers_;

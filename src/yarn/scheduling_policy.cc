@@ -21,59 +21,11 @@ std::optional<AppId> FairPolicy::pick_next(
   double best_share = 0.0;
   for (const auto& app : apps) {
     if (app.pending_requests == 0 || app.skip) continue;
-    const double share = app.allocated_memory.as_double() / app.weight;
+    const double share = app.allocated_memory.as_double();
     if (best == nullptr || share < best_share ||
         (share == best_share && app.submit_order < best->submit_order)) {
       best = &app;
       best_share = share;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return best->id;
-}
-
-CapacityPolicy::CapacityPolicy(std::vector<double> queue_capacities)
-    : shares_(std::move(queue_capacities)) {
-  double sum = 0.0;
-  for (double s : shares_) sum += s;
-  if (shares_.empty() || sum <= 0.0) {
-    shares_ = {1.0};
-    sum = 1.0;
-  }
-  for (double& s : shares_) s /= sum;
-}
-
-double CapacityPolicy::capacity_share(int queue) const {
-  if (queue < 0 || queue >= num_queues()) return shares_.back();
-  return shares_[static_cast<std::size_t>(queue)];
-}
-
-std::optional<AppId> CapacityPolicy::pick_next(
-    const std::vector<AppSchedState>& apps) const {
-  // Most-underserved queue first: allocated memory normalized by the
-  // queue's capacity share; FIFO within the queue.
-  const AppSchedState* best = nullptr;
-  double best_metric = 0.0;
-  // Pre-compute per-queue allocations over ALL apps (running ones count
-  // against their queue even if they have nothing pending).
-  std::vector<double> queue_alloc(static_cast<std::size_t>(num_queues()),
-                                  0.0);
-  for (const auto& app : apps) {
-    const int q = std::clamp(app.queue, 0, num_queues() - 1);
-    queue_alloc[static_cast<std::size_t>(q)] +=
-        app.allocated_memory.as_double();
-  }
-  for (const auto& app : apps) {
-    if (app.pending_requests == 0 || app.skip) continue;
-    const int q = std::clamp(app.queue, 0, num_queues() - 1);
-    const double metric =
-        queue_alloc[static_cast<std::size_t>(q)] / capacity_share(q);
-    const bool better =
-        best == nullptr || metric < best_metric ||
-        (metric == best_metric && app.submit_order < best->submit_order);
-    if (better) {
-      best = &app;
-      best_metric = metric;
     }
   }
   if (best == nullptr) return std::nullopt;
@@ -85,10 +37,6 @@ std::unique_ptr<SchedulingPolicy> make_fifo_policy() {
 }
 std::unique_ptr<SchedulingPolicy> make_fair_policy() {
   return std::make_unique<FairPolicy>();
-}
-std::unique_ptr<SchedulingPolicy> make_capacity_policy(
-    std::vector<double> queue_capacities) {
-  return std::make_unique<CapacityPolicy>(std::move(queue_capacities));
 }
 
 }  // namespace mron::yarn

@@ -2,8 +2,8 @@
 //
 // The resource manager runs the placement loop; the policy only orders
 // applications. FIFO serves apps in submission order; Fair serves the app
-// with the smallest weighted memory allocation (the fair-share scheduler
-// used in the paper's multi-tenant experiment).
+// with the smallest memory allocation (the fair-share scheduler used in the
+// paper's multi-tenant experiment).
 #pragma once
 
 #include <cstdint>
@@ -19,11 +19,9 @@ namespace mron::yarn {
 struct AppSchedState {
   AppId id;
   std::int64_t submit_order = 0;
-  double weight = 1.0;
   Bytes allocated_memory{0};
   std::size_t pending_requests = 0;
   bool skip = false;  ///< placement already failed for it in this pass
-  int queue = 0;      ///< capacity-scheduler queue the app belongs to
 };
 
 class SchedulingPolicy {
@@ -50,33 +48,7 @@ class FairPolicy final : public SchedulingPolicy {
   [[nodiscard]] const char* name() const override { return "fair"; }
 };
 
-/// YARN's capacity scheduler, simplified: queues own fractions of the
-/// cluster; the most-underserved queue (allocated memory relative to its
-/// capacity share) is served next, FIFO within a queue. Queues above their
-/// share still run when nobody else wants the space (work conservation
-/// comes from the placement loop retrying until no app can place).
-class CapacityPolicy final : public SchedulingPolicy {
- public:
-  /// `queue_capacities` are relative shares (normalized internally); apps
-  /// name their queue via AppSchedState::queue, clamped into range.
-  explicit CapacityPolicy(std::vector<double> queue_capacities);
-
-  [[nodiscard]] std::optional<AppId> pick_next(
-      const std::vector<AppSchedState>& apps) const override;
-  [[nodiscard]] const char* name() const override { return "capacity"; }
-
-  [[nodiscard]] double capacity_share(int queue) const;
-  [[nodiscard]] int num_queues() const {
-    return static_cast<int>(shares_.size());
-  }
-
- private:
-  std::vector<double> shares_;  // normalized to sum 1
-};
-
 std::unique_ptr<SchedulingPolicy> make_fifo_policy();
 std::unique_ptr<SchedulingPolicy> make_fair_policy();
-std::unique_ptr<SchedulingPolicy> make_capacity_policy(
-    std::vector<double> queue_capacities);
 
 }  // namespace mron::yarn

@@ -71,26 +71,6 @@ TEST(Simulation, FairSchedulerSplitsBetweenJobs) {
   EXPECT_LT(run(true), run(false));
 }
 
-TEST(Simulation, HotspotAwareFlagActivatesMonitorAndRouting) {
-  auto opt = small(4);
-  opt.hotspot_aware = true;
-  Simulation sim(opt);
-  // Saturate node 0's disk with an external load before the job starts.
-  for (int i = 0; i < 10; ++i) {
-    sim.rm().node(cluster::NodeId(0)).disk().submit(1e11, [] {});
-  }
-  JobSpec spec = tiny_job(sim, "dodge", 8);
-  const JobResult r = sim.run_job(std::move(spec));
-  // After the first monitor window, placements avoid node 0.
-  int on_hot_late = 0;
-  for (const auto& rep : r.map_reports) {
-    if (rep.start_time > 2.0 && rep.node == cluster::NodeId(0)) {
-      ++on_hot_late;
-    }
-  }
-  EXPECT_EQ(on_hot_late, 0);
-}
-
 TEST(Simulation, RunJobChecksCompletion) {
   Simulation sim(small(5));
   JobSpec bad;

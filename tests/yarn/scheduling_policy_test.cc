@@ -5,12 +5,11 @@
 namespace mron::yarn {
 namespace {
 
-AppSchedState app(int id, int order, double weight, double mem_mib,
-                  std::size_t pending, bool skip = false) {
+AppSchedState app(int id, int order, double mem_mib, std::size_t pending,
+                  bool skip = false) {
   AppSchedState s;
   s.id = AppId(id);
   s.submit_order = order;
-  s.weight = weight;
   s.allocated_memory = mebibytes(mem_mib);
   s.pending_requests = pending;
   s.skip = skip;
@@ -20,7 +19,7 @@ AppSchedState app(int id, int order, double weight, double mem_mib,
 TEST(FifoPolicy, PicksEarliestSubmission) {
   FifoPolicy fifo;
   const auto pick =
-      fifo.pick_next({app(0, 5, 1, 0, 3), app(1, 2, 1, 0, 3)});
+      fifo.pick_next({app(0, 5, 0, 3), app(1, 2, 0, 3)});
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, AppId(1));
 }
@@ -28,7 +27,7 @@ TEST(FifoPolicy, PicksEarliestSubmission) {
 TEST(FifoPolicy, SkipsAppsWithoutPending) {
   FifoPolicy fifo;
   const auto pick =
-      fifo.pick_next({app(0, 1, 1, 0, 0), app(1, 2, 1, 0, 1)});
+      fifo.pick_next({app(0, 1, 0, 0), app(1, 2, 0, 1)});
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, AppId(1));
 }
@@ -36,39 +35,29 @@ TEST(FifoPolicy, SkipsAppsWithoutPending) {
 TEST(FifoPolicy, SkipsMarkedApps) {
   FifoPolicy fifo;
   const auto pick =
-      fifo.pick_next({app(0, 1, 1, 0, 1, /*skip=*/true), app(1, 2, 1, 0, 1)});
+      fifo.pick_next({app(0, 1, 0, 1, /*skip=*/true), app(1, 2, 0, 1)});
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, AppId(1));
 }
 
 TEST(FifoPolicy, EmptyWhenNothingPending) {
   FifoPolicy fifo;
-  EXPECT_FALSE(fifo.pick_next({app(0, 1, 1, 0, 0)}).has_value());
+  EXPECT_FALSE(fifo.pick_next({app(0, 1, 0, 0)}).has_value());
   EXPECT_FALSE(fifo.pick_next({}).has_value());
 }
 
 TEST(FairPolicy, PicksSmallestShare) {
   FairPolicy fair;
   const auto pick =
-      fair.pick_next({app(0, 0, 1, 4096, 2), app(1, 1, 1, 1024, 2)});
+      fair.pick_next({app(0, 0, 4096, 2), app(1, 1, 1024, 2)});
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, AppId(1));
-}
-
-TEST(FairPolicy, WeightsScaleShares) {
-  FairPolicy fair;
-  // App 0 holds 4 GiB at weight 4 (share 1 GiB); app 1 holds 2 GiB at
-  // weight 1 (share 2 GiB): app 0 deserves the next container.
-  const auto pick =
-      fair.pick_next({app(0, 0, 4, 4096, 1), app(1, 1, 1, 2048, 1)});
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(*pick, AppId(0));
 }
 
 TEST(FairPolicy, TieBreaksBySubmitOrder) {
   FairPolicy fair;
   const auto pick =
-      fair.pick_next({app(0, 3, 1, 1024, 1), app(1, 1, 1, 1024, 1)});
+      fair.pick_next({app(0, 3, 1024, 1), app(1, 1, 1024, 1)});
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, AppId(1));
 }
