@@ -7,6 +7,7 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "cluster/cluster_spec.h"
@@ -222,13 +223,10 @@ void parse_flags(int argc, char** argv) {
     } else if (!(v = value_of("--cluster", i)).empty()) {
       set_cluster_spec(cluster::load_cluster_spec(v));
     } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--jobs=N] [--metrics-out=F] "
-                   "[--trace-out=F] [--audit-out=F] [--report-out=F] "
-                   "[--trace-detail] [--fault-plan=F] "
-                   "[--fault-spec='directives'] [--cluster=SPEC]\n",
-                   argv[i], argv[0]);
-      std::exit(2);
+      // Known flags: --jobs --metrics-out --trace-out --audit-out
+      // --report-out --trace-detail --fault-plan --fault-spec --cluster.
+      const std::string arg = argv[i];
+      throw InputError("unknown flag " + arg.substr(0, arg.find('=')));
     }
   }
   set_obs_outputs(std::move(out));

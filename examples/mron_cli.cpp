@@ -241,8 +241,22 @@ mapreduce::JobResult run_once(const AppChoice& app, double size_gb,
 
 }  // namespace
 
+/// Every flag mron_cli reads.
+constexpr const char* kFlagNames[] = {
+    "help",        "list",        "app",          "corpus",
+    "size-gb",     "strategy",    "seed",         "runs",
+    "jobs",        "fair",        "show-config",  "log-level",
+    "metrics-out", "trace-out",   "audit-out",    "report-out",
+    "profile-out", "progress",    "trace-detail", "fault-plan",
+    "fault-spec",  "speculative", "cluster",      "dfs-replication"};
+
 int run_cli(int argc, char** argv) {
   const Flags flags(argc, argv);
+  // Anything else is a typo or a removed option, also under --help and
+  // --list: running on as if it were absent would hide that.
+  for (const char* name : kFlagNames) (void)flags.has(name);
+  const auto unknown = flags.unused();
+  MRON_INPUT_CHECK(unknown.empty(), "unknown flag --" << unknown.front());
   if (flags.get("help", false)) {
     std::printf("usage: mron_cli --app=<terasort|wordcount|bigram|"
                 "invertedindex|textsearch|bbp> [--corpus=wikipedia|freebase]"
@@ -336,10 +350,6 @@ int run_cli(int argc, char** argv) {
   g_dfs_replication = flags.get("dfs-replication", 3);
   MRON_INPUT_CHECK(g_dfs_replication >= 1,
                    "--dfs-replication wants a positive integer");
-  // Every flag was read above, so anything left is a typo or a removed
-  // option: running on as if it were absent would hide that.
-  const auto unknown = flags.unused();
-  MRON_INPUT_CHECK(unknown.empty(), "unknown flag --" << unknown.front());
 
   if (strategy == "none" || strategy == "offline") {
     mapreduce::JobConfig cfg;

@@ -36,7 +36,6 @@ void MrAppMaster::submit() {
   MRON_CHECK(!submitted_);
   submitted_ = true;
   app_ = rm_.register_app(spec_.name);
-  host_epochs_.assign(static_cast<std::size_t>(rm_.num_nodes()), 0);
   rm_.subscribe_node_failures(
       [this](cluster::NodeId node) { handle_node_failure(node); });
   result_.id = id_;
@@ -99,6 +98,8 @@ void MrAppMaster::submit() {
     maps_.resize(static_cast<std::size_t>(num_maps_));
   }
   for (int i = 0; i < num_maps_; ++i) map_queue_.push_back(i);
+  log_ = std::make_unique<ShuffleLog>(num_maps_, spec_.num_reduces,
+                                      rm_.num_nodes());
 
   reduces_.resize(static_cast<std::size_t>(spec_.num_reduces));
   for (int i = 0; i < spec_.num_reduces; ++i) reduce_queue_.push_back(i);
@@ -131,7 +132,7 @@ bool MrAppMaster::set_task_config(const TaskRef& task, const JobConfig& config) 
   if (task.kind == TaskKind::Map) {
     if (task.index < 0 || task.index >= num_maps_) return false;
     auto& m = maps_[static_cast<std::size_t>(task.index)];
-    if (m.requested || m.done()) return false;
+    if (m.requested || map_done(task.index)) return false;
     m.override_config = clamped;
     return true;
   }
@@ -350,7 +351,7 @@ void MrAppMaster::wait_for_input_block(int index) {
     auto& mm = maps_[static_cast<std::size_t>(index)];
     if (!mm.waiting_block) return;
     mm.waiting_block = false;
-    if (finished_ || mm.done() || mm.running) return;
+    if (finished_ || map_done(index) || mm.running) return;
     request_map(index);
   });
 }
@@ -381,14 +382,14 @@ void MrAppMaster::on_map_container(int index, const yarn::Container& c) {
     if (auto* rec = engine_.recorder()) {
       rec->metrics().counter("yarn.stale_grants").add(1.0);
     }
-    if (!m.done()) request_map(index);
+    if (!map_done(index)) request_map(index);
     return;
   }
   if (spec_.input.valid() && !dfs_.has_live_replica(spec_.input, m.block)) {
     // The split's last replica died while this grant was queued: give the
     // container back and park until storage recovers a copy.
     rm_.release_container(c);
-    if (!m.done()) wait_for_input_block(index);
+    if (!map_done(index)) wait_for_input_block(index);
     return;
   }
   m.container = c;
@@ -458,8 +459,9 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
   ReduceTask::Inputs inputs;
   inputs.task = TaskRef{TaskKind::Reduce, index};
   inputs.attempt = r.attempts;
-  inputs.total_maps = num_maps_;
   inputs.num_nodes = rm_.num_nodes();
+  inputs.partition_weight = partition_weights_[static_cast<std::size_t>(index)];
+  inputs.log_cursor = r.cursor;
   inputs.ws_factor = ws_factor_;
   inputs.noise_cv = spec_.noise_cv;
   inputs.trace_tid = c.id.value();
@@ -481,38 +483,23 @@ void MrAppMaster::on_reduce_container(int index, const yarn::Container& c) {
   r.run = std::make_unique<ReduceTask>(
       engine_, rm_.node(c.node), fabric_,
       [this](cluster::NodeId n) -> cluster::Node& { return rm_.node(n); },
-      spec_.profile, cfg, inputs,
+      spec_.profile, cfg, inputs, *log_,
       rng_.fork(1000003 + static_cast<std::uint64_t>(index) * 4 +
                 static_cast<std::uint64_t>(r.attempts)),
       [this, index](const TaskReport& rep) { on_reduce_done(index, rep); });
   // Shuffle sources are never trusted directly: a fetch whose source's
   // loss epoch moved goes through the AM's availability query, and
   // abandoned fetches come back here.
-  r.run->set_output_query(
-      [this](int mi, cluster::NodeId src) {
-        return map_output_available(mi, src);
-      },
-      &host_epochs_);
+  r.run->set_output_query([this](int mi, cluster::NodeId src) {
+    return map_output_available(mi, src);
+  });
   r.run->set_fetch_failure([this, index](int mi, cluster::NodeId src) {
     on_shuffle_fetch_failure(index, mi, src);
   });
-  // Feed the live completions: those before the cursor in map-index order,
-  // the rest in log order. Each delivery is offered to the attempt as a
-  // source of its "reduce_shuffle_done" node; the reduce task stamps that
-  // node when the last segment lands and draws one edge, from the latest.
-  for (int mi = 0; mi < num_maps_; ++mi) {
-    const int pos = maps_[static_cast<std::size_t>(mi)].log_pos;
-    if (pos >= 0 && static_cast<std::size_t>(pos) < r.cursor) {
-      feed_reducer(index, mi);
-    }
-  }
-  for (std::size_t pos = r.cursor; pos < completions_.size(); ++pos) {
-    const int mi = completions_[pos];
-    if (maps_[static_cast<std::size_t>(mi)].log_pos ==
-        static_cast<int>(pos)) {
-      feed_reducer(index, mi);
-    }
-  }
+  // start() attaches the attempt to the log: every live completion is
+  // delivered to it, and each is offered as a source of its
+  // "reduce_shuffle_done" node, which the task stamps when the last
+  // segment lands, drawing one edge from the latest.
   r.run->start();
   arm_injected_failure(TaskKind::Reduce, index, r.attempts);
   schedule_pump();
@@ -546,7 +533,7 @@ void MrAppMaster::on_map_done(int index, const TaskReport& report,
   }
   // A late duplicate (e.g. an OOM-retried original finishing after the
   // speculative copy already won) only needs its container back.
-  if (m.done()) return;
+  if (map_done(index)) return;
   result_.map_reports.push_back(rep);
   if (task_listener_) task_listener_(rep);
 
@@ -580,15 +567,13 @@ void MrAppMaster::on_map_done(int index, const TaskReport& report,
     return;
   }
 
-  m.log_pos = static_cast<int>(completions_.size());
-  completions_.push_back(index);
   if (auto* cpb = cp()) {
     // The winning attempt's completion node (the task stamped it); keyed by
     // rep.attempt so a speculative win binds the backup's chain.
     m.cp_done = cpb->node(id_.value(), "map_done", index, rep.attempt);
   }
-  m.combined_output = speculative ? m.spec_run->combined_output_bytes()
-                                  : m.run->combined_output_bytes();
+  const Bytes output = speculative ? m.spec_run->combined_output_bytes()
+                                   : m.run->combined_output_bytes();
   m.ran_on = rep.node;
   result_.counters.map += rep.counters;
   if (map_secs_hist_ != nullptr) map_secs_hist_->observe(rep.duration());
@@ -601,11 +586,9 @@ void MrAppMaster::on_map_done(int index, const TaskReport& report,
     m.spec_requested = false;
   }
   settle_speculation(index, speculative);
-  // Reducers not running read the log when their attempt launches.
-  for (int rix = 0; rix < spec_.num_reduces; ++rix) {
-    const auto& r = reduces_[static_cast<std::size_t>(rix)];
-    if (r.running && r.run != nullptr) feed_reducer(rix, index);
-  }
+  // Running reducers waiting on this host wake; the rest read the entry
+  // through their cursors.
+  log_->append(index, m.ran_on, output, m.cp_done);
   if (spec_.speculative_execution) {
     check_stragglers();
     schedule_speculation_scan();
@@ -650,7 +633,9 @@ void MrAppMaster::check_stragglers() {
   for (int i = 0; i < num_maps_; ++i) {
     if (active_speculations_ >= spec_cap) break;
     auto& m = maps_[static_cast<std::size_t>(i)];
-    if (!m.running || m.done() || m.spec_requested || m.attempts > 1) continue;
+    if (!m.running || map_done(i) || m.spec_requested || m.attempts > 1) {
+      continue;
+    }
     const double elapsed = engine_.now() - m.run_started;
     if (elapsed < spec_.speculative_slowdown * mean) continue;
     m.spec_requested = true;
@@ -700,7 +685,7 @@ void MrAppMaster::schedule_speculation_scan() {
 void MrAppMaster::on_speculative_container(int index,
                                            const yarn::Container& c) {
   auto& m = maps_[static_cast<std::size_t>(index)];
-  if (m.done() || !m.spec_requested) {
+  if (map_done(index) || !m.spec_requested) {
     // The race settled while this container was queued.
     rm_.release_container(c);
     --active_speculations_;
@@ -771,19 +756,6 @@ void MrAppMaster::on_speculative_container(int index,
   m.spec_run->start();
 }
 
-void MrAppMaster::feed_reducer(int reduce_index, int map_index) {
-  const auto& m = maps_[static_cast<std::size_t>(map_index)];
-  auto& r = reduces_[static_cast<std::size_t>(reduce_index)];
-  r.run->add_map_output(
-      map_index, m.ran_on,
-      m.combined_output *
-          partition_weights_[static_cast<std::size_t>(reduce_index)],
-      epoch_of(m.ran_on));
-  // This delivery may be what the reducer's shuffle ends on; the attempt
-  // keeps the latest and draws its one edge when the shuffle completes.
-  if (auto* cpb = cp()) r.run->offer_shuffle_source(*cpb, m.cp_done);
-}
-
 void MrAppMaster::set_map_running(MapState& m, bool& flag, bool value) {
   const bool was_live = m.running || m.spec_running;
   flag = value;
@@ -827,7 +799,7 @@ void MrAppMaster::on_reduce_done(int index, const TaskReport& report) {
     r.override_config = retry;
     r.cp_fail = cp_fail_node("reduce_fail", index, r.attempts, r.cp_start);
     r.run.reset();
-    r.cursor = completions_.size();
+    r.cursor = log_->size();
     // Bypass the wave budget, as for map retries: a retry is not a new
     // launch and must not stall a tuner wave.
     request_reduce(index);
@@ -874,7 +846,7 @@ cluster::NodeId MrAppMaster::pick_live_replica(const MapState& m,
 void MrAppMaster::handle_node_failure(cluster::NodeId node) {
   // Output on the node is gone: move its epoch before any reducer code
   // runs again, so no visit to it trusts an earlier availability answer.
-  ++host_epochs_[static_cast<std::size_t>(node.value())];
+  log_->lose_host(node);
   if (finished_) return;
   // 1. Running tasks on the node die with it; re-execute immediately
   //    (node loss does not count against the task's OOM-attempt limit).
@@ -909,7 +881,7 @@ void MrAppMaster::handle_node_failure(cluster::NodeId node) {
       end_task_span(r.span);
       r.cp_fail = cp_fail_node("reduce_fail", i, r.attempts, r.cp_start);
       // The aborted run is parked by the next on_reduce_container().
-      r.cursor = completions_.size();
+      r.cursor = log_->size();
       request_reduce(i);
     } else if (r.running && r.run != nullptr) {
       // Survivors must forget segments sourced from the dead node so the
@@ -922,18 +894,16 @@ void MrAppMaster::handle_node_failure(cluster::NodeId node) {
   //    keep it; the re-delivered duplicate is deduped by map index).
   for (int i = 0; i < num_maps_; ++i) {
     auto& m = maps_[static_cast<std::size_t>(i)];
-    if (m.done() && m.ran_on == node) reexecute_lost_map(i);
+    if (map_done(i) && m.ran_on == node) reexecute_lost_map(i);
   }
   schedule_pump();
 }
 
 void MrAppMaster::reexecute_lost_map(int map_index) {
   auto& m = maps_[static_cast<std::size_t>(map_index)];
-  // The output at ran_on is no longer available: reducers holding it from
-  // there must re-ask segment by segment.
-  ++host_epochs_[static_cast<std::size_t>(m.ran_on.value())];
-  m.log_pos = -1;
-  m.combined_output = Bytes(0);
+  // The output at ran_on is no longer available: its entry dies, and
+  // reducers holding it from there must re-ask segment by segment.
+  log_->lose_output(map_index);
   --completed_maps_;
   ++result_.lost_maps_reexecuted;
   if (injector_ != nullptr) {
@@ -957,8 +927,7 @@ void MrAppMaster::reexecute_lost_map(int map_index) {
 
 bool MrAppMaster::map_output_available(int map_index,
                                        cluster::NodeId source) const {
-  const auto& m = maps_[static_cast<std::size_t>(map_index)];
-  return m.done() && m.ran_on == source && rm_.node_alive(source);
+  return log_->available(map_index, source) && rm_.node_alive(source);
 }
 
 void MrAppMaster::on_shuffle_fetch_failure(int reduce_index, int map_index,
@@ -970,7 +939,7 @@ void MrAppMaster::on_shuffle_fetch_failure(int reduce_index, int map_index,
                                     static_cast<int>(source.value()));
   }
   auto& m = maps_[static_cast<std::size_t>(map_index)];
-  if (!m.done()) {
+  if (!map_done(map_index)) {
     // Re-execution is already under way (node-failure or fault retry); the
     // fresh completion will re-deliver to every reducer.
     return;
@@ -978,13 +947,7 @@ void MrAppMaster::on_shuffle_fetch_failure(int reduce_index, int map_index,
   if (rm_.node_alive(m.ran_on) && m.ran_on != source) {
     // The map already re-ran elsewhere; only this reducer missed the news.
     auto& r = reduces_[static_cast<std::size_t>(reduce_index)];
-    if (r.running && r.run != nullptr) {
-      r.run->add_map_output(
-          map_index, m.ran_on,
-          m.combined_output *
-              partition_weights_[static_cast<std::size_t>(reduce_index)],
-          epoch_of(m.ran_on));
-    }
+    if (r.running && r.run != nullptr) r.run->redeliver(map_index);
     return;
   }
   // The reducer's fetch noticed the loss before the RM's failure
@@ -1032,7 +995,9 @@ void MrAppMaster::arm_injected_failure(TaskKind kind, int index, int attempt) {
 void MrAppMaster::fail_map_attempt(int index, int attempt) {
   auto& m = maps_[static_cast<std::size_t>(index)];
   m.fault_kill_pending = false;
-  if (finished_ || m.done() || !m.running || m.attempts != attempt) return;
+  if (finished_ || map_done(index) || !m.running || m.attempts != attempt) {
+    return;
+  }
   m.run->abort();
   set_map_running(m, m.running, false);
   rm_.release_container(m.container);
@@ -1062,7 +1027,7 @@ void MrAppMaster::fail_map_attempt(int index, int attempt) {
   // OOM retries. A speculative attempt may win during the backoff.
   engine_.schedule_after(retry_backoff(attempt), [this, index] {
     auto& m2 = maps_[static_cast<std::size_t>(index)];
-    if (finished_ || m2.done() || m2.running) return;
+    if (finished_ || map_done(index) || m2.running) return;
     request_map(index);
   });
 }
@@ -1101,7 +1066,7 @@ void MrAppMaster::fail_reduce_attempt(int index, int attempt) {
   engine_.schedule_after(retry_backoff(attempt), [this, index] {
     auto& r2 = reduces_[static_cast<std::size_t>(index)];
     if (finished_ || r2.done || r2.running) return;
-    r2.cursor = completions_.size();
+    r2.cursor = log_->size();
     request_reduce(index);
   });
 }

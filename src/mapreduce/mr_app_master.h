@@ -2,9 +2,10 @@
 //
 // Owns one job's lifecycle on the YARN substrate: builds map tasks from the
 // input dataset's blocks (one split per block), requests containers with
-// per-task Resources, launches task models, keeps the job's map-completion
-// log and feeds it to each reducer attempt, applies slowstart gating, retries
-// OOM-killed attempts, and aggregates the JobResult.
+// per-task Resources, launches task models, appends each map completion to
+// the job's ShuffleLog (which its reducer attempts read through cursors),
+// applies slowstart gating, retries OOM-killed attempts, and aggregates the
+// JobResult.
 //
 // Dynamic-configuration hooks (consumed by MRONLINE's dynamic configurator,
 // Table 1 of the paper):
@@ -32,6 +33,7 @@
 #include "mapreduce/job.h"
 #include "mapreduce/map_task.h"
 #include "mapreduce/reduce_task.h"
+#include "mapreduce/shuffle_log.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "yarn/resource_manager.h"
@@ -114,14 +116,13 @@ class MrAppMaster {
   /// exists at `source` (the map completed there and the node is alive).
   [[nodiscard]] bool map_output_available(int map_index,
                                           cluster::NodeId source) const;
-  /// Loss epoch of every node, indexed by NodeId value. A node's epoch
-  /// moves before any reducer code runs again whenever output on it may
-  /// have stopped being available: the node was lost, or a map that ran
-  /// there was invalidated. Reducers skip map_output_available() while the
-  /// epoch a segment was delivered at is still current.
-  [[nodiscard]] const ReduceTask::HostEpochs& host_epochs() const {
-    return host_epochs_;
-  }
+  /// The job's map-completion log (valid after submit()). A node's loss
+  /// epoch in it moves before any reducer code runs again whenever output
+  /// on the node may have stopped being available: the node was lost, or a
+  /// map that ran there was invalidated. Reducers skip
+  /// map_output_available() while the epoch a segment was delivered at is
+  /// still current.
+  [[nodiscard]] const ShuffleLog& shuffle_log() const { return *log_; }
 
   /// The engine this job runs on — the tuner and configurator reach the
   /// flight recorder through it.
@@ -149,11 +150,7 @@ class MrAppMaster {
     /// Parked on a dead input block (no live replica); a DFS waiter will
     /// re-request the map when storage recovers one.
     bool waiting_block = false;
-    Bytes combined_output{0};
     cluster::NodeId ran_on;
-    /// This map's live entry in completions_, -1 while not done. An entry
-    /// whose map points elsewhere is stale (that output was lost).
-    int log_pos = -1;
     SimTime run_started = 0.0;
     obs::SpanId span = obs::kInvalidSpan;  ///< open attempt trace span
     // Critical-path nodes (obs/critical_path.h): current attempt's start,
@@ -174,8 +171,6 @@ class MrAppMaster {
     bool spec_requested = false;
     bool spec_running = false;
     obs::SpanId spec_span = obs::kInvalidSpan;
-
-    [[nodiscard]] bool done() const { return log_pos >= 0; }
   };
   struct ReduceState {
     std::optional<JobConfig> override_config;
@@ -197,8 +192,8 @@ class MrAppMaster {
     // Injected-fault kill scheduled against the current attempt.
     sim::EventId fault_kill;
     bool fault_kill_pending = false;
-    /// Where the next attempt starts reading completions_ in log order; the
-    /// live entries before it are fed first, in map-index order. 0 for the
+    /// Where the next attempt starts reading the log in log order; the live
+    /// entries before it are taken first, in map-index order. 0 for the
     /// first attempt; a retry sets it to the log's end.
     std::size_t cursor = 0;
   };
@@ -227,9 +222,8 @@ class MrAppMaster {
   void on_speculative_container(int index, const yarn::Container& c);
   /// Kill whichever attempt of map `index` lost the race.
   void settle_speculation(int index, bool speculative_won);
-  /// Hand map `map_index`'s partition to reducer `reduce_index`'s running
-  /// attempt, and offer its "map_done" as the attempt's shuffle source.
-  void feed_reducer(int reduce_index, int map_index);
+  /// True while map `index` has a live completion in the log.
+  [[nodiscard]] bool map_done(int index) const { return log_->done(index); }
   /// Set `flag` (m.running or m.spec_running) to `value`, keeping
   /// live_maps_ in step. Every change of either flag goes through here.
   void set_map_running(MapState& m, bool& flag, bool value);
@@ -248,13 +242,8 @@ class MrAppMaster {
   void on_shuffle_fetch_failure(int reduce_index, int map_index,
                                 cluster::NodeId source);
   /// Invalidate completed map `map_index` (its output host died) and
-  /// relaunch it; its completion-log entry goes stale and its host's loss
-  /// epoch moves.
+  /// relaunch it; its log entry dies and its host's loss epoch moves.
   void reexecute_lost_map(int map_index);
-  /// Current loss epoch of `node`, stamped on every delivery from it.
-  [[nodiscard]] std::uint32_t epoch_of(cluster::NodeId node) const {
-    return host_epochs_[static_cast<std::size_t>(node.value())];
-  }
   /// Exponential backoff before re-running a failed attempt.
   [[nodiscard]] double retry_backoff(int attempts) const;
   void disarm_fault_kill(sim::EventId& ev, bool& pending);
@@ -294,14 +283,12 @@ class MrAppMaster {
 
   yarn::AppId app_;
   int num_maps_ = 0;
+  /// Created at submit(); declared before the tasks, which read it until
+  /// they are destroyed.
+  std::unique_ptr<ShuffleLog> log_;
   std::vector<MapState> maps_;
   std::vector<ReduceState> reduces_;
   std::vector<double> partition_weights_;
-  /// Map indices in completion order, one entry per completion (a
-  /// re-executed map appends again). Reducers read it through their cursor.
-  std::vector<int> completions_;
-  /// See host_epochs(). Sized once at submit(); reducers hold a pointer.
-  ReduceTask::HostEpochs host_epochs_;
   std::deque<int> map_queue_;
   std::deque<int> reduce_queue_;
   int outstanding_requests_ = 0;

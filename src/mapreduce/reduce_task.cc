@@ -13,20 +13,13 @@ namespace mron::mapreduce {
 namespace {
 constexpr double kOomBaseDelay = 5.0;
 constexpr std::int32_t kNone = -1;
-
-/// Home slot of NodeId value `key` in a power-of-two table (`mask` =
-/// size - 1): Fibonacci hashing, so dense node ids spread evenly.
-std::size_t home_slot(std::int64_t key, std::size_t mask) {
-  return static_cast<std::size_t>(
-             (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> 32) &
-         mask;
-}
 }  // namespace
 
 ReduceTask::ReduceTask(sim::Engine& engine, cluster::Node& node,
                        cluster::Fabric& fabric, NodeResolver resolver,
                        const AppProfile& profile, const JobConfig& config,
-                       const Inputs& inputs, Rng rng, Done done)
+                       const Inputs& inputs, ShuffleLog& log, Rng rng,
+                       Done done)
     : engine_(engine),
       node_(node),
       fabric_(fabric),
@@ -34,6 +27,7 @@ ReduceTask::ReduceTask(sim::Engine& engine, cluster::Node& node,
       profile_(profile),
       config_(config),
       inputs_(inputs),
+      log_(log),
       rng_(rng),
       done_(std::move(done)),
       // Compressed segments pack records at codec-scaled density, keeping
@@ -44,108 +38,165 @@ ReduceTask::ReduceTask(sim::Engine& engine, cluster::Node& node,
                                : 1.0)) {
   MRON_CHECK(done_ != nullptr);
   MRON_CHECK(resolver_ != nullptr);
-  MRON_CHECK(inputs_.total_maps >= 0);
-  segments_.resize(static_cast<std::size_t>(inputs_.total_maps));
+  MRON_CHECK(inputs_.log_cursor <= log_.size());
   // parallelcopies is fixed for the attempt (update_config leaves it), so
   // the visit slots are allocated once and chained into the free list.
   const int copies =
       std::max(1, static_cast<int>(config_.shuffle_parallelcopies));
   visits_.resize(static_cast<std::size_t>(copies));
   for (int v = 0; v < copies; ++v) {
-    visits_[static_cast<std::size_t>(v)].head = v + 1 < copies ? v + 1 : kNone;
+    visits_[static_cast<std::size_t>(v)].count = v + 1 < copies ? v + 1 : kNone;
   }
   free_visit_ = 0;
 }
 
-std::int32_t ReduceTask::find_host(cluster::NodeId node) const {
-  if (host_index_.empty()) return kNone;
-  const std::size_t mask = host_index_.size() - 1;
-  for (std::size_t i = home_slot(node.value(), mask);; i = (i + 1) & mask) {
-    const std::int32_t h = host_index_[i];
-    if (h == kNone || hosts_[static_cast<std::size_t>(h)].node == node) {
-      return h;
+ReduceTask::~ReduceTask() { detach(); }
+
+void ReduceTask::attach() {
+  attached_ = true;
+  launch_clock_ = log_.clock();
+  launch_end_ = log_.size();
+  held_.assign(static_cast<std::size_t>(log_.num_maps()), false);
+  hosts_.resize(static_cast<std::size_t>(log_.num_hosts()));
+  obs::CriticalPathBuilder* cp = nullptr;
+  if (auto* rec = engine_.recorder(); rec != nullptr && inputs_.cp_job >= 0) {
+    cp = &rec->critical_path();
+  }
+  // Every live completion is delivered now. A retry first takes those
+  // logged before its cursor, in map-index order, on the side queues. Each
+  // delivery is offered as a source of the attempt's "reduce_shuffle_done".
+  const auto cursor = static_cast<std::int32_t>(inputs_.log_cursor);
+  if (cursor > 0) {
+    for (int mi = 0; mi < log_.num_maps(); ++mi) {
+      const std::int32_t pos = log_.live(mi);
+      if (pos < 0 || pos >= cursor) continue;
+      push_side(pos, cursor);
+      held_[static_cast<std::size_t>(mi)] = true;
+      if (cp != nullptr) cp_last_delivery_.offer(*cp, log_.entry(pos).cp);
+    }
+  }
+  // The rest in log order: a host becomes ready at its first live entry.
+  std::vector<std::pair<std::int32_t, std::int32_t>> first;  // (pos, host)
+  for (std::int32_t h = 0; h < log_.num_hosts(); ++h) {
+    const std::vector<std::int32_t>& list = log_.list(h);
+    Host& host = hosts_[static_cast<std::size_t>(h)];
+    host.cursor = static_cast<std::int32_t>(
+        std::lower_bound(list.begin(), list.end(), cursor) - list.begin());
+    skip_undelivered(h);
+    if (!host.queued && static_cast<std::size_t>(host.cursor) < list.size()) {
+      first.emplace_back(list[static_cast<std::size_t>(host.cursor)], h);
+    }
+  }
+  std::sort(first.begin(), first.end());
+  for (const auto& [pos, h] : first) mark_queued(h);
+  if (cp != nullptr) {
+    // The first of the latest live entries from the cursor on; stamps
+    // never decrease along the log, so a backward walk stops at the first
+    // earlier one.
+    std::int32_t best = kNone;
+    for (auto pos = static_cast<std::int32_t>(launch_end_) - 1; pos >= cursor;
+         --pos) {
+      const ShuffleLog::Entry& e = log_.entry(pos);
+      if (e.died <= launch_clock_) continue;
+      if (best != kNone && cp->time(e.cp) < cp->time(log_.entry(best).cp)) {
+        break;
+      }
+      best = pos;
+    }
+    if (best != kNone) cp_last_delivery_.offer(*cp, log_.entry(best).cp);
+  }
+  log_.subscribe(inputs_.task.index, this);
+  for (std::int32_t h = 0; h < log_.num_hosts(); ++h) {
+    if (!hosts_[static_cast<std::size_t>(h)].queued) {
+      log_.wait_on(h, inputs_.task.index);
     }
   }
 }
 
-void ReduceTask::index_insert(std::int32_t h) {
-  if (static_cast<std::size_t>(live_hosts_) * 2 > host_index_.size()) {
-    // Grow to keep the load factor <= 1/2: re-place every live record, `h`
-    // included (its node is already set).
-    host_index_.assign(std::max<std::size_t>(16, host_index_.size() * 2),
-                       kNone);
-    for (std::size_t r = 0; r < hosts_.size(); ++r) {
-      if (hosts_[r].node.valid()) index_place(static_cast<std::int32_t>(r));
+void ReduceTask::detach() {
+  if (!attached_) return;
+  attached_ = false;
+  log_.unsubscribe(inputs_.task.index, this);
+  std::vector<bool>().swap(held_);
+  std::vector<std::int32_t>().swap(ignored_);
+  std::vector<Host>().swap(hosts_);
+  std::vector<Side>().swap(side_);
+  free_side_ = ready_head_ = ready_tail_ = kNone;
+}
+
+void ReduceTask::grow_hosts() {
+  if (hosts_.size() < static_cast<std::size_t>(log_.num_hosts())) {
+    hosts_.resize(static_cast<std::size_t>(log_.num_hosts()));
+  }
+}
+
+bool ReduceTask::ignored(std::int32_t pos) const {
+  return std::find(ignored_.begin(), ignored_.end(), pos) != ignored_.end();
+}
+
+bool ReduceTask::holds(int map, std::int32_t from) const {
+  if (held_[static_cast<std::size_t>(map)]) return true;
+  for (std::int32_t pos = from; pos >= 0; pos = log_.entry(pos).prev) {
+    const ShuffleLog::Entry& e = log_.entry(pos);
+    if (static_cast<std::size_t>(e.host) < hosts_.size() &&
+        hosts_[static_cast<std::size_t>(e.host)].cursor <= e.index &&
+        delivered(pos)) {
+      return true;
     }
-    return;
   }
-  index_place(h);
+  return false;
 }
 
-void ReduceTask::index_place(std::int32_t h) {
-  const std::size_t mask = host_index_.size() - 1;
-  std::size_t i = home_slot(hosts_[static_cast<std::size_t>(h)].node.value(),
-                            mask);
-  while (host_index_[i] != kNone) i = (i + 1) & mask;
-  host_index_[i] = h;
-}
-
-void ReduceTask::index_erase(std::int32_t h) {
-  const std::size_t mask = host_index_.size() - 1;
-  const auto home_of = [&](std::int32_t r) {
-    return home_slot(hosts_[static_cast<std::size_t>(r)].node.value(), mask);
-  };
-  std::size_t i = home_of(h);
-  while (host_index_[i] != h) i = (i + 1) & mask;
-  // Backward-shift deletion: pull later entries of the probe run into the
-  // hole unless their home slot lies cyclically in (hole, j].
-  host_index_[i] = kNone;
-  for (std::size_t j = (i + 1) & mask; host_index_[j] != kNone;
-       j = (j + 1) & mask) {
-    const std::size_t home = home_of(host_index_[j]);
-    const bool stays = i <= j ? (i < home && home <= j) : (i < home || home <= j);
-    if (stays) continue;
-    host_index_[i] = host_index_[j];
-    host_index_[j] = kNone;
-    i = j;
-  }
-}
-
-std::int32_t ReduceTask::acquire_host(cluster::NodeId node) {
-  std::int32_t h = find_host(node);
-  if (h != kNone) return h;
-  if (free_host_ != kNone) {
-    h = free_host_;
-    free_host_ = hosts_[static_cast<std::size_t>(h)].link;
-  } else {
-    h = static_cast<std::int32_t>(hosts_.size());
-    hosts_.emplace_back();
-  }
-  hosts_[static_cast<std::size_t>(h)] = Host{};
-  hosts_[static_cast<std::size_t>(h)].node = node;
-  ++live_hosts_;
-  index_insert(h);
-  return h;
-}
-
-void ReduceTask::maybe_release_host(std::int32_t h) {
+std::int32_t ReduceTask::pop_side(std::int32_t h) {
   Host& host = hosts_[static_cast<std::size_t>(h)];
-  if (host.queued > 0 || host.in_flight) return;
-  if (host.ready) unlink_ready(h);
-  index_erase(h);
-  host.node = cluster::NodeId();
-  host.link = free_host_;
-  free_host_ = h;
-  --live_hosts_;
+  const std::int32_t s = host.side_head;
+  Side& side = side_[static_cast<std::size_t>(s)];
+  host.side_head = side.next;
+  if (host.side_head == kNone) host.side_tail = kNone;
+  side.next = free_side_;
+  free_side_ = s;
+  return side.entry;
+}
+
+void ReduceTask::push_side(std::int32_t pos, std::int32_t at) {
+  std::int32_t s = free_side_;
+  if (s != kNone) {
+    free_side_ = side_[static_cast<std::size_t>(s)].next;
+  } else {
+    s = static_cast<std::int32_t>(side_.size());
+    side_.emplace_back();
+  }
+  side_[static_cast<std::size_t>(s)] = Side{pos, at, kNone};
+  const std::int32_t h = log_.entry(pos).host;
+  Host& host = hosts_[static_cast<std::size_t>(h)];
+  if (host.side_tail != kNone) {
+    side_[static_cast<std::size_t>(host.side_tail)].next = s;
+  } else {
+    host.side_head = s;
+  }
+  host.side_tail = s;
+  if (!host.queued) mark_queued(h);
+}
+
+void ReduceTask::mark_queued(std::int32_t h) {
+  Host& host = hosts_[static_cast<std::size_t>(h)];
+  host.queued = true;
+  host.epoch = log_.host_epoch(h);
+  if (!host.in_flight) push_ready(h);
+}
+
+void ReduceTask::mark_empty(std::int32_t h) {
+  hosts_[static_cast<std::size_t>(h)].queued = false;
+  log_.wait_on(h, inputs_.task.index);
 }
 
 void ReduceTask::push_ready(std::int32_t h) {
   Host& host = hosts_[static_cast<std::size_t>(h)];
   host.ready = true;
   host.prev = ready_tail_;
-  host.link = kNone;
+  host.next = kNone;
   if (ready_tail_ != kNone) {
-    hosts_[static_cast<std::size_t>(ready_tail_)].link = h;
+    hosts_[static_cast<std::size_t>(ready_tail_)].next = h;
   } else {
     ready_head_ = h;
   }
@@ -155,67 +206,62 @@ void ReduceTask::push_ready(std::int32_t h) {
 void ReduceTask::unlink_ready(std::int32_t h) {
   Host& host = hosts_[static_cast<std::size_t>(h)];
   if (host.prev != kNone) {
-    hosts_[static_cast<std::size_t>(host.prev)].link = host.link;
+    hosts_[static_cast<std::size_t>(host.prev)].next = host.next;
   } else {
-    ready_head_ = host.link;
+    ready_head_ = host.next;
   }
-  if (host.link != kNone) {
-    hosts_[static_cast<std::size_t>(host.link)].prev = host.prev;
+  if (host.next != kNone) {
+    hosts_[static_cast<std::size_t>(host.next)].prev = host.prev;
   } else {
     ready_tail_ = host.prev;
   }
   host.ready = false;
-  host.prev = host.link = kNone;
+  host.prev = host.next = kNone;
 }
 
-void ReduceTask::add_map_output(int map_index, cluster::NodeId source,
-                                Bytes bytes, std::uint32_t epoch) {
-  // Once the shuffle has closed every map is Fetched, so any delivery is a
-  // duplicate; the per-map index it would be checked against is gone.
-  if (shuffle_done_) return;
-  MRON_CHECK(map_index >= 0 &&
-             static_cast<std::size_t>(map_index) < segments_.size());
-  Segment& seg = segments_[static_cast<std::size_t>(map_index)];
-  // Duplicate delivery (a map re-executed after a node failure) while the
-  // first copy is still accepted: ignore it. A lost copy was reset to
-  // Absent by invalidate_source()/fail_segment(), so re-delivery lands
-  // here with a clean slate.
-  if (seg.state != SegmentState::Absent) return;
-  seg = Segment{bytes, kNone, SegmentState::Queued};
-  const std::int32_t h = acquire_host(source);
-  Host& host = hosts_[static_cast<std::size_t>(h)];
-  if (host.tail != kNone) {
-    segments_[static_cast<std::size_t>(host.tail)].next = map_index;
-  } else {
-    host.head = map_index;
-    host.epoch = epoch;
+void ReduceTask::on_append(std::int32_t h, std::int32_t pos) {
+  grow_hosts();
+  // Queued since it started waiting (a side delivery): nothing changes.
+  if (hosts_[static_cast<std::size_t>(h)].queued) return;
+  if (!delivered(pos)) {
+    log_.wait_on(h, inputs_.task.index);
+    return;
   }
-  host.tail = map_index;
-  ++host.queued;
-  ++queued_segments_;
-  if (!host.in_flight && !host.ready) push_ready(h);
+  mark_queued(h);
   if (startup_done_ && !oom_ && !aborted_) pump_fetches();
 }
 
+void ReduceTask::redeliver(int map_index) {
+  if (!attached_) return;
+  const std::int32_t pos = log_.live(map_index);
+  MRON_CHECK(pos >= 0);
+  if (holds(map_index, pos)) return;
+  push_side(pos, static_cast<std::int32_t>(log_.size()));
+  held_[static_cast<std::size_t>(map_index)] = true;
+  if (startup_done_ && !oom_ && !aborted_) pump_fetches();
+}
+
+int ReduceTask::tracked_hosts() const {
+  int n = 0;
+  for (const Host& host : hosts_) n += host.queued || host.in_flight ? 1 : 0;
+  return n;
+}
+
 void ReduceTask::invalidate_source(cluster::NodeId node) {
-  if (aborted_ || finished_) return;
+  if (!attached_ || aborted_ || finished_) return;
   // Queued segments sourced on the dead node will never connect; drop them
   // and un-accept their maps so the AM's re-delivery is taken. Segments of
   // a visit in flight are doomed by the availability re-check when its
-  // transfer lands; Fetched segments are local data and survive the source.
-  const std::int32_t h = find_host(node);
-  if (h == kNone) return;
+  // transfer lands; fetched segments are local data and survive the source.
+  const std::int32_t h = log_.host_of(node);
+  if (h < 0 || static_cast<std::size_t>(h) >= hosts_.size()) return;
   Host& host = hosts_[static_cast<std::size_t>(h)];
-  for (std::int32_t s = host.head; s != kNone;) {
-    Segment& seg = segments_[static_cast<std::size_t>(s)];
-    s = seg.next;
-    seg = Segment{};
+  while (host.side_head != kNone) {
+    held_[static_cast<std::size_t>(log_.entry(pop_side(h)).map)] = false;
   }
-  queued_segments_ -= host.queued;
-  host.queued = 0;
-  host.head = host.tail = kNone;
+  host.cursor = static_cast<std::int32_t>(log_.list(h).size());
   if (host.ready) unlink_ready(h);
-  maybe_release_host(h);
+  if (host.queued) mark_empty(h);
 }
 
 void ReduceTask::switch_phase_span(const char* name) {
@@ -233,6 +279,9 @@ void ReduceTask::switch_phase_span(const char* name) {
 void ReduceTask::abort() {
   if (aborted_ || finished_) return;
   aborted_ = true;
+  // The engine may still hold this attempt's events; each checks aborted_
+  // before it touches the released shuffle state.
+  detach();
   switch_phase_span(nullptr);
   if (started_) node_.sub_used_memory(resident_memory_);
 }
@@ -267,23 +316,25 @@ void ReduceTask::start() {
   node_.add_used_memory(resident_memory_);
 
   if (ws_full > mebibytes(config_.reduce_memory_mb)) {
+    // Killed before it fetches anything: it never reads the log.
     oom_ = true;
     engine_.schedule_after(kOomBaseDelay, [this] { finish(/*oom=*/true); });
     return;
   }
+  attach();
   // JVM/container startup before the fetchers spin up.
   engine_.schedule_after(
       profile_.task_startup_secs * rng_.lognormal_noise(0.1), [this] {
         startup_done_ = true;
         switch_phase_span("shuffle");
-        if (auto* rec = engine_.recorder(); rec != nullptr &&
-                                            inputs_.total_maps > 0) {
+        const bool any_maps = log_.num_maps() > 0;
+        if (auto* rec = engine_.recorder(); rec != nullptr && any_maps) {
           fetches_counter_ = &rec->metrics().counter("mr.shuffle.fetches");
           segments_counter_ =
               &rec->metrics().counter("mr.shuffle.segments");
           bytes_counter_ = &rec->metrics().counter("mr.shuffle.bytes");
         }
-        if (inputs_.total_maps == 0) {
+        if (!any_maps) {
           maybe_finish_shuffle();
         } else {
           pump_fetches();
@@ -304,32 +355,38 @@ void ReduceTask::begin_visit(std::int32_t h) {
   const std::int32_t v = free_visit_;
   MRON_CHECK(v != kNone);
   Visit& visit = visits_[static_cast<std::size_t>(v)];
-  free_visit_ = visit.head;
+  free_visit_ = visit.count;
   Host& host = hosts_[static_cast<std::size_t>(h)];
   host.in_flight = true;
-  // Detach up to kMaxSegmentsPerFetch segments from the head of the host's
-  // queue; they stay chained through Segment::next as the visit's list.
+  // Take up to kMaxSegmentsPerFetch segments from the head of the host's
+  // queue: its delivered log entries from the cursor on, with each side
+  // entry ahead of the log positions at or after its `at`.
   visit.host = h;
-  visit.head = host.head;
   visit.count = 0;
   visit.epoch = host.epoch;
   visit.bytes = Bytes(0);
-  std::int32_t last = kNone;
-  std::int32_t s = host.head;
-  while (s != kNone && visit.count < kMaxSegmentsPerFetch) {
-    Segment& seg = segments_[static_cast<std::size_t>(s)];
-    seg.state = SegmentState::Fetching;
-    visit.bytes += seg.bytes;
-    ++visit.count;
-    last = s;
-    s = seg.next;
+  const std::vector<std::int32_t>& list = log_.list(h);
+  const auto size = static_cast<std::int32_t>(list.size());
+  while (visit.count < kMaxSegmentsPerFetch) {
+    skip_undelivered(h);
+    std::int32_t pos = kNone;
+    if (host.side_head != kNone &&
+        (host.cursor == size ||
+         side_[static_cast<std::size_t>(host.side_head)].at <=
+             list[static_cast<std::size_t>(host.cursor)])) {
+      pos = pop_side(h);
+    } else if (host.cursor < size) {
+      pos = list[static_cast<std::size_t>(host.cursor++)];
+    } else {
+      break;
+    }
+    visit.entries[static_cast<std::size_t>(visit.count++)] = pos;
+    held_[static_cast<std::size_t>(log_.entry(pos).map)] = true;
+    visit.bytes += segment_bytes(pos);
   }
-  MRON_CHECK(last != kNone);
-  segments_[static_cast<std::size_t>(last)].next = kNone;
-  host.head = s;
-  if (s == kNone) host.tail = kNone;
-  host.queued -= visit.count;
-  queued_segments_ -= visit.count;
+  MRON_CHECK(visit.count > 0);
+  skip_undelivered(h);
+  if (host.side_head == kNone && host.cursor == size) mark_empty(h);
   ++active_visits_;
   // Visits overlap on the reducer's lane, so they trace as async b/e pairs
   // keyed by a per-attempt sequence (B/E spans must nest).
@@ -341,6 +398,12 @@ void ReduceTask::begin_visit(std::int32_t h) {
                                visit.trace_id, engine_.now(), "segments",
                                static_cast<double>(visit.count));
     }
+  }
+  if (visit_observer_) {
+    visit_observer_(log_.node(h),
+                    std::span<const std::int32_t>(
+                        visit.entries.data(),
+                        static_cast<std::size_t>(visit.count)));
   }
   // Connection setup latency, then one network flow for the whole visit.
   // The source's disk is NOT charged: map outputs were written moments ago
@@ -364,51 +427,41 @@ void ReduceTask::on_visit_connected(std::int32_t v) {
     on_visit_done(v);
     return;
   }
-  fabric_.transfer(hosts_[static_cast<std::size_t>(visit.host)].node,
-                   node_.id(), visit.bytes, [this, v] { on_visit_done(v); });
+  fabric_.transfer(log_.node(visit.host), node_.id(), visit.bytes,
+                   [this, v] { on_visit_done(v); });
 }
 
 bool ReduceTask::drop_unavailable(std::int32_t v) {
-  if (!output_query_) return true;
   Visit& visit = visits_[static_cast<std::size_t>(v)];
-  const cluster::NodeId source =
-      hosts_[static_cast<std::size_t>(visit.host)].node;
   // Every segment of the visit was available when it was delivered, at an
-  // epoch no lower than visit.epoch. Output at `source` stops being
+  // epoch no lower than visit.epoch. Output at the source stops being
   // available only through a bump of its epoch, so an unmoved epoch
   // vouches for the whole visit.
-  if (host_epochs_ != nullptr &&
-      (*host_epochs_)[static_cast<std::size_t>(source.value())] ==
-          visit.epoch) {
-    return true;
-  }
-  std::int32_t prev = kNone;
-  for (std::int32_t s = visit.head; s != kNone;) {
-    Segment& seg = segments_[static_cast<std::size_t>(s)];
-    const std::int32_t next = seg.next;
-    if (output_query_(s, source)) {
-      prev = s;
-    } else {
-      if (prev != kNone) {
-        segments_[static_cast<std::size_t>(prev)].next = next;
-      } else {
-        visit.head = next;
-      }
-      --visit.count;
-      visit.bytes -= seg.bytes;
-      // The AM may re-deliver `s` (from another node) synchronously; the
-      // segment is already out of this visit, and the rest of the visit
-      // is still Fetching, so such re-entry cannot disturb this walk.
-      fail_segment(s, source);
-      if (aborted_) return false;
+  if (log_.host_epoch(visit.host) == visit.epoch) return true;
+  const cluster::NodeId source = log_.node(visit.host);
+  const std::int32_t taken = visit.count;
+  std::int32_t kept = 0;
+  for (std::int32_t i = 0; i < taken; ++i) {
+    const std::int32_t pos = visit.entries[static_cast<std::size_t>(i)];
+    const int map = log_.entry(pos).map;
+    if (output_query_ ? output_query_(map, source)
+                      : log_.available(map, source)) {
+      visit.entries[static_cast<std::size_t>(kept++)] = pos;
+      continue;
     }
-    s = next;
+    --visit.count;
+    visit.bytes -= segment_bytes(pos);
+    // The AM may re-deliver the map (from another node) synchronously; it
+    // joins that host's queue, and this visit's slot is not free, so such
+    // re-entry cannot disturb this walk.
+    fail_segment(map, source);
+    if (aborted_) return false;
   }
   return true;
 }
 
 void ReduceTask::fail_segment(int map_index, cluster::NodeId source) {
-  segments_[static_cast<std::size_t>(map_index)] = Segment{};
+  held_[static_cast<std::size_t>(map_index)] = false;
   if (auto* rec = engine_.recorder()) {
     if (failures_counter_ == nullptr) {
       failures_counter_ = &rec->metrics().counter("mr.shuffle.fetch_failures");
@@ -429,19 +482,16 @@ void ReduceTask::end_visit(std::int32_t v) {
                              visit.bytes.as_double());
     }
   }
+  if (visit_observer_) visit_observer_(log_.node(h), {});
   visit.host = kNone;
-  visit.head = free_visit_;
+  visit.count = free_visit_;
   free_visit_ = v;
   --active_visits_;
   // A host with segments left re-joins the ready FIFO at the back, so
   // parallelcopies rotates over the hosts (Hadoop's freeHost()).
   Host& host = hosts_[static_cast<std::size_t>(h)];
   host.in_flight = false;
-  if (host.queued > 0) {
-    push_ready(h);
-  } else {
-    maybe_release_host(h);
-  }
+  if (host.queued) push_ready(h);
 }
 
 void ReduceTask::on_visit_done(std::int32_t v) {
@@ -451,16 +501,13 @@ void ReduceTask::on_visit_done(std::int32_t v) {
   // never connected.
   if (!drop_unavailable(v)) return;
   const Visit& visit = visits_[static_cast<std::size_t>(v)];
-  const std::int32_t head = visit.head;
   const int count = visit.count;
   const Bytes bytes = visit.bytes;
   end_visit(v);
-  for (std::int32_t s = head; s != kNone;) {
-    Segment& seg = segments_[static_cast<std::size_t>(s)];
-    s = seg.next;
-    seg.next = kNone;
-    seg.state = SegmentState::Fetched;
-    accept_segment(seg.bytes);
+  // The slot's entries stay intact until the next begin_visit (in
+  // pump_fetches below).
+  for (int i = 0; i < count; ++i) {
+    accept_segment(segment_bytes(visit.entries[static_cast<std::size_t>(i)]));
   }
   fetched_maps_ += count;
   total_input_ += bytes;
@@ -488,18 +535,16 @@ void ReduceTask::accept_segment(Bytes bytes) {
 void ReduceTask::maybe_finish_shuffle() {
   if (aborted_) return;
   if (shuffle_done_) return;
-  if (fetched_maps_ < inputs_.total_maps) return;
-  if (active_visits_ > 0 || queued_segments_ > 0) return;
+  // One copy of each map is held at a time, so every map fetched leaves
+  // nothing queued.
+  if (fetched_maps_ < log_.num_maps()) return;
+  if (active_visits_ > 0) return;
   if (outstanding_spill_writes_ > 0) return;
   shuffle_done_ = true;
-  // Every map is Fetched and every host record is free: nothing reads the
-  // per-map index or the host records again, so a finished attempt keeps
-  // no O(maps) state for the rest of the job.
-  MRON_CHECK(live_hosts_ == 0);
-  std::vector<Segment>().swap(segments_);
-  std::vector<Host>().swap(hosts_);
-  std::vector<std::int32_t>().swap(host_index_);
-  free_host_ = kNone;
+  // Nothing reads the per-map flags or the host records again, so a
+  // finished attempt keeps no O(maps) state for the rest of the job.
+  MRON_CHECK(ready_head_ == kNone);
+  detach();
 
   const Bytes final_flush = buffer_.finalize();
   if (final_flush > Bytes(0)) {
@@ -507,6 +552,30 @@ void ReduceTask::maybe_finish_shuffle() {
   } else {
     engine_.schedule_after(0.0, [this] { phase_merge(); });
   }
+}
+
+void ReduceTask::emit_shuffle_done(obs::CriticalPathBuilder& cp) {
+  // Every completion appended since launch was delivered as a source too.
+  // Stamps never decrease along the log, so the first entry stamped like
+  // the newest one is the earliest of the latest, the one kept on a tie.
+  const std::size_t end = log_.size();
+  if (end > launch_end_) {
+    const double latest =
+        cp.time(log_.entry(static_cast<std::int32_t>(end - 1)).cp);
+    std::size_t lo = launch_end_;
+    std::size_t hi = end - 1;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (cp.time(log_.entry(static_cast<std::int32_t>(mid)).cp) < latest) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    cp_last_delivery_.offer(cp, log_.entry(static_cast<std::int32_t>(lo)).cp);
+  }
+  cp_last_delivery_.emit(cp, inputs_.cp_shuffle_done, inputs_.cp_start,
+                         obs::Blame::ShuffleNet);
 }
 
 void ReduceTask::phase_merge() {
@@ -521,8 +590,7 @@ void ReduceTask::phase_merge() {
       cp.stamp(inputs_.cp_shuffle_done, engine_.now(),
                static_cast<int>(node_.id().value()),
                static_cast<int>(inputs_.trace_tid));
-      cp_last_delivery_.emit(cp, inputs_.cp_shuffle_done, inputs_.cp_start,
-                             obs::Blame::ShuffleNet);
+      emit_shuffle_done(cp);
     }
   }
   report_.counters.spilled_records += buffer_.spilled_records();

@@ -194,13 +194,16 @@ TEST(FaultRecovery, FaultedReportsAreStamped) {
 
 // One reducer on node 0 with parallelcopies 2. Host 2 holds maps 0-29 (a
 // visit of 20, then 10 queued behind it); host 3 holds maps 30-39. Host 2
-// dies while its first visit is transferring. A stand-in AM answers the
-// availability query from liveness, drops the reducer's queued host-2
-// segments (invalidate_source) and re-runs every lost map on host 4, as
-// MrAppMaster does. `with_epochs` also hands the reducer a loss-epoch
-// table, stamps each delivery with its source's epoch and bumps host 2's
-// when it dies, as MrAppMaster does.
-void source_crash_mid_visit(bool with_epochs) {
+// dies while its first visit is transferring. A stand-in AM does what
+// MrAppMaster does: it answers the availability query from the log and
+// liveness, moves host 2's loss epoch, kills its entries, drops the
+// reducer's queued host-2 segments (invalidate_source) and re-runs every
+// lost map on host 4. A fetch failure re-delivers from the live copy once
+// the map has re-run. `rerun_at_crash` re-runs the maps at the crash, so
+// the in-flight ones are ignored as duplicates and come back through
+// re-delivery; otherwise they re-run after the failures, and arrive as
+// new completions.
+void source_crash_mid_visit(bool rerun_at_crash) {
   sim::Engine eng;
   cluster::ClusterSpec spec;
   spec.num_slaves = 6;
@@ -218,9 +221,9 @@ void source_crash_mid_visit(bool with_epochs) {
   profile.task_startup_secs = 0.0;
   JobConfig cfg;
   cfg.shuffle_parallelcopies = 2;
+  ShuffleLog log(40, 1, 6);
   ReduceTask::Inputs in;
   in.task = TaskRef{TaskKind::Reduce, 0};
-  in.total_maps = 40;
   in.num_nodes = 6;
   std::optional<TaskReport> report;
   ReduceTask r(
@@ -228,46 +231,40 @@ void source_crash_mid_visit(bool with_epochs) {
       [&](cluster::NodeId n) -> cluster::Node& {
         return *nodes[static_cast<std::size_t>(n.value())];
       },
-      profile, cfg, in, Rng(5), [&](const TaskReport& t) { report = t; });
+      profile, cfg, in, log, Rng(5), [&](const TaskReport& t) { report = t; });
 
   const Bytes seg = mebibytes(4);
-  std::vector<cluster::NodeId> ran_on(40);
-  for (int i = 0; i < 40; ++i) {
-    ran_on[static_cast<std::size_t>(i)] = cluster::NodeId(i < 30 ? 2 : 3);
-  }
   bool host2_alive = true;
   std::vector<int> failed;
   int queries = 0;
-  ReduceTask::HostEpochs epochs(6, 0);
-  r.set_output_query(
-      [&](int mi, cluster::NodeId src) {
-        ++queries;
-        return ran_on[static_cast<std::size_t>(mi)] == src &&
-               (src.value() != 2 || host2_alive);
-      },
-      with_epochs ? &epochs : nullptr);
-  auto deliver = [&](int mi, cluster::NodeId src) {
-    r.add_map_output(mi, src, seg,
-                     epochs[static_cast<std::size_t>(src.value())]);
-  };
-  r.set_fetch_failure([&](int mi, cluster::NodeId) {
-    failed.push_back(mi);
-    deliver(mi, ran_on[static_cast<std::size_t>(mi)]);
+  r.set_output_query([&](int mi, cluster::NodeId src) {
+    ++queries;
+    return log.available(mi, src) && (src.value() != 2 || host2_alive);
   });
-  for (int i = 0; i < 40; ++i) deliver(i, ran_on[static_cast<std::size_t>(i)]);
+  r.set_fetch_failure([&](int mi, cluster::NodeId src) {
+    failed.push_back(mi);
+    if (log.done(mi) && !log.available(mi, src)) r.redeliver(mi);
+  });
+  auto rerun_lost = [&] {
+    for (int i = 0; i < 30; ++i) {
+      log.append(i, cluster::NodeId(4), seg, obs::kInvalidCpNode);
+    }
+  };
+  for (int i = 0; i < 40; ++i) {
+    log.append(i, cluster::NodeId(i < 30 ? 2 : 3), seg, obs::kInvalidCpNode);
+  }
   int in_flight_to_host2 = -1;
   eng.schedule_at(0.3, [&] {
     r.for_each_visit([&](cluster::NodeId host, int segments) {
       if (host.value() == 2) in_flight_to_host2 = segments;
     });
     host2_alive = false;
-    ++epochs[2];
-    for (int i = 0; i < 30; ++i) {
-      ran_on[static_cast<std::size_t>(i)] = cluster::NodeId(4);
-    }
+    log.lose_host(cluster::NodeId(2));
+    for (int i = 0; i < 30; ++i) log.lose_output(i);
     r.invalidate_source(cluster::NodeId(2));
-    for (int i = 20; i < 30; ++i) deliver(i, cluster::NodeId(4));
+    if (rerun_at_crash) rerun_lost();
   });
+  if (!rerun_at_crash) eng.schedule_at(5.0, rerun_lost);
   r.start();
   eng.run();
 
@@ -278,21 +275,22 @@ void source_crash_mid_visit(bool with_epochs) {
   std::vector<int> expected;
   for (int i = 0; i < kMaxSegmentsPerFetch; ++i) expected.push_back(i);
   EXPECT_EQ(failed, expected);
+  ASSERT_LT(report->start_time, 5.0);
+  EXPECT_GE(report->end_time, rerun_at_crash ? 0.3 : 5.0);
   // Every map's partition landed exactly once.
   EXPECT_EQ(report->counters.shuffle_bytes, seg * 40.0);
   EXPECT_EQ(r.tracked_hosts(), 0);
-  // Without epochs every segment is asked about at connect and at landing
-  // (the re-run maps 0-19 twice more). With them only the doomed visit's
-  // landing asks, once per segment.
-  EXPECT_EQ(queries, with_epochs ? kMaxSegmentsPerFetch : 2 * 40 + 2 * 20);
+  // Only the doomed visit's landing asks, once per segment: no other
+  // visit's source epoch moved after its segments were delivered.
+  EXPECT_EQ(queries, kMaxSegmentsPerFetch);
 }
 
 TEST(FaultRecovery, SourceCrashMidVisitFailsOnlyThatVisit) {
-  source_crash_mid_visit(/*with_epochs=*/false);
+  source_crash_mid_visit(/*rerun_at_crash=*/false);
 }
 
 TEST(FaultRecovery, SourceCrashMidVisitFailsOnlyThatVisitByEpoch) {
-  source_crash_mid_visit(/*with_epochs=*/true);
+  source_crash_mid_visit(/*rerun_at_crash=*/true);
 }
 
 TEST(FaultRecovery, LossEpochsMoveWithNodeLossAndLostOutput) {
@@ -311,7 +309,7 @@ TEST(FaultRecovery, LossEpochsMoveWithNodeLossAndLostOutput) {
   sim.engine().schedule_at(1.0, [&] {
     completed_at_first_loss = am.completed_maps();
     sim.rm().fail_node(cluster::NodeId(5));
-    epoch5_after = am.host_epochs()[5];
+    epoch5_after = am.shuffle_log().epoch(cluster::NodeId(5));
   });
   sim.engine().schedule_at(60.0,
                            [&] { sim.rm().fail_node(cluster::NodeId(0)); });
@@ -319,10 +317,10 @@ TEST(FaultRecovery, LossEpochsMoveWithNodeLossAndLostOutput) {
   ASSERT_EQ(completed_at_first_loss, 0);
   EXPECT_EQ(epoch5_after, 1U);
   ASSERT_GT(result.lost_maps_reexecuted, 0);
-  EXPECT_EQ(am.host_epochs()[0],
+  EXPECT_EQ(am.shuffle_log().epoch(cluster::NodeId(0)),
             1U + static_cast<std::uint32_t>(result.lost_maps_reexecuted));
   for (int n = 1; n < 5; ++n) {
-    EXPECT_EQ(am.host_epochs()[static_cast<std::size_t>(n)], 0U) << n;
+    EXPECT_EQ(am.shuffle_log().epoch(cluster::NodeId(n)), 0U) << n;
   }
 }
 

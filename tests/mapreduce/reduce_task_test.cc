@@ -31,19 +31,26 @@ struct World {
     profile.task_startup_secs = 0.0;
   }
 
+  /// A one-reducer job of `total_maps` maps; the reducer runs on node 0.
   ReduceTask& make_reduce(const JobConfig& cfg, int total_maps) {
+    log = std::make_unique<ShuffleLog>(total_maps, 1,
+                                       static_cast<int>(nodes.size()));
     ReduceTask::Inputs in;
     in.task = TaskRef{TaskKind::Reduce, 0};
-    in.total_maps = total_maps;
     in.num_nodes = static_cast<int>(nodes.size());
     task = std::make_unique<ReduceTask>(
         eng, *nodes[0], *fabric,
         [this](cluster::NodeId n) -> cluster::Node& {
           return *nodes[static_cast<std::size_t>(n.value())];
         },
-        profile, cfg, in, Rng(11),
+        profile, cfg, in, *log, Rng(11),
         [this](const TaskReport& r) { report = r; });
     return *task;
+  }
+  /// Map `map` completed on node `host` (the reducer's partition is all of
+  /// its output).
+  void complete(int map, int host, Bytes output) {
+    log->append(map, cluster::NodeId(host), output, obs::kInvalidCpNode);
   }
 
   sim::Engine eng;
@@ -52,6 +59,7 @@ struct World {
   std::vector<std::unique_ptr<cluster::Node>> nodes;
   std::unique_ptr<cluster::Fabric> fabric;
   AppProfile profile;
+  std::unique_ptr<ShuffleLog> log;
   std::unique_ptr<ReduceTask> task;
   std::optional<TaskReport> report;
 };
@@ -60,7 +68,7 @@ TEST(ReduceTask, FetchesAllSegmentsAndCompletes) {
   World w;
   auto& r = w.make_reduce(JobConfig{}, 8);
   for (int i = 0; i < 8; ++i) {
-    r.add_map_output(i, cluster::NodeId(i % 4), mebibytes(10));
+    w.complete(i, i % 4, mebibytes(10));
   }
   r.start();
   w.eng.run();
@@ -76,11 +84,11 @@ TEST(ReduceTask, MapOutputsArrivingAfterStartAreFetched) {
   auto& r = w.make_reduce(JobConfig{}, 3);
   r.start();
   w.eng.schedule_at(1.0,
-                    [&] { r.add_map_output(0, cluster::NodeId(1), mebibytes(5)); });
+                    [&] { w.complete(0, 1, mebibytes(5)); });
   w.eng.schedule_at(2.0,
-                    [&] { r.add_map_output(1, cluster::NodeId(2), mebibytes(5)); });
+                    [&] { w.complete(1, 2, mebibytes(5)); });
   w.eng.schedule_at(9.0,
-                    [&] { r.add_map_output(2, cluster::NodeId(3), mebibytes(5)); });
+                    [&] { w.complete(2, 3, mebibytes(5)); });
   w.eng.run();
   ASSERT_TRUE(w.report.has_value());
   EXPECT_EQ(w.report->counters.shuffle_bytes, mebibytes(15));
@@ -92,7 +100,7 @@ TEST(ReduceTask, DefaultConfigSpillsInputBeforeReduce) {
   World w;
   auto& r = w.make_reduce(JobConfig{}, 4);
   for (int i = 0; i < 4; ++i) {
-    r.add_map_output(i, cluster::NodeId(1), mebibytes(20));
+    w.complete(i, 1, mebibytes(20));
   }
   r.start();
   w.eng.run();
@@ -110,7 +118,7 @@ TEST(ReduceTask, TunedBuffersKeepInputInMemory) {
   cfg.merge_inmem_threshold = 0;
   auto& r = w.make_reduce(cfg, 4);
   for (int i = 0; i < 4; ++i) {
-    r.add_map_output(i, cluster::NodeId(1), mebibytes(20));
+    w.complete(i, 1, mebibytes(20));
   }
   r.start();
   w.eng.run();
@@ -125,7 +133,7 @@ TEST(ReduceTask, OomWhenWorkingSetExceedsContainer) {
   cfg.reduce_memory_mb = 512;
   cfg.shuffle_input_buffer_percent = 0.9;  // 461 MiB + 200 MiB ws > 512
   auto& r = w.make_reduce(cfg, 1);
-  r.add_map_output(0, cluster::NodeId(1), mebibytes(1));
+  w.complete(0, 1, mebibytes(1));
   r.start();
   w.eng.run();
   ASSERT_TRUE(w.report.has_value());
@@ -144,7 +152,7 @@ TEST(ReduceTask, ParallelCopiesHideFetchLatency) {
     cfg.shuffle_parallelcopies = copies;
     auto& r = w.make_reduce(cfg, 100);
     for (int i = 0; i < 100; ++i) {
-      r.add_map_output(i, cluster::NodeId(1 + i % 10), Bytes(1000));
+      w.complete(i, 1 + i % 10, Bytes(1000));
     }
     r.start();
     w.eng.run();
@@ -163,7 +171,7 @@ TEST(ReduceTask, SingleHostShuffleIgnoresParallelCopies) {
     cfg.shuffle_parallelcopies = copies;
     auto& r = w.make_reduce(cfg, 100);
     for (int i = 0; i < 100; ++i) {
-      r.add_map_output(i, cluster::NodeId(1), kibibytes(64));
+      w.complete(i, 1, kibibytes(64));
     }
     r.start();
     w.eng.run();
@@ -184,11 +192,11 @@ TEST(ReduceTask, VisitsRespectSegmentHostAndCopyLimits) {
   cfg.shuffle_parallelcopies = 3;
   auto& r = w.make_reduce(cfg, 200);
   for (int i = 0; i < 100; ++i) {
-    r.add_map_output(i, cluster::NodeId(1 + i % 8), kibibytes(256));
+    w.complete(i, 1 + i % 8, kibibytes(256));
   }
   for (int i = 100; i < 200; ++i) {
-    w.eng.schedule_at(0.01 * (i - 100), [&r, i] {
-      r.add_map_output(i, cluster::NodeId(1 + i % 8), kibibytes(256));
+    w.eng.schedule_at(0.01 * (i - 100), [&w, i] {
+      w.complete(i, 1 + i % 8, kibibytes(256));
     });
   }
   int probes = 0;
@@ -233,7 +241,7 @@ TEST(ReduceTask, VisitCarriesAtMostTwentySegments) {
   w.eng.set_recorder(&rec);
   auto& r = w.make_reduce(JobConfig{}, 45);
   for (int i = 0; i < 45; ++i) {
-    r.add_map_output(i, cluster::NodeId(2), kibibytes(64));
+    w.complete(i, 2, kibibytes(64));
   }
   r.start();
   w.eng.run();
@@ -261,52 +269,55 @@ TEST(ReduceTask, VisitCarriesAtMostTwentySegments) {
 
 TEST(ReduceTask, HostStateOnlyForHostsWithPendingOutput) {
   // A 10,240-node cluster whose five map hosts are scattered across it:
-  // the reducer tracks five hosts, not 10,240, and nothing once the
-  // shuffle drains.
+  // the reducer keeps records for the five hosts the log has seen, not
+  // 10,240, and none once the shuffle drains.
   World w(10240);
   auto& r = w.make_reduce(JobConfig{}, 50);
   const int hosts[] = {17, 2048, 4097, 9000, 10239};
   for (int i = 0; i < 50; ++i) {
-    r.add_map_output(i, cluster::NodeId(hosts[i % 5]), kibibytes(128));
+    w.complete(i, hosts[i % 5], kibibytes(128));
   }
+  r.start();
   EXPECT_EQ(r.tracked_hosts(), 5);
   EXPECT_EQ(r.host_slots(), 5U);
-  r.start();
   w.eng.run();
   ASSERT_TRUE(w.report.has_value());
   EXPECT_EQ(w.report->counters.shuffle_bytes, kibibytes(128) * 50.0);
   EXPECT_EQ(r.tracked_hosts(), 0);
-  EXPECT_LE(r.host_slots(), 5U);
+  EXPECT_EQ(r.host_slots(), 0U);
 }
 
 TEST(ReduceTask, HostStateSurvivesChurnOnALargeCluster) {
-  // 300 hosts grow the host index several times; invalidating every third
-  // host frees records mid-table. Later outputs from the surviving hosts
-  // must find their existing records (a lookup broken by the deletions
-  // would open a duplicate), and re-deliveries from fresh hosts reuse the
-  // freed ones.
+  // 300 hosts on a 10,240-node cluster; every third one is lost with the
+  // maps it held, which re-run on 100 fresh hosts. Later outputs from the
+  // surviving hosts join their existing queues, the lost hosts come back
+  // with new output, and every map lands exactly once. The reducer holds
+  // one record per host the log has seen (400), never one per node.
   World w(10240);
   auto& r = w.make_reduce(JobConfig{}, 700);
-  auto host_of = [](int i) { return cluster::NodeId(1 + (i * 37) % 10239); };
-  for (int i = 0; i < 300; ++i) r.add_map_output(i, host_of(i), kibibytes(8));
+  auto host_of = [](int i) { return static_cast<int>(1 + (i * 37) % 10239); };
+  for (int i = 0; i < 300; ++i) w.complete(i, host_of(i), kibibytes(8));
+  r.start();
   EXPECT_EQ(r.tracked_hosts(), 300);
-  for (int i = 0; i < 300; i += 3) r.invalidate_source(host_of(i));
+  for (int i = 0; i < 300; i += 3) {
+    w.log->lose_host(cluster::NodeId(host_of(i)));
+    w.log->lose_output(i);
+    r.invalidate_source(cluster::NodeId(host_of(i)));
+  }
   EXPECT_EQ(r.tracked_hosts(), 200);
   for (int i = 0; i < 300; ++i) {
-    if (i % 3 != 0) r.add_map_output(300 + i, host_of(i), kibibytes(8));
+    if (i % 3 != 0) w.complete(300 + i, host_of(i), kibibytes(8));
   }
   EXPECT_EQ(r.tracked_hosts(), 200);
   for (int i = 0; i < 300; i += 3) {
-    r.add_map_output(i, host_of(i + 1000), kibibytes(8));
-    r.add_map_output(300 + i, host_of(i + 1000), kibibytes(8));
+    w.complete(i, host_of(i + 1000), kibibytes(8));
+    w.complete(300 + i, host_of(i + 1000), kibibytes(8));
   }
   EXPECT_EQ(r.tracked_hosts(), 300);
-  EXPECT_EQ(r.host_slots(), 300U);
-  for (int i = 600; i < 700; ++i) {
-    r.add_map_output(i, host_of(i - 600), kibibytes(8));
-  }
+  EXPECT_EQ(r.host_slots(), 400U);
+  for (int i = 600; i < 700; ++i) w.complete(i, host_of(i - 600), kibibytes(8));
   EXPECT_EQ(r.tracked_hosts(), 300 + 34);  // hosts 0, 3, ..., 99 return
-  r.start();
+  EXPECT_EQ(r.host_slots(), 400U);
   w.eng.run();
   ASSERT_TRUE(w.report.has_value());
   EXPECT_EQ(w.report->counters.shuffle_bytes, kibibytes(8) * 700.0);
@@ -314,26 +325,21 @@ TEST(ReduceTask, HostStateSurvivesChurnOnALargeCluster) {
 }
 
 TEST(ReduceTask, UnmovedEpochSkipsTheAvailabilityQuery) {
-  // With the AM's epoch table installed, a visit asks nothing while its
-  // source's epoch is still the one its segments were delivered at. Once
-  // the epoch moves, the visit asks about each of its segments when it
-  // connects and again when it lands, as it does without the table.
+  // A visit asks nothing while its source's loss epoch is still the one
+  // its segments were delivered at. Once the epoch moves, the visit asks
+  // about each of its segments when it connects and again when it lands.
   for (const bool bump : {false, true}) {
     World w;
     auto& r = w.make_reduce(JobConfig{}, 30);
-    ReduceTask::HostEpochs epochs(w.nodes.size(), 3);
     int queries = 0;
-    r.set_output_query(
-        [&](int, cluster::NodeId) {
-          ++queries;
-          return true;
-        },
-        &epochs);
-    for (int i = 0; i < 30; ++i) {
-      r.add_map_output(i, cluster::NodeId(1 + i % 3), kibibytes(64), 3);
-    }
-    if (bump) epochs[2] = 4;  // host 2 holds 10 segments, one visit
+    r.set_output_query([&](int, cluster::NodeId) {
+      ++queries;
+      return true;
+    });
+    for (int i = 0; i < 30; ++i) w.complete(i, 1 + i % 3, kibibytes(64));
     r.start();
+    // Host 2 holds 10 segments, one visit.
+    if (bump) w.log->lose_host(cluster::NodeId(2));
     w.eng.run();
     ASSERT_TRUE(w.report.has_value());
     EXPECT_EQ(w.report->counters.shuffle_bytes, kibibytes(64) * 30.0);
@@ -342,27 +348,22 @@ TEST(ReduceTask, UnmovedEpochSkipsTheAvailabilityQuery) {
 }
 
 TEST(ReduceTask, HostEpochIsItsOldestQueuedDelivery) {
-  // Map 0 is delivered from host 1, then invalidated there (the epoch
-  // moves), then map 1 arrives from host 1 at the new epoch while map 0 is
-  // still queued. The visit that takes both must re-ask about each: the
-  // newer delivery's epoch does not vouch for the older one.
+  // Map 0 is delivered from host 1, then lost there (the epoch moves),
+  // then map 1 arrives from host 1 at the new epoch while map 0 is still
+  // queued. The visit that takes both must re-ask about each: the newer
+  // delivery's epoch does not vouch for the older one. Map 0 then re-runs
+  // on host 2.
   World w;
   auto& r = w.make_reduce(JobConfig{}, 2);
-  ReduceTask::HostEpochs epochs(w.nodes.size(), 0);
-  bool map0_available = true;
   std::vector<int> failed;
-  r.set_output_query(
-      [&](int mi, cluster::NodeId) { return mi != 0 || map0_available; },
-      &epochs);
   r.set_fetch_failure([&](int mi, cluster::NodeId) {
     failed.push_back(mi);
-    r.add_map_output(mi, cluster::NodeId(2), kibibytes(64), epochs[2]);
+    w.complete(mi, 2, kibibytes(64));
   });
-  r.add_map_output(0, cluster::NodeId(1), kibibytes(64), epochs[1]);
-  map0_available = false;
-  ++epochs[1];
-  r.add_map_output(1, cluster::NodeId(1), kibibytes(64), epochs[1]);
+  w.complete(0, 1, kibibytes(64));
   r.start();
+  w.log->lose_output(0);
+  w.complete(1, 1, kibibytes(64));
   w.eng.run();
   ASSERT_TRUE(w.report.has_value());
   EXPECT_EQ(failed, std::vector<int>{0});
@@ -371,12 +372,12 @@ TEST(ReduceTask, HostEpochIsItsOldestQueuedDelivery) {
 
 TEST(ReduceTask, ShuffleCloseReleasesThePerMapIndex) {
   // Once the last segment has landed the attempt keeps no per-map or
-  // per-host state, and a late duplicate delivery (a re-executed map's
-  // second completion) is ignored instead of touching the freed index.
+  // per-host state, and a late duplicate (a re-executed map's second
+  // completion) is ignored instead of touching the freed state.
   World w;
   auto& r = w.make_reduce(JobConfig{}, 40);
   for (int i = 0; i < 40; ++i) {
-    r.add_map_output(i, cluster::NodeId(1 + i % 3), kibibytes(64));
+    w.complete(i, 1 + i % 3, kibibytes(64));
   }
   std::size_t slots_while_shuffling = 0;
   w.eng.schedule_at(0.01, [&] { slots_while_shuffling = r.host_slots(); });
@@ -386,7 +387,8 @@ TEST(ReduceTask, ShuffleCloseReleasesThePerMapIndex) {
   EXPECT_EQ(slots_while_shuffling, 3U);
   EXPECT_EQ(r.host_slots(), 0U);
   EXPECT_EQ(r.tracked_hosts(), 0);
-  r.add_map_output(7, cluster::NodeId(2), kibibytes(64));
+  w.log->lose_output(7);
+  w.complete(7, 2, kibibytes(64));
   r.invalidate_source(cluster::NodeId(2));
   EXPECT_EQ(r.host_slots(), 0U);
   EXPECT_EQ(r.tracked_hosts(), 0);
@@ -408,7 +410,7 @@ TEST(ReduceTask, OutputWriteReplicatesOffNode) {
   World w;
   w.profile.reduce_output_ratio = 1.0;
   auto& r = w.make_reduce(JobConfig{}, 1);
-  r.add_map_output(0, cluster::NodeId(0), mebibytes(50));  // node-local fetch
+  w.complete(0, 0, mebibytes(50));  // node-local fetch
   r.start();
   w.eng.run();
   ASSERT_TRUE(w.report.has_value());
