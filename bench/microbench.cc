@@ -205,28 +205,9 @@ void BM_EndToEndTerasort(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndTerasort)->Arg(2)->Arg(32)->Unit(benchmark::kMillisecond);
 
-// Same job with the cluster monitor sampling every simulated second but
-// nothing recorded — the substrate any tuned MRONLINE run pays anyway, and
-// the fair baseline for the flight-recorder overhead check below.
-void BM_EndToEndTerasortMonitored(benchmark::State& state) {
-  const auto gb = state.range(0);
-  for (auto _ : state) {
-    mapreduce::SimulationOptions opt;
-    opt.seed = 3;
-    mapreduce::Simulation sim(opt);
-    sim.monitor().start();
-    auto spec = workloads::make_terasort(sim, gibibytes(gb));
-    benchmark::DoNotOptimize(sim.run_job(std::move(spec)).exec_time());
-  }
-}
-BENCHMARK(BM_EndToEndTerasortMonitored)
-    ->Arg(2)
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
 // The flight-recorder overhead check: the same end-to-end job with the
 // recorder attached (metrics + spans + audit live in memory, no export).
-// Compare against the monitored run above. The 2 GB job is a stress case —
+// Compare against the plain run above. The 2 GB job is a stress case —
 // the whole simulation runs in a fraction of a millisecond, so per-tick
 // metric sampling looms large; the 32 GB job shows how the fixed sampling
 // cost amortizes as simulated work grows.

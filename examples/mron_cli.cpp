@@ -57,6 +57,9 @@ namespace {
 /// Largest --size-gb: 64 TiB is 524,288 map tasks of 128 MiB, far from
 /// overflowing the int64 byte count or the int map count.
 constexpr double kMaxSizeGb = 65536.0;
+/// Largest --runs: the parallel runner allocates every run's result up
+/// front, so an unbounded count is an out-of-memory crash, not a long run.
+constexpr int kMaxRuns = 10000;
 
 /// Flight-recorder destinations (empty path = don't write). When any is
 /// set, every simulation runs observed; each finished run rewrites the
@@ -298,7 +301,8 @@ int run_cli(int argc, char** argv) {
   const std::string strategy = flags.get("strategy", std::string("none"));
   const auto seed = static_cast<std::uint64_t>(flags.get("seed", 1));
   const int runs = flags.get("runs", 1);
-  MRON_INPUT_CHECK(runs >= 0, "--runs wants a non-negative integer");
+  MRON_INPUT_CHECK(runs >= 0 && runs <= kMaxRuns,
+                   "--runs=" << runs << " outside [0, " << kMaxRuns << "]");
   const int jobs = flags.get("jobs", 1);
   MRON_INPUT_CHECK(jobs >= 1, "--jobs wants a positive integer");
   mron::sim::ParallelRunner pool(jobs);

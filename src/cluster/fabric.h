@@ -50,10 +50,6 @@ class Fabric {
   /// their servers. No-op when already finished or cancelled (the common
   /// pattern when a completion races a source-node death).
   void cancel_transfer(CopyId id);
-  /// Live capped transfers (tests and the re-replication work limiter).
-  [[nodiscard]] std::size_t active_capped_transfers() const {
-    return copies_.size();
-  }
 
   /// Total bytes that have crossed rack boundaries (for tests/benches).
   [[nodiscard]] double inter_rack_bytes() const { return inter_rack_bytes_; }

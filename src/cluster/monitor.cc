@@ -10,19 +10,15 @@
 namespace mron::cluster {
 
 ClusterMonitor::ClusterMonitor(sim::Engine& engine, std::vector<Node*> nodes,
-                               SimTime period, const Topology* topo,
-                               int node_series_limit)
+                               const Topology& topo)
     : engine_(engine),
       nodes_(std::move(nodes)),
-      period_(period),
       topo_(topo),
-      node_series_limit_(node_series_limit) {
-  MRON_CHECK(period_ > 0.0);
-  MRON_CHECK(node_series_limit_ >= 1);
-  if (topo_ != nullptr) {
-    MRON_CHECK(static_cast<int>(nodes_.size()) == topo_->num_nodes());
-  }
-  latest_.resize(nodes_.size());
+      by_rack_(static_cast<int>(nodes_.size()) > kMonitorNodeSeriesLimit) {
+  MRON_CHECK(engine.recorder() != nullptr);
+  MRON_CHECK(static_cast<int>(nodes_.size()) == topo_.num_nodes());
+  windows_.resize(by_rack_ ? static_cast<std::size_t>(topo_.num_racks())
+                           : nodes_.size());
   prev_.resize(nodes_.size());
   in_active_.assign(nodes_.size(), 0);
   // Subscribe to every node's activity stream: the push side of the dirty
@@ -38,6 +34,12 @@ ClusterMonitor::~ClusterMonitor() {
   for (Node* n : nodes_) n->set_activity_observer({});
 }
 
+std::size_t ClusterMonitor::entity_of(std::size_t i) const {
+  if (!by_rack_) return i;
+  return static_cast<std::size_t>(
+      topo_.rack_of(NodeId(static_cast<std::int64_t>(i))).value());
+}
+
 void ClusterMonitor::mark_active(std::size_t i) {
   if (in_active_[i] != 0) return;
   in_active_[i] = 1;
@@ -51,8 +53,6 @@ void ClusterMonitor::mark_active(std::size_t i) {
 }
 
 void ClusterMonitor::start() {
-  if (running_) return;
-  running_ = true;
   last_tick_ = engine_.now();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     prev_[i] = Integrals{nodes_[i]->cpu().busy_integral(),
@@ -72,19 +72,15 @@ void ClusterMonitor::start() {
   // The first tick is scheduled from setup context; later re-arms happen
   // inside the tick callback and inherit its category automatically.
   HOST_PROF_CATEGORY(kMonitor);
-  pending_ = engine_.schedule_daemon_after(period_, [this] { sample(); });
-}
-
-void ClusterMonitor::stop() {
-  if (!running_) return;
-  running_ = false;
-  engine_.cancel(pending_);
+  engine_.schedule_daemon_after(kMonitorPeriod, [this] { sample(); });
 }
 
 void ClusterMonitor::sample() {
   const SimTime now = engine_.now();
-  // Id order: determinism of every downstream sum and scan.
+  // Id order: each entity's sum adds its nodes in id order (racks are
+  // contiguous id ranges), which is what makes publishing deterministic.
   std::sort(active_.begin(), active_.end());
+  std::fill(windows_.begin(), windows_.end(), Window{});
   std::size_t kept = 0;
   for (const std::uint32_t idx : active_) {
     const std::size_t i = idx;
@@ -93,31 +89,27 @@ void ClusterMonitor::sample() {
     const double disk = n.disk().busy_integral();
     const double net = n.nic_in().busy_integral();
     // Fully idle again: flat integrals, no memory, no streams in flight.
-    // Record the all-zero window and drop the node from the dirty set —
-    // nothing can change for it until its activity observer fires again.
-    // (The stream check matters: a stream submitted exactly at tick time
-    // has not accrued integral yet but will by the next tick.)
+    // Its window is all zeros; drop the node from the dirty set — nothing
+    // can change for it until its activity observer fires again. (The
+    // stream check matters: a stream submitted exactly at tick time has
+    // not accrued integral yet but will by the next tick.)
     if (cpu == prev_[i].cpu && disk == prev_[i].disk && net == prev_[i].net &&
         n.memory_allocated() == Bytes(0) && n.memory_used() == Bytes(0) &&
         n.cpu().active() == 0 && n.disk().active() == 0 &&
         n.nic_in().active() == 0) {
-      latest_[i] = NodeSample{};
-      latest_[i].time = now;
       prev_[i].at = now;
       in_active_[i] = 0;
       continue;
     }
+    Window& w = windows_[entity_of(i)];
     const double dt = now - prev_[i].at;
-    NodeSample s;
-    s.time = now;
     if (dt > 0.0) {
-      s.cpu_util = (cpu - prev_[i].cpu) / (n.cpu().capacity() * dt);
-      s.disk_util = (disk - prev_[i].disk) / (n.disk().capacity() * dt);
-      s.net_util = (net - prev_[i].net) / (n.nic_in().capacity() * dt);
+      w.cpu += (cpu - prev_[i].cpu) / (n.cpu().capacity() * dt);
+      w.disk += (disk - prev_[i].disk) / (n.disk().capacity() * dt);
+      w.net += (net - prev_[i].net) / (n.nic_in().capacity() * dt);
     }
-    s.mem_alloc_frac = n.memory_allocated() / n.memory_capacity();
-    s.mem_used_frac = n.memory_used() / n.memory_capacity();
-    latest_[i] = s;
+    w.mem_alloc += n.memory_allocated() / n.memory_capacity();
+    w.mem_used += n.memory_used() / n.memory_capacity();
     prev_[i] = Integrals{cpu, disk, net, now};
     active_[kept++] = idx;
   }
@@ -129,8 +121,8 @@ void ClusterMonitor::sample() {
   // keep Engine::run() from ever draining. Daemon scheduling keeps this
   // ticker and the other periodic services (heartbeat watchdog,
   // speculation scan) from counting each other as work.
-  if (running_ && !engine_.quiescent()) {
-    pending_ = engine_.schedule_daemon_after(period_, [this] { sample(); });
+  if (!engine_.quiescent()) {
+    engine_.schedule_daemon_after(kMonitorPeriod, [this] { sample(); });
   }
 }
 
@@ -138,135 +130,53 @@ void ClusterMonitor::publish(SimTime now) {
   // Publish the window into the flight recorder: set each entity's gauges,
   // push its occupancy series, then flush the recorder so the pull-model
   // publishers push theirs. The monitor is the recorder's sampling clock:
-  // every clock-driven SeriesStore series advances at its period. Beyond
-  // the node-series limit the per-entity handles are per *rack* (means over
-  // the rack's nodes), bounding recorder footprint on 1,000+-node clusters.
-  auto* rec = engine_.recorder();
-  if (rec == nullptr) return;
-  auto& reg = rec->metrics();
-  const bool by_rack = rack_aggregated();
-  const std::size_t entities =
-      by_rack ? static_cast<std::size_t>(topo_->num_racks()) : nodes_.size();
-  if (node_gauges_.empty()) {
-    node_gauges_.resize(entities);
-    for (std::size_t i = 0; i < entities; ++i) {
+  // every clock-driven SeriesStore series advances at its period.
+  obs::Recorder& rec = *engine_.recorder();
+  auto& reg = rec.metrics();
+  auto& store = rec.series();
+  if (handles_.empty()) {
+    handles_.resize(windows_.size());
+    for (std::size_t e = 0; e < handles_.size(); ++e) {
       const std::string prefix =
-          by_rack ? "cluster.rack" + std::to_string(i) + "."
-                  : "cluster.node" +
-                        std::to_string(nodes_[i]->id().value()) + ".";
-      node_gauges_[i].cpu = &reg.gauge(prefix + "cpu_util");
-      node_gauges_[i].disk = &reg.gauge(prefix + "disk_util");
-      node_gauges_[i].net = &reg.gauge(prefix + "net_util");
-      node_gauges_[i].mem_alloc = &reg.gauge(prefix + "mem_alloc_frac");
-      node_gauges_[i].mem_used = &reg.gauge(prefix + "mem_used_frac");
-      auto& store = rec->series();
-      node_gauges_[i].cpu_series = &store.series(prefix + "cpu_util");
-      node_gauges_[i].disk_series = &store.series(prefix + "disk_util");
-      node_gauges_[i].net_series = &store.series(prefix + "net_util");
+          by_rack_ ? "cluster.rack" + std::to_string(e) + "."
+                   : "cluster.node" +
+                         std::to_string(nodes_[e]->id().value()) + ".";
+      Handles& h = handles_[e];
+      h.cpu = &reg.gauge(prefix + "cpu_util");
+      h.disk = &reg.gauge(prefix + "disk_util");
+      h.net = &reg.gauge(prefix + "net_util");
+      h.mem_alloc = &reg.gauge(prefix + "mem_alloc_frac");
+      h.mem_used = &reg.gauge(prefix + "mem_used_frac");
+      h.cpu_series = &store.series(prefix + "cpu_util");
+      h.disk_series = &store.series(prefix + "disk_util");
+      h.net_series = &store.series(prefix + "net_util");
     }
     samples_counter_ = &reg.counter("monitor.samples");
   }
-  if (by_rack) {
-    // Sum per rack over the dirty set only: idle nodes hold exact-zero
-    // samples, and adding 0.0 never changes an IEEE sum, so skipping them
-    // is bit-identical to the full walk. sample() just sorted active_, and
-    // racks are contiguous id ranges, so within-rack addition order is the
-    // id order the full walk used.
-    rack_scratch_.assign(entities, NodeSample{});
-    for (const std::uint32_t idx : active_) {
-      const NodeSample& ns = latest_[idx];
-      NodeSample& acc =
-          rack_scratch_[static_cast<std::size_t>(
-              topo_->rack_of(NodeId(static_cast<std::int64_t>(idx)))
-                  .value())];
-      acc.cpu_util += ns.cpu_util;
-      acc.disk_util += ns.disk_util;
-      acc.net_util += ns.net_util;
-      acc.mem_alloc_frac += ns.mem_alloc_frac;
-      acc.mem_used_frac += ns.mem_used_frac;
-    }
-    for (std::size_t i = 0; i < entities; ++i) {
-      NodeSample s = rack_scratch_[i];
-      const double denom =
-          static_cast<double>(topo_->rack_size(RackId(
-              static_cast<std::int64_t>(i))));
-      s.cpu_util /= denom;
-      s.disk_util /= denom;
-      s.net_util /= denom;
-      s.mem_alloc_frac /= denom;
-      s.mem_used_frac /= denom;
-      node_gauges_[i].cpu->set(s.cpu_util);
-      node_gauges_[i].disk->set(s.disk_util);
-      node_gauges_[i].net->set(s.net_util);
-      node_gauges_[i].mem_alloc->set(s.mem_alloc_frac);
-      node_gauges_[i].mem_used->set(s.mem_used_frac);
-      // Whole-run occupancy timelines: pushed every tick (not change-only)
-      // so the downsampling stride stays uniform across entities.
-      node_gauges_[i].cpu_series->push(now, s.cpu_util);
-      node_gauges_[i].disk_series->push(now, s.disk_util);
-      node_gauges_[i].net_series->push(now, s.net_util);
-    }
-  } else {
-    for (std::size_t i = 0; i < entities; ++i) {
-      const NodeSample& s = latest_[i];
-      node_gauges_[i].cpu->set(s.cpu_util);
-      node_gauges_[i].disk->set(s.disk_util);
-      node_gauges_[i].net->set(s.net_util);
-      node_gauges_[i].mem_alloc->set(s.mem_alloc_frac);
-      node_gauges_[i].mem_used->set(s.mem_used_frac);
-      node_gauges_[i].cpu_series->push(now, s.cpu_util);
-      node_gauges_[i].disk_series->push(now, s.disk_util);
-      node_gauges_[i].net_series->push(now, s.net_util);
-    }
+  for (std::size_t e = 0; e < handles_.size(); ++e) {
+    // A node is a rack of one: x / 1.0 is exact.
+    const double size =
+        by_rack_ ? static_cast<double>(topo_.rack_size(
+                       RackId(static_cast<std::int64_t>(e))))
+                 : 1.0;
+    const Window& w = windows_[e];
+    const Handles& h = handles_[e];
+    const double cpu = w.cpu / size;
+    const double disk = w.disk / size;
+    const double net = w.net / size;
+    h.cpu->set(cpu);
+    h.disk->set(disk);
+    h.net->set(net);
+    h.mem_alloc->set(w.mem_alloc / size);
+    h.mem_used->set(w.mem_used / size);
+    // Whole-run occupancy timelines: pushed every tick (not change-only)
+    // so the downsampling stride stays uniform across entities.
+    h.cpu_series->push(now, cpu);
+    h.disk_series->push(now, disk);
+    h.net_series->push(now, net);
   }
   samples_counter_->add(1.0);
-  rec->flush();  // pull-model publishers (SharedServer gauges)
-}
-
-const NodeSample& ClusterMonitor::latest(NodeId node) const {
-  MRON_CHECK(node.valid() &&
-             node.value() < static_cast<std::int64_t>(latest_.size()));
-  return latest_[static_cast<std::size_t>(node.value())];
-}
-
-NodeSample ClusterMonitor::cluster_average() const {
-  NodeSample avg;
-  if (latest_.empty()) return avg;
-  // Only dirty-set nodes can hold non-zero samples (an idle node's last
-  // visit wrote exact zeros), so summing them in id order reproduces the
-  // full walk's result bit for bit.
-  std::vector<std::uint32_t> sorted(active_);
-  std::sort(sorted.begin(), sorted.end());
-  for (const std::uint32_t idx : sorted) {
-    const NodeSample& s = latest_[idx];
-    avg.cpu_util += s.cpu_util;
-    avg.disk_util += s.disk_util;
-    avg.net_util += s.net_util;
-    avg.mem_alloc_frac += s.mem_alloc_frac;
-    avg.mem_used_frac += s.mem_used_frac;
-  }
-  const double n = static_cast<double>(latest_.size());
-  avg.cpu_util /= n;
-  avg.disk_util /= n;
-  avg.net_util /= n;
-  avg.mem_alloc_frac /= n;
-  avg.mem_used_frac /= n;
-  avg.time = last_tick_;
-  return avg;
-}
-
-std::vector<NodeId> ClusterMonitor::hot_nodes(double threshold) const {
-  std::vector<NodeId> out;
-  // Idle nodes hold zero windows and can never clear a hot threshold;
-  // scanning the dirty set in id order matches the full walk's output.
-  std::vector<std::uint32_t> sorted(active_);
-  std::sort(sorted.begin(), sorted.end());
-  for (const std::uint32_t i : sorted) {
-    if (latest_[i].disk_util > threshold || latest_[i].net_util > threshold) {
-      out.push_back(nodes_[i]->id());
-    }
-  }
-  return out;
+  rec.flush();  // pull-model publishers (SharedServer gauges)
 }
 
 }  // namespace mron::cluster

@@ -1,10 +1,10 @@
 // Per-node resource sampling: the slave-monitor half of MRONLINE's monitor.
 //
-// Samples every node on a fixed period and exposes the latest window's
-// utilizations; the online tuner consumes these for its gray-box rules and
-// hot-spot avoidance. Utilizations are derived from the SharedServer busy
-// integrals, so they reflect actual simulated contention, not declared
-// allocations.
+// Samples every node on a fixed period and publishes each window's
+// utilizations into the flight recorder (gauges plus the whole-run
+// occupancy series behind Figures 14-16). Utilizations are derived from the
+// SharedServer busy integrals, so they reflect actual simulated contention,
+// not declared allocations.
 #pragma once
 
 #include <cstdint>
@@ -22,50 +22,32 @@ class Series;
 
 namespace mron::cluster {
 
-struct NodeSample {
-  SimTime time = 0.0;
-  double cpu_util = 0.0;       ///< fraction of container core-units busy
-  double disk_util = 0.0;      ///< fraction of disk bandwidth busy
-  double net_util = 0.0;       ///< fraction of NIC ingress busy
-  double mem_alloc_frac = 0.0; ///< allocated container memory / capacity
-  double mem_used_frac = 0.0;  ///< task working sets / capacity
-};
+/// Sampling period (sim seconds); also the recorder's sampling clock.
+inline constexpr SimTime kMonitorPeriod = 1.0;
+/// Above this node count the monitor publishes per-rack aggregate
+/// gauges/series instead of per-node ones, keeping report and trace size
+/// bounded at 1,000+ nodes. The 19-node testbed stays per-node.
+inline constexpr int kMonitorNodeSeriesLimit = 64;
 
 class ClusterMonitor {
  public:
-  /// `topo` + `node_series_limit` bound the flight-recorder footprint: with
-  /// more than `node_series_limit` nodes the monitor publishes per-*rack*
-  /// aggregate gauges/series (cluster.rackR.*) instead of per-node ones,
-  /// so report and trace size stay O(racks) at 1,000+ nodes. Passing
-  /// topo == nullptr keeps the legacy per-node publishing at any size.
-  /// Sampling is dirty-set driven: the monitor subscribes to every node's
-  /// activity observer, and each tick touches only nodes that were marked
-  /// active since they last sampled idle — a fully idle node costs zero,
-  /// not even a compare, so the per-tick cost is O(active) on any cluster
-  /// size. The monitor owns the nodes' activity observers for its
-  /// lifetime (at most one ClusterMonitor may watch a node set at a time).
+  /// Publishes into the engine's recorder, which must be attached. With
+  /// more than kMonitorNodeSeriesLimit nodes the published entities are
+  /// racks (cluster.rackR.*, means over the rack's nodes), otherwise nodes
+  /// (cluster.nodeN.*). Sampling is dirty-set driven: the monitor
+  /// subscribes to every node's activity observer, and each tick touches
+  /// only nodes that were marked active since they last sampled idle — a
+  /// fully idle node costs zero, not even a compare, so the per-tick cost
+  /// is O(active + entities) on any cluster size. The monitor owns the
+  /// nodes' activity observers for its lifetime (at most one
+  /// ClusterMonitor may watch a node set at a time).
   ClusterMonitor(sim::Engine& engine, std::vector<Node*> nodes,
-                 SimTime period = 1.0, const Topology* topo = nullptr,
-                 int node_series_limit = 64);
+                 const Topology& topo);
   ~ClusterMonitor();
 
+  /// Arm the periodic tick. Call once; ticks stop when the engine has no
+  /// real work left.
   void start();
-  void stop();
-
-  [[nodiscard]] const NodeSample& latest(NodeId node) const;
-  /// Cluster means over the latest window.
-  [[nodiscard]] NodeSample cluster_average() const;
-  /// Nodes whose disk or NIC utilization exceeded `threshold` in the last
-  /// window — MRONLINE's "hot spots".
-  [[nodiscard]] std::vector<NodeId> hot_nodes(double threshold = 0.9) const;
-
-  [[nodiscard]] SimTime period() const { return period_; }
-
-  /// True when publishing per-rack aggregates instead of per-node values.
-  [[nodiscard]] bool rack_aggregated() const {
-    return topo_ != nullptr &&
-           static_cast<int>(nodes_.size()) > node_series_limit_;
-  }
 
  private:
   void sample();
@@ -74,18 +56,26 @@ class ClusterMonitor {
   /// integral baseline to the last tick (it has been idle — and therefore
   /// flat — since then, so the next window is not diluted by the idle gap).
   void mark_active(std::size_t i);
+  /// Index of node `i`'s published entity (its rack, or itself).
+  [[nodiscard]] std::size_t entity_of(std::size_t i) const;
 
   sim::Engine& engine_;
   std::vector<Node*> nodes_;
-  SimTime period_;
-  const Topology* topo_ = nullptr;
-  int node_series_limit_ = 64;
-  bool running_ = false;
-  sim::EventId pending_;
-  std::vector<NodeSample> latest_;
-  /// Flight-recorder handles, resolved once on the first published sample
+  const Topology& topo_;
+  bool by_rack_;
+  /// One window's sums per entity; zeroed each tick, so idle nodes
+  /// contribute nothing (an idle node's window is exactly zero).
+  struct Window {
+    double cpu = 0.0;        ///< fraction of container core-units busy
+    double disk = 0.0;       ///< fraction of disk bandwidth busy
+    double net = 0.0;        ///< fraction of NIC ingress busy
+    double mem_alloc = 0.0;  ///< allocated container memory / capacity
+    double mem_used = 0.0;   ///< task working sets / capacity
+  };
+  std::vector<Window> windows_;
+  /// Flight-recorder handles per entity, resolved once on the first tick
   /// (registry lookups are by name; the publish path must not re-do them).
-  struct NodeGauges {
+  struct Handles {
     obs::Gauge* cpu = nullptr;
     obs::Gauge* disk = nullptr;
     obs::Gauge* net = nullptr;
@@ -97,8 +87,7 @@ class ClusterMonitor {
     obs::Series* disk_series = nullptr;
     obs::Series* net_series = nullptr;
   };
-  std::vector<NodeGauges> node_gauges_;  ///< per node, or per rack when
-                                         ///< rack_aggregated()
+  std::vector<Handles> handles_;
   obs::Counter* samples_counter_ = nullptr;
   struct Integrals {
     double cpu = 0.0;
@@ -110,14 +99,11 @@ class ClusterMonitor {
   /// The dirty set: indices of nodes that may produce a non-zero window.
   /// Nodes enter via mark_active() (push-side, from the node's activity
   /// observer) and leave when a tick finds them fully idle again. Sorted
-  /// before every traversal so windows, gauge sums, and hot-node scans
-  /// visit nodes in id order — bit-identical results to the full walk
-  /// (idle nodes contribute exact zeros, which no IEEE sum can see).
+  /// before every traversal so each entity's sum adds its nodes in id
+  /// order — bit-identical to a full walk (idle nodes contribute exact
+  /// zeros, which no IEEE sum can see).
   std::vector<std::uint32_t> active_;
   std::vector<std::uint8_t> in_active_;  ///< membership flag per node
-  /// Scratch for per-rack aggregation in publish(); member so the tick
-  /// path never allocates.
-  std::vector<NodeSample> rack_scratch_;
   SimTime last_tick_ = 0.0;
 };
 

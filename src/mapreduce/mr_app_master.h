@@ -89,16 +89,12 @@ class MrAppMaster {
   [[nodiscard]] int num_maps() const { return num_maps_; }
   [[nodiscard]] int num_reduces() const { return spec_.num_reduces; }
   [[nodiscard]] int completed_maps() const { return completed_maps_; }
-  [[nodiscard]] int completed_reduces() const { return completed_reduces_; }
   /// True while an attempt of `task` runs (for a map, the original or its
   /// speculative backup).
   [[nodiscard]] bool attempt_running(const TaskRef& task) const;
   [[nodiscard]] bool finished() const { return finished_; }
   /// Tasks still waiting to be requested (the tuner's "queued tasks list").
   [[nodiscard]] std::vector<TaskRef> queued_tasks() const;
-  [[nodiscard]] int launch_budget(TaskKind kind) const {
-    return kind == TaskKind::Map ? map_budget_ : reduce_budget_;
-  }
 
   void set_task_listener(TaskListener listener) {
     task_listener_ = std::move(listener);

@@ -6,15 +6,6 @@
 #include "common/check.h"
 
 namespace mron::mapreduce {
-namespace {
-
-constexpr SimTime kMonitorPeriod = 1.0;
-/// Above this node count the monitor publishes per-rack aggregate
-/// gauges/series instead of per-node ones, keeping report and trace size
-/// bounded at 1,000+ nodes. The 19-node testbed stays per-node.
-constexpr int kMonitorNodeSeriesLimit = 64;
-
-}  // namespace
 
 Simulation::Simulation(SimulationOptions options)
     : options_(options), rng_(options.seed) {
@@ -66,11 +57,11 @@ Simulation::Simulation(SimulationOptions options)
     fabric_ = std::make_unique<cluster::Fabric>(engine_, options_.cluster,
                                                 *topo_, ptrs);
   }
-  {
+  if (recorder_ != nullptr) {
+    // The monitor only publishes; an unobserved run has no reader for it.
     HOST_PROF_SCOPE("sim.setup.monitor");
     HOST_PROF_CATEGORY(kMonitor);
-    monitor_ = std::make_unique<cluster::ClusterMonitor>(
-        engine_, ptrs, kMonitorPeriod, topo_.get(), kMonitorNodeSeriesLimit);
+    monitor_ = std::make_unique<cluster::ClusterMonitor>(engine_, ptrs, *topo_);
   }
   {
     HOST_PROF_SCOPE("sim.setup.dfs");

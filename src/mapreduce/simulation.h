@@ -81,7 +81,6 @@ class Simulation {
   }
   [[nodiscard]] yarn::ResourceManager& rm() { return *rm_; }
   [[nodiscard]] cluster::Fabric& fabric() { return *fabric_; }
-  [[nodiscard]] cluster::ClusterMonitor& monitor() { return *monitor_; }
   [[nodiscard]] const cluster::Topology& topology() const { return *topo_; }
   [[nodiscard]] const SimulationOptions& options() const { return options_; }
   /// The flight recorder, or nullptr unless options.observe (or when

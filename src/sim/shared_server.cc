@@ -108,16 +108,6 @@ void SharedServer::cancel(StreamId id) {
   reallocate(aggregate_scan());
 }
 
-void SharedServer::set_cap(StreamId id, double cap) {
-  MRON_CHECK(cap > 0.0);
-  const int i = find(id);
-  if (i < 0) return;
-  advance();
-  streams_[static_cast<std::size_t>(i)].cap = cap;
-  alloc_dirty_ = true;
-  reallocate(aggregate_scan());
-}
-
 void SharedServer::set_capacity_scale(double scale) {
   MRON_CHECK_MSG(scale > 0.0,
                  "server " << name_ << " capacity scale must be >0");

@@ -70,8 +70,6 @@ class SharedServer {
 
   /// Abort a stream; its `done` never fires. No-op if already finished.
   void cancel(StreamId id);
-  /// Change a live stream's rate cap (e.g. container resize).
-  void set_cap(StreamId id, double cap);
   /// Remaining work of a live stream, or 0 when finished/unknown.
   [[nodiscard]] double remaining(StreamId id) const;
 
@@ -83,16 +81,11 @@ class SharedServer {
   /// dark). Live streams keep their progress; rates and the completion
   /// event are recomputed under the new capacity. `scale` must be > 0.
   void set_capacity_scale(double scale);
-  [[nodiscard]] double capacity_scale() const {
-    return capacity_ / base_capacity_;
-  }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Integral of (allocated rate) dt since construction, i.e. total work
   /// served. utilization over [t0,t1] = delta(busy_integral)/(capacity*(t1-t0)).
   [[nodiscard]] double busy_integral() const;
-  /// Instantaneous total allocated rate.
-  [[nodiscard]] double current_rate() const { return total_rate_; }
 
   /// Hook fired on every submit() — the only way this server can leave the
   /// idle state. The cluster monitor's dirty-set sampler listens here so
@@ -132,7 +125,7 @@ class SharedServer {
   };
 
   /// Index into streams_ of the live stream `id`, or -1. Only the cold
-  /// paths (cancel, set_cap, remaining) resolve ids, so a linear scan beats
+  /// paths (cancel, remaining) resolve ids, so a linear scan beats
   /// any index structure.
   [[nodiscard]] int find(StreamId id) const;
 

@@ -26,7 +26,6 @@ std::vector<mapreduce::JobConfig> GrayBoxHillClimber::next_batch() {
     pending_points_ = sampler_.sample_neighborhood(
         *space_, current_, neighborhood_, options_.local_samples);
   }
-  ++waves_;
   std::vector<mapreduce::JobConfig> configs;
   configs.reserve(pending_points_.size());
   for (auto& p : pending_points_) {

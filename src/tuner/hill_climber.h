@@ -54,7 +54,6 @@ class GrayBoxHillClimber {
   [[nodiscard]] mapreduce::JobConfig best_config() const;
   [[nodiscard]] double best_cost() const { return best_cost_; }
   [[nodiscard]] bool has_best() const { return has_best_; }
-  [[nodiscard]] int waves_issued() const { return waves_; }
   [[nodiscard]] int configs_tried() const { return configs_tried_; }
   [[nodiscard]] double neighborhood_size() const { return neighborhood_; }
 
@@ -79,7 +78,6 @@ class GrayBoxHillClimber {
   double neighborhood_ = 0.3;
   int global_strikes_ = 0;
   bool done_ = false;
-  int waves_ = 0;
   int configs_tried_ = 0;
 };
 

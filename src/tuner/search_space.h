@@ -54,7 +54,6 @@ class SearchSpace {
   void clamp(std::vector<double>& x) const;
 
   [[nodiscard]] const mapreduce::JobConfig& base() const { return base_; }
-  void set_base(const mapreduce::JobConfig& base) { base_ = base; }
 
  private:
   const mapreduce::ParamRegistry* registry_;

@@ -3,114 +3,122 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
+
+#include "obs/recorder.h"
 
 namespace mron::cluster {
 namespace {
 
-class MonitorTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    spec.num_slaves = 2;
-    spec.rack_sizes = {1, 1};
-    for (int i = 0; i < 2; ++i) {
+/// Nodes on one engine with a recorder attached: the monitor publishes into
+/// it, and the tests read the published gauges back.
+struct Cluster {
+  explicit Cluster(std::vector<int> rack_sizes) {
+    eng.set_recorder(&rec);
+    spec.rack_sizes = std::move(rack_sizes);
+    spec.num_slaves = 0;
+    for (const int r : spec.rack_sizes) spec.num_slaves += r;
+    topo = std::make_unique<Topology>(spec);
+    for (int i = 0; i < spec.num_slaves; ++i) {
       nodes.push_back(std::make_unique<Node>(eng, NodeId(i), spec));
+      ptrs.push_back(nodes.back().get());
     }
-    std::vector<Node*> ptrs;
-    for (auto& n : nodes) ptrs.push_back(n.get());
-    monitor = std::make_unique<ClusterMonitor>(eng, ptrs, 1.0);
+  }
+  [[nodiscard]] double gauge(const std::string& name) const {
+    EXPECT_TRUE(rec.metrics().has(name)) << name;
+    return rec.metrics().value(name);
+  }
+  [[nodiscard]] bool has_metric_prefixed(const std::string& prefix) const {
+    for (const auto& name : rec.metrics().names()) {
+      if (name.rfind(prefix, 0) == 0) return true;
+    }
+    return false;
   }
 
   sim::Engine eng;
+  obs::Recorder rec;
   ClusterSpec spec;
+  std::unique_ptr<Topology> topo;
   std::vector<std::unique_ptr<Node>> nodes;
-  std::unique_ptr<ClusterMonitor> monitor;
+  std::vector<Node*> ptrs;
+};
+
+class MonitorTest : public ::testing::Test {
+ protected:
+  MonitorTest() : monitor(c.eng, c.ptrs, *c.topo) {}
+
+  Cluster c{{1, 1}};
+  ClusterMonitor monitor;
 };
 
 TEST_F(MonitorTest, IdleClusterReportsZeroUtilization) {
-  monitor->start();
-  eng.run_until(5.0);
-  monitor->stop();
-  const auto avg = monitor->cluster_average();
-  EXPECT_DOUBLE_EQ(avg.cpu_util, 0.0);
-  EXPECT_DOUBLE_EQ(avg.disk_util, 0.0);
-  EXPECT_DOUBLE_EQ(avg.mem_used_frac, 0.0);
+  monitor.start();
+  c.eng.run_until(5.0);
+  EXPECT_DOUBLE_EQ(c.gauge("cluster.node0.cpu_util"), 0.0);
+  EXPECT_DOUBLE_EQ(c.gauge("cluster.node1.disk_util"), 0.0);
+  EXPECT_DOUBLE_EQ(c.gauge("cluster.node0.mem_used_frac"), 0.0);
 }
 
 TEST_F(MonitorTest, BusyDiskShowsUtilization) {
-  monitor->start();
+  monitor.start();
   // Keep node 0's disk busy for the whole window.
-  nodes[0]->disk().submit(spec.disk_bandwidth.rate() * 10.0, [] {});
-  eng.run_until(2.5);
-  const auto& s = monitor->latest(NodeId(0));
-  EXPECT_NEAR(s.disk_util, 1.0, 1e-6);
-  EXPECT_NEAR(monitor->latest(NodeId(1)).disk_util, 0.0, 1e-9);
-  monitor->stop();
-  eng.run();
+  c.nodes[0]->disk().submit(c.spec.disk_bandwidth.rate() * 10.0, [] {});
+  c.eng.run_until(2.5);
+  EXPECT_NEAR(c.gauge("cluster.node0.disk_util"), 1.0, 1e-6);
+  EXPECT_NEAR(c.gauge("cluster.node1.disk_util"), 0.0, 1e-9);
+  c.eng.run();
 }
 
 TEST_F(MonitorTest, MemoryFractionsTrackAllocations) {
-  monitor->start();
-  nodes[0]->allocate(gibibytes(3), 4);
-  nodes[0]->add_used_memory(mebibytes(1536));
-  eng.run_until(1.5);
-  const auto& s = monitor->latest(NodeId(0));
-  EXPECT_NEAR(s.mem_alloc_frac, 0.5, 1e-9);
-  EXPECT_NEAR(s.mem_used_frac, 0.25, 1e-9);
-  monitor->stop();
-  eng.run();
+  monitor.start();
+  c.nodes[0]->allocate(gibibytes(3), 4);
+  c.nodes[0]->add_used_memory(mebibytes(1536));
+  c.eng.run_until(1.5);
+  EXPECT_NEAR(c.gauge("cluster.node0.mem_alloc_frac"), 0.5, 1e-9);
+  EXPECT_NEAR(c.gauge("cluster.node0.mem_used_frac"), 0.25, 1e-9);
+  c.eng.run();
 }
 
-TEST_F(MonitorTest, HotNodesDetected) {
-  monitor->start();
-  nodes[1]->disk().submit(spec.disk_bandwidth.rate() * 100.0, [] {});
-  eng.run_until(1.5);
-  const auto hot = monitor->hot_nodes(0.9);
-  ASSERT_EQ(hot.size(), 1u);
-  EXPECT_EQ(hot[0], NodeId(1));
-  monitor->stop();
-  eng.run();
+TEST_F(MonitorTest, TicksStopWhenTheEngineDrains) {
+  monitor.start();
+  c.nodes[0]->disk().submit(c.spec.disk_bandwidth.rate() * 2.5, [] {});
+  c.eng.run();  // must drain without the periodic tick re-arming forever
+  EXPECT_TRUE(c.eng.empty());
+  // Ticks at 1 and 2 see the stream pending; the tick at 3 finds the
+  // engine quiescent and does not re-arm.
+  EXPECT_DOUBLE_EQ(c.gauge("monitor.samples"), 3.0);
 }
 
 TEST(MonitorRackAggregation, KicksInAboveTheNodeSeriesLimit) {
-  sim::Engine eng;
-  ClusterSpec spec;
-  spec.num_slaves = 6;
-  spec.rack_sizes = {3, 3};
-  const Topology topo(spec);
-  std::vector<std::unique_ptr<Node>> nodes;
-  std::vector<Node*> ptrs;
-  for (int i = 0; i < 6; ++i) {
-    nodes.push_back(std::make_unique<Node>(eng, NodeId(i), spec));
-    ptrs.push_back(nodes.back().get());
-  }
-  // 6 nodes over a 4-node series limit -> per-rack publishing; the
-  // in-memory per-node samples (latest/hot_nodes) are unaffected.
-  ClusterMonitor monitor(eng, ptrs, 1.0, &topo, /*node_series_limit=*/4);
-  EXPECT_TRUE(monitor.rack_aggregated());
+  // 66 nodes, over the 64-node series limit -> per-rack means.
+  Cluster big({33, 33});
+  ClusterMonitor monitor(big.eng, big.ptrs, *big.topo);
   monitor.start();
-  nodes[4]->disk().submit(spec.disk_bandwidth.rate() * 100.0, [] {});
-  eng.run_until(1.5);
-  EXPECT_NEAR(monitor.latest(NodeId(4)).disk_util, 1.0, 1e-6);
-  const auto hot = monitor.hot_nodes(0.9);
-  ASSERT_EQ(hot.size(), 1u);
-  EXPECT_EQ(hot[0], NodeId(4));
-  monitor.stop();
-  eng.run();
+  big.nodes[40]->disk().submit(big.spec.disk_bandwidth.rate() * 100.0,
+                               [] {});
+  big.nodes[40]->allocate(gibibytes(3), 4);
+  big.nodes[41]->allocate(gibibytes(3), 4);
+  big.eng.run_until(1.5);
+  EXPECT_NEAR(big.gauge("cluster.rack1.disk_util"), 1.0 / 33.0, 1e-6);
+  EXPECT_DOUBLE_EQ(big.gauge("cluster.rack1.mem_alloc_frac"),
+                   (0.5 + 0.5) / 33.0);
+  EXPECT_DOUBLE_EQ(big.gauge("cluster.rack0.disk_util"), 0.0);
+  EXPECT_DOUBLE_EQ(big.gauge("cluster.rack0.mem_alloc_frac"), 0.0);
+  EXPECT_FALSE(big.has_metric_prefixed("cluster.node"));
+  EXPECT_EQ(big.rec.series().find("cluster.node40.disk_util"), nullptr);
+  big.eng.run();
 
-  // At or under the limit (or with no topology) publishing stays per-node.
-  ClusterMonitor per_node(eng, ptrs, 1.0, &topo, /*node_series_limit=*/6);
-  EXPECT_FALSE(per_node.rack_aggregated());
-  ClusterMonitor no_topo(eng, ptrs, 1.0);
-  EXPECT_FALSE(no_topo.rack_aggregated());
-}
-
-TEST_F(MonitorTest, StopHaltsSampling) {
-  monitor->start();
-  eng.run_until(1.5);
-  monitor->stop();
-  eng.run();  // must drain without periodic events re-arming forever
-  EXPECT_TRUE(eng.empty() || eng.pending() > 0);  // disk streams may remain
+  // At the limit publishing stays per-node.
+  Cluster at_limit({32, 32});
+  ClusterMonitor per_node(at_limit.eng, at_limit.ptrs, *at_limit.topo);
+  per_node.start();
+  at_limit.nodes[63]->disk().submit(
+      at_limit.spec.disk_bandwidth.rate() * 100.0, [] {});
+  at_limit.eng.run_until(1.5);
+  EXPECT_NEAR(at_limit.gauge("cluster.node63.disk_util"), 1.0, 1e-6);
+  EXPECT_FALSE(at_limit.has_metric_prefixed("cluster.rack"));
+  at_limit.eng.run();
 }
 
 }  // namespace

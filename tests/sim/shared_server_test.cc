@@ -92,17 +92,6 @@ TEST(SharedServer, CancelFreesBandwidth) {
   EXPECT_DOUBLE_EQ(done, 5.0);
 }
 
-TEST(SharedServer, SetCapTakesEffectImmediately) {
-  Engine eng;
-  SharedServer cpu(eng, 8.0, "cpu");
-  double done = -1;
-  const StreamId id = cpu.submit(4.0, 0.25, [&] { done = eng.now(); });
-  eng.schedule_at(8.0, [&] { cpu.set_cap(id, 1.0); });
-  eng.run();
-  // 2 core-seconds done in first 8s at 0.25; remaining 2 at 1.0 -> t=10.
-  EXPECT_DOUBLE_EQ(done, 10.0);
-}
-
 TEST(SharedServer, ZeroWorkCompletesAsync) {
   Engine eng;
   SharedServer disk(eng, 100.0, "disk");
