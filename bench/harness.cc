@@ -2,19 +2,15 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 
-#include "cluster/cluster_spec.h"
 #include "common/check.h"
-#include "common/parse.h"
+#include "common/flags.h"
 #include "mapreduce/report_rollup.h"
-#include "obs/report.h"
+#include "sim/parallel_runner.h"
 
 namespace mron::bench {
 
@@ -29,75 +25,39 @@ using workloads::Corpus;
 
 namespace {
 
-ObsOutputs g_obs;
-faults::FaultPlan g_fault_plan;
-cluster::ClusterSpec g_cluster;  // the 19-node testbed by default
+// --cluster (the 19-node testbed by default) and the fault plan.
+SimulationOptions g_base;
 int g_jobs = 1;
-// Serializes artifact export when runs finish on several workers at once;
-// the files still describe one whole run (the last to finish).
-std::mutex g_obs_mu;
-// --report-out destination: unlike the last-writer-wins artifacts above,
-// the collector keeps the lexicographically greatest key so the exported
-// report is the same run at any --jobs value.
-obs::ReportCollector g_reports;
+// Null in bench mains that never parse flags (microbench): no artifacts.
+std::unique_ptr<mapreduce::RunExports> g_exports;
 
-/// Turn observation on for a simulation when any export path is configured,
-/// and thread the harness-wide fault plan through.
-void apply_obs(SimulationOptions& opt) {
-  opt.cluster = g_cluster;
-  opt.fault_plan = g_fault_plan;
-  if (!g_obs.any()) return;
-  opt.observe = true;
-  opt.trace_detail = g_obs.trace_detail;
+/// The shared pool, sized from --jobs at first use; lives for the whole
+/// bench process.
+sim::ParallelRunner& runner() {
+  static sim::ParallelRunner pool(g_jobs);
+  return pool;
 }
 
-/// Write the configured artifacts from a finished observed run.
-void export_obs(Simulation& sim) {
-  auto* rec = sim.recorder();
-  if (rec == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_obs_mu);
-  if (!g_obs.metrics_out.empty()) {
-    std::ofstream out(g_obs.metrics_out);
-    MRON_CHECK_MSG(out.good(), "cannot open " << g_obs.metrics_out);
-    rec->metrics().write_json(out);
-  }
-  if (!g_obs.trace_out.empty()) {
-    std::ofstream out(g_obs.trace_out);
-    MRON_CHECK_MSG(out.good(), "cannot open " << g_obs.trace_out);
-    rec->trace().write_chrome_json(out);
-  }
-  if (!g_obs.audit_out.empty()) {
-    std::ofstream out(g_obs.audit_out);
-    MRON_CHECK_MSG(out.good(), "cannot open " << g_obs.audit_out);
-    rec->audit().write_jsonl(out);
-  }
+/// Options for one simulation: the harness-wide cluster and fault plan,
+/// observed when any artifact is configured.
+SimulationOptions sim_options(std::uint64_t seed) {
+  SimulationOptions opt = g_base;
+  opt.seed = seed;
+  if (g_exports != nullptr) g_exports->apply(opt);
+  return opt;
 }
 
-/// Zero-padded so seeds order the same lexicographically and numerically
-/// inside a report key.
-std::string padded_seed(std::uint64_t seed) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%020llu",
-                static_cast<unsigned long long>(seed));
-  return buf;
-}
-
-/// Offer one finished run to the report collector. `phase` ranks runs that
+/// Offer one finished run to the artifact writers. `phase` ranks runs that
 /// share a benchmark (e.g. a tuned run above its baseline); the winner is a
 /// pure function of the keys, never of worker completion order.
-void record_report(Simulation& sim, Benchmark b, Corpus c,
-                   const std::string& phase, std::uint64_t seed,
-                   std::vector<std::pair<const JobResult*, const JobConfig*>>
-                       report_jobs) {
-  if (g_obs.report_out.empty() || report_jobs.empty()) return;
-  const std::vector<std::pair<std::string, std::string>> meta = {
-      {"benchmark", workloads::benchmark_name(b)},
-      {"corpus", workloads::corpus_name(c)},
-      {"run_seed", padded_seed(seed)},
-  };
-  g_reports.offer(
-      mapreduce::run_report_key(phase, meta, *report_jobs.front().second),
-      mapreduce::run_report_json(sim, report_jobs, meta), g_obs.report_out);
+void offer(Simulation& sim, Benchmark b, Corpus c, const std::string& phase,
+           const std::vector<std::pair<const JobResult*, const JobConfig*>>&
+               report_jobs) {
+  if (g_exports == nullptr) return;
+  g_exports->offer(sim, phase,
+                   {{"benchmark", workloads::benchmark_name(b)},
+                    {"corpus", workloads::corpus_name(c)}},
+                   report_jobs);
 }
 
 JobSpec make_spec(Simulation& sim, Benchmark b, Corpus c,
@@ -150,99 +110,18 @@ RunStats average(const std::vector<RunStats>& all) {
 
 }  // namespace
 
-void set_obs_outputs(ObsOutputs outputs) { g_obs = std::move(outputs); }
-
-const ObsOutputs& obs_outputs() { return g_obs; }
-
-void set_fault_plan(faults::FaultPlan plan) {
-  g_fault_plan = std::move(plan);
-}
-
-const faults::FaultPlan& fault_plan() { return g_fault_plan; }
-
-void set_cluster_spec(cluster::ClusterSpec spec) {
-  g_cluster = std::move(spec);
-}
-
-const cluster::ClusterSpec& cluster_spec() { return g_cluster; }
-
-void set_jobs(int jobs) { g_jobs = jobs > 0 ? jobs : 1; }
-
 int jobs() { return g_jobs; }
-
-sim::ParallelRunner& runner() {
-  // Lazily sized from the flags; lives for the whole bench process.
-  static std::unique_ptr<sim::ParallelRunner> pool =
-      std::make_unique<sim::ParallelRunner>(g_jobs);
-  return *pool;
-}
-
-namespace {
-
-void parse_flags(int argc, char** argv) {
-  ObsOutputs out;
-  // Empty when argv[i] is not `flag`; a known flag with an empty or
-  // missing value is a user error.
-  auto value_of = [&](const char* flag, int& i) -> std::string {
-    const std::size_t len = std::strlen(flag);
-    if (std::strncmp(argv[i], flag, len) != 0) return {};
-    const char* v = nullptr;
-    if (argv[i][len] == '=') {
-      v = argv[i] + len + 1;
-    } else if (argv[i][len] == '\0') {
-      v = i + 1 < argc ? argv[++i] : "";
-    } else {
-      return {};
-    }
-    MRON_INPUT_CHECK(*v != '\0', flag << " needs a value");
-    return v;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-detail") == 0) {
-      out.trace_detail = true;
-      continue;
-    }
-    std::string v;
-    if (!(v = value_of("--metrics-out", i)).empty()) {
-      out.metrics_out = v;
-    } else if (!(v = value_of("--trace-out", i)).empty()) {
-      out.trace_out = v;
-    } else if (!(v = value_of("--report-out", i)).empty()) {
-      out.report_out = v;
-    } else if (!(v = value_of("--jobs", i)).empty()) {
-      const auto n = parse_integer<int>(v);
-      MRON_INPUT_CHECK(n.has_value() && *n >= 1,
-                       "--jobs wants a positive integer, got " << v);
-      set_jobs(*n);
-    } else if (!(v = value_of("--audit-out", i)).empty()) {
-      out.audit_out = v;
-    } else if (!(v = value_of("--fault-plan", i)).empty()) {
-      set_fault_plan(faults::FaultPlan::load(v));
-    } else if (!(v = value_of("--fault-spec", i)).empty()) {
-      set_fault_plan(faults::FaultPlan::parse(v));
-    } else if (!(v = value_of("--cluster", i)).empty()) {
-      set_cluster_spec(cluster::load_cluster_spec(v));
-    } else {
-      // Known flags: --jobs --metrics-out --trace-out --audit-out
-      // --report-out --trace-detail --fault-plan --fault-spec --cluster.
-      const std::string arg = argv[i];
-      throw InputError("unknown flag " + arg.substr(0, arg.find('=')));
-    }
-  }
-  set_obs_outputs(std::move(out));
-}
-
-}  // namespace
 
 void init_obs_from_flags(int argc, char** argv) {
   try {
-    parse_flags(argc, argv);
-    // Simulations validate their plan on worker threads, where a bad node
-    // id would abort the process; check it against the cluster up front.
-    fault_plan().validate(cluster_spec().total_slaves());
+    const Flags flags(argc, argv);
+    const mapreduce::RunFlags run = mapreduce::run_flags(flags);
+    g_jobs = run.jobs;
+    g_base = run.base;
+    g_exports = std::make_unique<mapreduce::RunExports>(flags, false);
+    flags.reject_unused();
   } catch (const InputError& e) {
-    // A malformed --jobs/--fault-spec/--fault-plan/--cluster is the user's
-    // to fix: one line and exit 2, as mron_cli does.
+    // Bad input is the user's to fix: one line and exit 2, as mron_cli does.
     std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);
   }
@@ -251,15 +130,11 @@ void init_obs_from_flags(int argc, char** argv) {
 RunStats run_plain(Benchmark b, Corpus c, const JobConfig& cfg,
                    std::uint64_t seed, Bytes terasort_bytes,
                    int terasort_reduces) {
-  SimulationOptions opt;
-  opt.seed = seed;
-  apply_obs(opt);
-  Simulation sim(opt);
+  Simulation sim(sim_options(seed));
   JobSpec spec = make_spec(sim, b, c, terasort_bytes, terasort_reduces);
   spec.config = cfg;
   const JobResult result = sim.run_job(std::move(spec));
-  export_obs(sim);
-  record_report(sim, b, c, "plain", seed, {{&result, &cfg}});
+  offer(sim, b, c, "plain", {{&result, &cfg}});
   return stats_from(result);
 }
 
@@ -277,10 +152,7 @@ RunStats run_averaged(Benchmark b, Corpus c, const JobConfig& cfg,
 TuneResult tune_aggressive(Benchmark b, Corpus c, std::uint64_t seed,
                            Bytes terasort_bytes, int terasort_reduces,
                            tuner::TunerOptions options) {
-  SimulationOptions opt;
-  opt.seed = seed;
-  apply_obs(opt);
-  Simulation sim(opt);
+  Simulation sim(sim_options(seed));
   JobSpec spec = make_spec(sim, b, c, terasort_bytes, terasort_reduces);
   options.strategy = tuner::TuningStrategy::Aggressive;
   tuner::OnlineTuner online_tuner(options);
@@ -290,20 +162,18 @@ TuneResult tune_aggressive(Benchmark b, Corpus c, std::uint64_t seed,
   });
   online_tuner.attach(am);
   sim.run();
-  export_obs(sim);
   const auto& out = online_tuner.outcome(am.id());
-  record_report(sim, b, c, "tuned", seed, {{&result, &out.best_config}});
+  offer(sim, b, c, "tuned", {{&result, &out.best_config}});
   return TuneResult{out.best_config, result.exec_time(), out.waves,
                     out.configs_tried};
 }
 
-RunStats run_conservative(Benchmark b, Corpus c, std::uint64_t seed,
-                          Bytes terasort_bytes, int terasort_reduces) {
-  SimulationOptions opt;
-  opt.seed = seed;
-  apply_obs(opt);
-  Simulation sim(opt);
-  JobSpec spec = make_spec(sim, b, c, terasort_bytes, terasort_reduces);
+namespace {
+
+/// One run with the conservative tuner riding along (fast single run).
+RunStats run_conservative(Benchmark b, Corpus c, std::uint64_t seed) {
+  Simulation sim(sim_options(seed));
+  JobSpec spec = make_spec(sim, b, c, Bytes(0), -1);
   tuner::TunerOptions topt;
   topt.strategy = tuner::TuningStrategy::Conservative;
   tuner::OnlineTuner online_tuner(topt);
@@ -313,37 +183,33 @@ RunStats run_conservative(Benchmark b, Corpus c, std::uint64_t seed,
   });
   online_tuner.attach(am);
   sim.run();
-  export_obs(sim);
-  record_report(sim, b, c, "conservative", seed,
-                {{&result, &online_tuner.outcome(am.id()).best_config}});
+  offer(sim, b, c, "conservative",
+        {{&result, &online_tuner.outcome(am.id()).best_config}});
   return stats_from(result);
 }
 
-RunStats run_conservative_averaged(Benchmark b, Corpus c,
-                                   Bytes terasort_bytes,
-                                   int terasort_reduces) {
+RunStats run_conservative_averaged(Benchmark b, Corpus c) {
   const auto seeds = repeat_seeds();
   const std::vector<RunStats> all = runner().map<RunStats>(
-      seeds.size(), [&](std::size_t i) {
-        return run_conservative(b, c, seeds[i], terasort_bytes,
-                                terasort_reduces);
-      });
+      seeds.size(),
+      [&](std::size_t i) { return run_conservative(b, c, seeds[i]); });
   return average(all);
 }
 
-JobConfig offline_config(Benchmark b, Corpus c, Bytes terasort_bytes,
-                         int terasort_reduces) {
+/// The offline-guide static configuration for a benchmark.
+JobConfig offline_config(Benchmark b, Corpus c) {
   SimulationOptions opt;
-  opt.cluster = g_cluster;
+  opt.cluster = g_base.cluster;
   Simulation sim(opt);
-  const JobSpec spec =
-      make_spec(sim, b, c, terasort_bytes, terasort_reduces);
+  const JobSpec spec = make_spec(sim, b, c, Bytes(0), -1);
   const int maps =
       spec.input.valid()
           ? static_cast<int>(sim.dfs().dataset(spec.input).blocks.size())
           : spec.num_maps_override;
   return baselines::offline_guide_config(spec, sim.dfs().block_size(), maps);
 }
+
+}  // namespace
 
 double improvement_pct(double base, double tuned) {
   return base > 0.0 ? 100.0 * (base - tuned) / base : 0.0;
@@ -441,10 +307,8 @@ struct TenantRun {
 
 TenantRun run_tenants(const JobConfig& terasort_cfg, const JobConfig& bbp_cfg,
                       std::uint64_t seed) {
-  SimulationOptions opt;
-  opt.seed = seed;
+  SimulationOptions opt = sim_options(seed);
   opt.fair_scheduler = true;
-  apply_obs(opt);
   Simulation sim(opt);
   JobSpec terasort =
       workloads::make_terasort(sim, gibibytes(60), /*num_reduces=*/200);
@@ -459,9 +323,8 @@ TenantRun run_tenants(const JobConfig& terasort_cfg, const JobConfig& bbp_cfg,
   sim.submit_job(std::move(bbp),
                  [&](const JobResult& r) { bbp_result = r; });
   sim.run();
-  export_obs(sim);
-  record_report(sim, Benchmark::Terasort, Corpus::Synthetic, "tenants", seed,
-                {{&terasort_result, &terasort_cfg}, {&bbp_result, &bbp_cfg}});
+  offer(sim, Benchmark::Terasort, Corpus::Synthetic, "tenants",
+        {{&terasort_result, &terasort_cfg}, {&bbp_result, &bbp_cfg}});
   out.terasort = stats_from(terasort_result);
   out.bbp = stats_from(bbp_result);
   return out;
@@ -521,7 +384,7 @@ void print_preamble(const std::string& figure, const std::string& caption) {
   std::printf("%s — %s\n", figure.c_str(), caption.c_str());
   std::printf("(4 repetitions per point, means reported; simulated %d-node "
               "cluster)\n",
-              g_cluster.total_slaves() + 1);  // slaves + master
+              g_base.cluster.total_slaves() + 1);  // slaves + master
   std::printf("==============================================================\n");
 }
 

@@ -248,13 +248,10 @@ int run(int argc, char** argv) {
   // The scaling-floor gate reads these numbers; a median needs >= 3 reps
   // to reject a stray outlier at all.
   const int reps = std::max(3, flags.get("reps", 5));
-  std::string profile_out;
-  if (flags.has("profile-out")) {
-    profile_out = flags.get("profile-out", std::string("host_profile.json"));
-  }
+  const std::string profile_out =
+      flags.path("profile-out", "host_profile.json");
   g_progress = flags.get("progress", false);
-  const auto unknown = flags.unused();
-  MRON_INPUT_CHECK(unknown.empty(), "unknown flag --" << unknown.front());
+  flags.reject_unused();
 
   std::printf("Terasort %.0f GB, median of %d runs per point\n\n", size_gb,
               reps);

@@ -14,15 +14,13 @@
 //   offline       the static offline tuning-guide configuration
 //
 // Flight recorder: any of --metrics-out[=F] / --trace-out[=F] /
-// --audit-out[=F] turns observation on and writes the artifact after the
-// last simulation (defaults mron_metrics.json / mron_trace.json /
-// mron_audit.jsonl). --trace-detail adds per-phase and shuffle-fetch spans.
-//
-// --report-out[=F] (default mron_report.json) writes the versioned run
-// report (obs/report.h): counter rollups + metric scalars + whole-run time
-// series. The exported run is picked by key, not by completion order, so
-// the file is byte-identical at any --jobs; under --strategy=aggressive it
-// describes the last production run, not the test run.
+// --audit-out[=F] / --report-out[=F] turns observation on (defaults
+// mron_metrics.json / mron_trace.json / mron_audit.jsonl /
+// mron_report.json). --trace-detail adds per-phase and shuffle-fetch spans.
+// Each file describes one run picked by key, not by completion order
+// (mapreduce::RunExports), so it is byte-identical at any --jobs: the
+// production run with the greatest seed — except that under
+// --strategy=aggressive metrics, trace and audit describe the test run.
 //
 // --profile-out[=F] (default host_profile.json) attaches the host
 // self-profiler (obs/host_profile.h) and writes where the *simulator's* own
@@ -30,22 +28,20 @@
 // is quarantined in its own file — run reports stay byte-identical with or
 // without it. --progress prints a wall-clock-throttled stderr heartbeat
 // (events/sec, sim-time, RSS) for long runs; it never touches any artifact.
+// Bad input (an unknown flag or stray argument, a value flag given bare,
+// an unwritable path) prints one "error:" line and exits 2 before any run.
 #include <cstdio>
-#include <fstream>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/offline_guide.h"
-#include "cluster/cluster_spec.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/log.h"
-#include "faults/fault_plan.h"
 #include "mapreduce/report_rollup.h"
 #include "mapreduce/simulation.h"
-#include "obs/report.h"
 #include "sim/parallel_runner.h"
 #include "tuner/online_tuner.h"
 #include "workloads/benchmarks.h"
@@ -61,78 +57,25 @@ constexpr double kMaxSizeGb = 65536.0;
 /// front, so an unbounded count is an out-of-memory crash, not a long run.
 constexpr int kMaxRuns = 10000;
 
-/// Flight-recorder destinations (empty path = don't write). When any is
-/// set, every simulation runs observed; each finished run rewrites the
-/// files, so they describe the last simulation of the invocation.
-struct ObsConfig {
-  std::string metrics_out, trace_out, audit_out, report_out;
-  /// Host-profile destination. Deliberately excluded from any(): profiling
-  /// must not switch the flight recorder on (and must never perturb the
-  /// deterministic exports).
-  std::string profile_out;
-  bool trace_detail = false;
-  bool progress = false;
-  [[nodiscard]] bool any() const {
-    return !metrics_out.empty() || !trace_out.empty() ||
-           !audit_out.empty() || !report_out.empty();
-  }
-};
-ObsConfig g_obs;
-// --fault-plan / --fault-spec: applied to every simulation of the
-// invocation (test run and production runs alike). Empty = reliable
-// cluster.
-faults::FaultPlan g_fault_plan;
+// What every simulation of the invocation (test run and production runs
+// alike) shares: --cluster (the paper's 19-node testbed by default), the
+// --fault-plan/--fault-spec plan (empty = reliable), --dfs-replication and
+// --progress.
+mapreduce::SimulationOptions g_base;
 // --speculative: LATE-style speculative execution on every job.
 bool g_speculative = false;
-// --cluster=SPEC: the simulated cluster for every run of the invocation.
-// Defaults to the paper's 19-node testbed (cluster/cluster_spec.h grammar).
-cluster::ClusterSpec g_cluster;
-// --dfs-replication: storage layout for every run.
+// --dfs-replication, also every job's configured value.
 int g_dfs_replication = 3;
-// Runs may finish on several pool workers at once; exports stay whole-file.
-std::mutex g_obs_mu;
-// --report-out destination; keeps the greatest-keyed run, so the exported
-// report is a pure function of the flags, never of worker timing.
-obs::ReportCollector g_reports;
+// Every artifact file, each written from the greatest-keyed run offered, so
+// the files are a pure function of the flags, never of worker timing.
+std::unique_ptr<mapreduce::RunExports> g_exports;
 
-void apply_obs(mapreduce::SimulationOptions& opt) {
-  opt.cluster = g_cluster;
-  opt.fault_plan = g_fault_plan;
-  opt.dfs_replication = g_dfs_replication;
-  opt.host_profile = !g_obs.profile_out.empty();
-  opt.progress = g_obs.progress;
-  opt.progress_label = "mron_cli";
-  if (!g_obs.any()) return;
-  opt.observe = true;
-  opt.trace_detail = g_obs.trace_detail;
-}
-
-void export_obs(mapreduce::Simulation& sim) {
-  auto* rec = sim.recorder();
-  if (rec == nullptr && sim.host_profiler() == nullptr) return;
-  std::lock_guard<std::mutex> lock(g_obs_mu);
-  auto write = [](const std::string& path, auto&& writer) {
-    if (path.empty()) return;
-    std::ofstream out(path);
-    MRON_CHECK_MSG(out.good(), "cannot open " << path);
-    writer(out);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  };
-  if (rec != nullptr) {
-    write(g_obs.metrics_out,
-          [&](std::ostream& o) { rec->metrics().write_json(o); });
-    if (!g_obs.trace_out.empty() && sim.host_profiler() != nullptr) {
-      // Optional host-time lane: only profiled traces carry it, so plain
-      // traces stay deterministic.
-      sim.host_profiler()->emit_trace_track(rec->trace());
-    }
-    write(g_obs.trace_out,
-          [&](std::ostream& o) { rec->trace().write_chrome_json(o); });
-    write(g_obs.audit_out,
-          [&](std::ostream& o) { rec->audit().write_jsonl(o); });
-  }
-  write(g_obs.profile_out,
-        [&](std::ostream& o) { sim.write_host_profile(o); });
+/// Options for one simulation of the invocation.
+mapreduce::SimulationOptions sim_options(std::uint64_t seed) {
+  mapreduce::SimulationOptions opt = g_base;
+  opt.seed = seed;
+  g_exports->apply(opt);
+  return opt;
 }
 
 struct AppChoice {
@@ -192,44 +135,26 @@ void print_config(const mapreduce::JobConfig& cfg) {
   }
 }
 
-/// Offer one finished run to the report collector. `phase` ranks runs of
+/// Offer one finished run to the artifact writers. `phase` ranks runs of
 /// one invocation ("0" = aggressive test run, "1" = production), so the
-/// exported file describes the production run with the greatest seed.
-void record_report(
-    mapreduce::Simulation& sim, const std::string& phase,
-    const AppChoice& app, const std::string& strategy, std::uint64_t seed,
-    std::vector<std::pair<const mapreduce::JobResult*,
-                          const mapreduce::JobConfig*>> report_jobs) {
-  if (g_obs.report_out.empty() || report_jobs.empty()) return;
-  char seed_buf[32];
-  std::snprintf(seed_buf, sizeof(seed_buf), "%020llu",
-                static_cast<unsigned long long>(seed));
-  const std::vector<std::pair<std::string, std::string>> meta = {
-      {"app", workloads::benchmark_name(app.benchmark)},
-      {"corpus", workloads::corpus_name(app.corpus)},
-      {"strategy", strategy},
-      {"run_seed", seed_buf},
-  };
-  g_reports.offer(
-      mapreduce::run_report_key(phase, meta, *report_jobs.front().second),
-      mapreduce::run_report_json(sim, report_jobs, meta), g_obs.report_out);
-}
-
-/// One "wrote F" note once the collector has exported something.
-void note_report_written() {
-  if (!g_obs.report_out.empty() && !g_reports.empty()) {
-    std::fprintf(stderr, "wrote %s\n", g_obs.report_out.c_str());
-  }
+/// report describes the production run with the greatest seed.
+void offer(mapreduce::Simulation& sim, const std::string& phase,
+           const AppChoice& app, const std::string& strategy,
+           const mapreduce::JobResult& result,
+           const mapreduce::JobConfig& config) {
+  g_exports->offer(sim, phase,
+                   {{"app", workloads::benchmark_name(app.benchmark)},
+                    {"corpus", workloads::corpus_name(app.corpus)},
+                    {"strategy", strategy}},
+                   {{&result, &config}});
 }
 
 mapreduce::JobResult run_once(const AppChoice& app, double size_gb,
                               const mapreduce::JobConfig& cfg,
                               std::uint64_t seed, bool fair,
                               const std::string& strategy) {
-  mapreduce::SimulationOptions opt;
-  opt.seed = seed;
+  mapreduce::SimulationOptions opt = sim_options(seed);
   opt.fair_scheduler = fair;
-  apply_obs(opt);
   // A tuned dfs.replication (category I — settable only between runs)
   // flows into the production dataset's placement.
   opt.dfs_replication = static_cast<int>(cfg.dfs_replication);
@@ -237,8 +162,7 @@ mapreduce::JobResult run_once(const AppChoice& app, double size_gb,
   mapreduce::JobSpec spec = make_spec(sim, app, size_gb);
   spec.config = cfg;
   mapreduce::JobResult result = sim.run_job(std::move(spec));
-  export_obs(sim);
-  record_report(sim, /*phase=*/"1", app, strategy, seed, {{&result, &cfg}});
+  offer(sim, /*phase=*/"1", app, strategy, result, cfg);
   return result;
 }
 
@@ -255,11 +179,11 @@ constexpr const char* kFlagNames[] = {
 
 int run_cli(int argc, char** argv) {
   const Flags flags(argc, argv);
-  // Anything else is a typo or a removed option, also under --help and
-  // --list: running on as if it were absent would hide that.
+  // Anything else is a typo, a removed option or a stray argument, also
+  // under --help and --list: running on as if it were absent would hide
+  // that.
   for (const char* name : kFlagNames) (void)flags.has(name);
-  const auto unknown = flags.unused();
-  MRON_INPUT_CHECK(unknown.empty(), "unknown flag --" << unknown.front());
+  flags.reject_unused();
   if (flags.get("help", false)) {
     std::printf("usage: mron_cli --app=<terasort|wordcount|bigram|"
                 "invertedindex|textsearch|bbp> [--corpus=wikipedia|freebase]"
@@ -303,9 +227,8 @@ int run_cli(int argc, char** argv) {
   const int runs = flags.get("runs", 1);
   MRON_INPUT_CHECK(runs >= 0 && runs <= kMaxRuns,
                    "--runs=" << runs << " outside [0, " << kMaxRuns << "]");
-  const int jobs = flags.get("jobs", 1);
-  MRON_INPUT_CHECK(jobs >= 1, "--jobs wants a positive integer");
-  mron::sim::ParallelRunner pool(jobs);
+  const mapreduce::RunFlags run = mapreduce::run_flags(flags);
+  g_base = run.base;
   const bool fair = flags.get("fair", false);
   const bool show_config = flags.get("show-config", false);
   const std::string log_level = flags.get("log-level", std::string(""));
@@ -315,51 +238,27 @@ int run_cli(int argc, char** argv) {
                      "unknown --log-level=" << log_level);
     Logger::instance().set_level(level);
   }
-  if (flags.has("metrics-out")) {
-    g_obs.metrics_out =
-        flags.get("metrics-out", std::string("mron_metrics.json"));
-  }
-  if (flags.has("trace-out")) {
-    g_obs.trace_out = flags.get("trace-out", std::string("mron_trace.json"));
-  }
-  if (flags.has("audit-out")) {
-    g_obs.audit_out =
-        flags.get("audit-out", std::string("mron_audit.jsonl"));
-  }
-  if (flags.has("report-out")) {
-    g_obs.report_out =
-        flags.get("report-out", std::string("mron_report.json"));
-  }
-  if (flags.has("profile-out")) {
-    g_obs.profile_out =
-        flags.get("profile-out", std::string("host_profile.json"));
-  }
-  g_obs.progress = flags.get("progress", false);
-  g_obs.trace_detail = flags.get("trace-detail", false);
-  const std::string fault_plan_path =
-      flags.get("fault-plan", std::string(""));
-  const std::string fault_spec = flags.get("fault-spec", std::string(""));
-  MRON_INPUT_CHECK(fault_plan_path.empty() || fault_spec.empty(),
-                   "--fault-plan and --fault-spec are exclusive");
-  if (!fault_plan_path.empty()) {
-    g_fault_plan = faults::FaultPlan::load(fault_plan_path);
-  } else if (!fault_spec.empty()) {
-    g_fault_plan = faults::FaultPlan::parse(fault_spec);
-  }
+  g_exports = std::make_unique<mapreduce::RunExports>(flags, true);
+  g_base.progress = flags.get("progress", false);
+  g_base.progress_label = "mron_cli";
   g_speculative = flags.get("speculative", false);
-  const std::string cluster_spec = flags.get("cluster", std::string(""));
-  if (!cluster_spec.empty()) {
-    g_cluster = cluster::load_cluster_spec(cluster_spec);
-  }
   g_dfs_replication = flags.get("dfs-replication", 3);
   MRON_INPUT_CHECK(g_dfs_replication >= 1,
                    "--dfs-replication wants a positive integer");
+  g_base.dfs_replication = g_dfs_replication;
+  sim::ParallelRunner pool(run.jobs);
+  // One "wrote F" line per artifact file, once every run has finished.
+  auto note_written = [] {
+    for (const std::string& path : g_exports->written()) {
+      std::fprintf(stderr, "wrote %s\n", path.c_str());
+    }
+  };
 
   if (strategy == "none" || strategy == "offline") {
     mapreduce::JobConfig cfg;
     if (strategy == "offline") {
       mapreduce::SimulationOptions opt;
-      opt.cluster = g_cluster;
+      opt.cluster = g_base.cluster;
       mapreduce::Simulation sim(opt);
       const mapreduce::JobSpec spec = make_spec(sim, app, size_gb);
       const int maps = spec.input.valid()
@@ -379,7 +278,7 @@ int run_cli(int argc, char** argv) {
                           strategy);
         });
     for (const auto& r : results) print_result(strategy.c_str(), r);
-    note_report_written();
+    note_written();
     return 0;
   }
 
@@ -390,10 +289,9 @@ int run_cli(int argc, char** argv) {
     };
     const auto results = pool.map<ConservativeRun>(
         static_cast<std::size_t>(runs), [&](std::size_t i) {
-          mapreduce::SimulationOptions opt;
-          opt.seed = seed + static_cast<std::uint64_t>(i);
+          mapreduce::SimulationOptions opt =
+              sim_options(seed + static_cast<std::uint64_t>(i));
           opt.fair_scheduler = fair;
-          apply_obs(opt);
           mapreduce::Simulation sim(opt);
           tuner::TunerOptions topt;
           topt.strategy = tuner::TuningStrategy::Conservative;
@@ -405,25 +303,21 @@ int run_cli(int argc, char** argv) {
                                     });
           online_tuner.attach(am);
           sim.run();
-          export_obs(sim);
           out.best_config = online_tuner.outcome(am.id()).best_config;
-          record_report(sim, /*phase=*/"1", app, "conservative", opt.seed,
-                        {{&out.result, &out.best_config}});
+          offer(sim, /*phase=*/"1", app, "conservative", out.result,
+                out.best_config);
           return out;
         });
     for (const auto& run : results) {
       print_result("conservative", run.result);
       if (show_config) print_config(run.best_config);
     }
-    note_report_written();
+    note_written();
     return 0;
   }
 
   if (strategy == "aggressive") {
-    mapreduce::SimulationOptions opt;
-    opt.seed = seed;
-    apply_obs(opt);
-    mapreduce::Simulation sim(opt);
+    mapreduce::Simulation sim(sim_options(seed));
     tuner::OnlineTuner online_tuner{tuner::TunerOptions{}};
     mapreduce::JobResult test_result;
     auto& am = sim.submit_job(
@@ -431,20 +325,15 @@ int run_cli(int argc, char** argv) {
         [&](const mapreduce::JobResult& r) { test_result = r; });
     online_tuner.attach(am);
     sim.run();
-    export_obs(sim);
     const auto& out = online_tuner.outcome(am.id());
-    record_report(sim, /*phase=*/"0", app, "aggressive", seed,
-                  {{&test_result, &out.best_config}});
+    offer(sim, /*phase=*/"0", app, "aggressive", test_result,
+          out.best_config);
     // The tuner's test run is the one worth inspecting — keep its artifacts
-    // instead of letting the production runs below overwrite them. The run
+    // instead of letting the production runs below replace them. The run
     // report keeps flowing: phase "1" offers outrank the test run's, so it
     // ends up describing a production run (the Figure-7 comparison wants
     // tuned production vs default, not the gated test run).
-    const std::string report_out = g_obs.report_out;
-    const bool keep_progress = g_obs.progress;
-    g_obs = ObsConfig{};
-    g_obs.report_out = report_out;
-    g_obs.progress = keep_progress;
+    g_exports->report_only();
     std::printf("test run: %.1f s, %d waves, %d configurations\n",
                 test_result.exec_time(), out.waves, out.configs_tried);
     if (show_config) print_config(out.best_config);
@@ -455,7 +344,7 @@ int run_cli(int argc, char** argv) {
                           "aggressive");
         });
     for (const auto& r : results) print_result("aggressive", r);
-    note_report_written();
+    note_written();
     return 0;
   }
 
@@ -471,8 +360,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {
-    // Bad export paths and the like surface as CheckError; a clean message
-    // beats an abort for a command-line tool.
+    // An internal check failed; a clean message beats an abort for a
+    // command-line tool.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

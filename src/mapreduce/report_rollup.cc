@@ -1,10 +1,14 @@
 #include "mapreduce/report_rollup.h"
 
 #include <algorithm>
+#include <cstdio>
 
+#include "cluster/cluster_spec.h"
+#include "common/check.h"
+#include "common/flags.h"
 #include "common/format.h"
 #include "mapreduce/params.h"
-#include "mapreduce/simulation.h"
+#include "sim/parallel_runner.h"
 
 namespace mron::mapreduce {
 
@@ -145,6 +149,88 @@ std::string run_report_key(
     key += ',';
   }
   return key;
+}
+
+RunFlags run_flags(const Flags& flags) {
+  RunFlags run;
+  run.jobs = flags.get("jobs", 1);
+  MRON_INPUT_CHECK(run.jobs >= 1 && run.jobs <= sim::ParallelRunner::kMaxJobs,
+                   "--jobs=" << run.jobs << " outside [1, "
+                             << sim::ParallelRunner::kMaxJobs << "]");
+  const std::string cluster = flags.get("cluster", std::string());
+  if (!cluster.empty()) run.base.cluster = cluster::load_cluster_spec(cluster);
+  const std::string plan = flags.get("fault-plan", std::string());
+  const std::string spec = flags.get("fault-spec", std::string());
+  MRON_INPUT_CHECK(plan.empty() || spec.empty(),
+                   "--fault-plan and --fault-spec are exclusive");
+  if (!plan.empty()) run.base.fault_plan = faults::FaultPlan::load(plan);
+  if (!spec.empty()) run.base.fault_plan = faults::FaultPlan::parse(spec);
+  // Simulations validate their plan on worker threads, where a bad node id
+  // would abort the process; check it against the cluster up front.
+  run.base.fault_plan.validate(run.base.cluster.total_slaves());
+  return run;
+}
+
+RunExports::RunExports(const Flags& flags, bool profile)
+    : report_(flags.path("report-out", "mron_report.json")),
+      metrics_(flags.path("metrics-out", "mron_metrics.json")),
+      trace_(flags.path("trace-out", "mron_trace.json")),
+      audit_(flags.path("audit-out", "mron_audit.jsonl")),
+      profile_(profile ? flags.path("profile-out", "host_profile.json") : ""),
+      trace_detail_(flags.get("trace-detail", false)) {}
+
+void RunExports::apply(SimulationOptions& opt) const {
+  opt.host_profile = wants(profile_);
+  opt.observe =
+      wants(report_) || wants(metrics_) || wants(trace_) || wants(audit_);
+  opt.trace_detail = opt.observe && trace_detail_ && !report_only_;
+}
+
+void RunExports::offer(
+    Simulation& sim, const std::string& phase,
+    std::vector<std::pair<std::string, std::string>> meta,
+    const std::vector<std::pair<const JobResult*, const JobConfig*>>& jobs) {
+  MRON_CHECK(!jobs.empty());
+  // Zero-padded so seeds order the same lexicographically and numerically.
+  char seed[32];
+  std::snprintf(seed, sizeof(seed), "%020llu",
+                static_cast<unsigned long long>(sim.options().seed));
+  meta.emplace_back("run_seed", seed);
+  const std::string key = run_report_key(phase, meta, *jobs.front().second);
+  obs::Recorder* rec = sim.recorder();
+  obs::HostProfiler* profiler = sim.host_profiler();
+  if (wants(report_)) {
+    report_.offer(key, [&](std::ostream& os) {
+      os << run_report_json(sim, jobs, meta);
+    });
+  }
+  if (rec != nullptr && wants(metrics_)) {
+    metrics_.offer(key,
+                   [&](std::ostream& os) { rec->metrics().write_json(os); });
+  }
+  if (rec != nullptr && wants(trace_)) {
+    trace_.offer(key, [&](std::ostream& os) {
+      // Optional host-time lane: only profiled traces carry it, so plain
+      // traces stay deterministic.
+      if (profiler != nullptr) profiler->emit_trace_track(rec->trace());
+      rec->trace().write_chrome_json(os);
+    });
+  }
+  if (rec != nullptr && wants(audit_)) {
+    audit_.offer(key, [&](std::ostream& os) { rec->audit().write_jsonl(os); });
+  }
+  if (profiler != nullptr && wants(profile_)) {
+    profile_.offer(key, [&](std::ostream& os) { sim.write_host_profile(os); });
+  }
+}
+
+std::vector<std::string> RunExports::written() const {
+  std::vector<std::string> out;
+  for (const obs::ReportCollector* c :
+       {&metrics_, &trace_, &audit_, &profile_, &report_}) {
+    if (!c->empty()) out.push_back(c->path());
+  }
+  return out;
 }
 
 }  // namespace mron::mapreduce

@@ -1,5 +1,6 @@
 #include "obs/report.h"
 
+#include <filesystem>
 #include <fstream>
 
 #include "common/check.h"
@@ -70,18 +71,12 @@ std::map<std::string, double> RunReport::run_totals() const {
   return totals;
 }
 
-void RunReport::write_json(std::ostream& os, const Recorder* rec) const {
-  JsonWriter w(os);
-  write_json(w, rec);
-  w.flush();
-}
-
 std::string RunReport::to_json(const Recorder* rec) const {
   std::string out;
   JsonWriter w(out);
   write_json(w, rec);
-  // Callers keep the report (ReportCollector, benches); growth by doubling
-  // can leave nearly as much slack again as the report is long.
+  // Callers may hold the report a while; growth by doubling can leave
+  // nearly as much slack again as the report is long.
   out.shrink_to_fit();
   return out;
 }
@@ -167,24 +162,32 @@ void RunReport::write_json(JsonWriter& w, const Recorder* rec) const {
       .raw("}}\n");
 }
 
-bool ReportCollector::offer(const std::string& key, const std::string& json,
-                            const std::string& path) {
+ReportCollector::ReportCollector(std::string path) : path_(std::move(path)) {
+  if (path_.empty()) return;
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path_, ec);
+  MRON_INPUT_CHECK(std::ofstream(path_, std::ios::app).good(),
+                   "cannot write " << path_);
+  if (!existed) std::filesystem::remove(path_, ec);
+}
+
+bool ReportCollector::offer(const std::string& key,
+                            const std::function<void(std::ostream&)>& write) {
   std::lock_guard<std::mutex> lock(mu_);
   // Weak comparison: an equal key re-offers an identical run (identical
   // bytes by the determinism contract), so rewriting is a no-op in content
   // and keeps "the last write is the winner" trivially true.
-  if (!best_json_.empty() && key < best_key_) return false;
+  if (best_key_.has_value() && key < *best_key_) return false;
   best_key_ = key;
-  best_json_ = json;
-  std::ofstream out(path);
-  MRON_CHECK_MSG(out.good(), "cannot open " << path);
-  out << best_json_;
+  std::ofstream out(path_);
+  MRON_CHECK_MSG(out.good(), "cannot open " << path_);
+  write(out);
   return true;
 }
 
 bool ReportCollector::empty() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return best_json_.empty();
+  return !best_key_.has_value();
 }
 
 }  // namespace mron::obs

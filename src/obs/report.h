@@ -19,8 +19,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -82,7 +84,6 @@ class RunReport {
 
   /// Serialize. `rec` contributes the metrics/series/audit sections and may
   /// be null (a run without observe), leaving them empty.
-  void write_json(std::ostream& os, const Recorder* rec) const;
   void write_json(JsonWriter& w, const Recorder* rec) const;
   [[nodiscard]] std::string to_json(const Recorder* rec) const;
 
@@ -93,27 +94,33 @@ class RunReport {
   std::map<std::string, double> dfs_;
 };
 
-/// Picks which run's report a multi-run invocation exports. Runs race on
-/// worker threads, so "last writer wins" is not deterministic; instead each
-/// finished run offers (key, serialized report) and the collector keeps the
-/// lexicographically greatest key. Distinct runs carry distinct keys (the
-/// key embeds seed/phase/config digest); equal keys mean identical runs,
-/// whose serialized bytes match — so the surviving file is byte-identical
-/// at any --jobs value.
+/// Picks which run a multi-run invocation exports to one artifact file.
+/// Runs race on worker threads, so "last writer wins" is not deterministic;
+/// instead each finished run offers its key and a writer, and the file
+/// describes the lexicographically greatest key. Distinct runs carry
+/// distinct keys (the key embeds seed/phase/config digest); equal keys mean
+/// identical runs, whose serialized bytes match — so the surviving file is
+/// byte-identical at any --jobs value.
 class ReportCollector {
  public:
-  /// Record `json` under `key`; when it (weakly) beats the current best,
-  /// rewrite `path` immediately, so the file is always whole and the last
-  /// write is the final winner. Returns true when it won.
-  bool offer(const std::string& key, const std::string& json,
-             const std::string& path);
+  /// Probes a non-empty `path` (leaving no file behind); InputError
+  /// "cannot write PATH" when it cannot be opened for writing.
+  explicit ReportCollector(std::string path);
+
+  /// When `key` (weakly) beats every earlier offer, rewrite the file with
+  /// what `write` emits, under the lock, so the file is always whole and
+  /// the last write is the final winner. Returns true when it won. Only a
+  /// winner is serialized, and nothing is kept in memory.
+  bool offer(const std::string& key,
+             const std::function<void(std::ostream&)>& write);
 
   [[nodiscard]] bool empty() const;
+  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  const std::string path_;
   mutable std::mutex mu_;
-  std::string best_key_;
-  std::string best_json_;
+  std::optional<std::string> best_key_;
 };
 
 }  // namespace mron::obs

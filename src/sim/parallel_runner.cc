@@ -1,17 +1,8 @@
 #include "sim/parallel_runner.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace mron::sim {
-
-namespace {
-std::atomic<int> g_default_jobs{0};
-}  // namespace
-
-void ParallelRunner::set_default_jobs(int jobs) { g_default_jobs = jobs; }
-
-int ParallelRunner::default_jobs() { return g_default_jobs; }
 
 ParallelRunner::ParallelRunner(int jobs) {
   if (jobs <= 0) {

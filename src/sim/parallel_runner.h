@@ -43,6 +43,10 @@ class ParallelRunner {
 
   [[nodiscard]] int jobs() const { return jobs_; }
 
+  /// Largest `--jobs` a driver accepts: the constructor starts jobs - 1 OS
+  /// threads at once, so an unchecked count can exhaust the process table.
+  static constexpr int kMaxJobs = 1024;
+
   /// Run fn(0) ... fn(n-1), blocking until all complete. If any task threw,
   /// rethrows the exception of the lowest-index failed task (deterministic)
   /// after the whole batch has drained.
@@ -56,11 +60,6 @@ class ParallelRunner {
     for_each(n, [&](std::size_t i) { out[i] = fn(i); });
     return out;
   }
-
-  /// Process-wide default for `--jobs`-style flags: 0 until set_default_jobs
-  /// is called, where 0 means "decide locally" (usually 1 for benches).
-  static void set_default_jobs(int jobs);
-  [[nodiscard]] static int default_jobs();
 
  private:
   struct Batch {

@@ -38,6 +38,27 @@ TEST(Flags, BooleanSpellings) {
   EXPECT_TRUE(make({"--x=true"}).get("x", false));
   EXPECT_TRUE(make({"--x=yes"}).get("x", false));
   EXPECT_FALSE(make({"--x=0"}).get("x", true));
+  EXPECT_FALSE(make({"--x=no"}).get("x", true));
+  // `--fair stray` must not quietly read as false.
+  EXPECT_THROW((void)make({"--x", "stray"}).get("x", false), InputError);
+}
+
+TEST(Flags, BareValueFlagNeedsAValue) {
+  // Bare, empty, or followed by another flag: never the fallback.
+  for (const auto& f : {make({"--seed"}), make({"--seed="}),
+                        make({"--seed", "--app=wc"})}) {
+    EXPECT_THROW((void)f.get("seed", 1), InputError);
+    EXPECT_THROW((void)f.get("seed", 1.0), InputError);
+    EXPECT_THROW((void)f.get("seed", std::string("x")), InputError);
+  }
+}
+
+TEST(Flags, PathTakesItsDefaultWhenBare) {
+  const auto f = make({"--report-out", "--metrics-out=m.json", "--a="});
+  EXPECT_EQ(f.path("report-out", "r.json"), "r.json");
+  EXPECT_EQ(f.path("metrics-out", "x.json"), "m.json");
+  EXPECT_EQ(f.path("a", "a.json"), "a.json");
+  EXPECT_EQ(f.path("absent", "y.json"), "");
 }
 
 TEST(Flags, Fallbacks) {
@@ -69,6 +90,16 @@ TEST(Flags, UnusedDetectsTypos) {
   const auto unused = f.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "strateegy");
+}
+
+TEST(Flags, RejectUnusedNamesFlagsThenStrayArguments) {
+  const auto f = make({"--app=wc", "stray"});
+  EXPECT_THROW(f.reject_unused(), InputError);  // --app was never read
+  (void)f.has("app");
+  EXPECT_THROW(f.reject_unused(), InputError);  // the stray argument
+  const auto read = make({"--app=wc"});
+  (void)read.has("app");
+  EXPECT_NO_THROW(read.reject_unused());
 }
 
 TEST(Flags, HasMarksQueried) {

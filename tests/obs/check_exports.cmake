@@ -88,3 +88,18 @@ assert not bad, 'numbers outside the contract: %r' % bad[:10]
 if(NOT py_rc EQUAL 0)
   message(FATAL_ERROR "export validation failed with ${py_rc}")
 endif()
+
+# A bare artifact flag followed by another flag takes the default name in a
+# bench binary too; it never takes the next flag as its file name.
+set(bare_dir ${WORKDIR}/check_bench_bare_flags)
+file(REMOVE_RECURSE ${bare_dir})
+file(MAKE_DIRECTORY ${bare_dir})
+execute_process(
+  COMMAND ${FIG07} --jobs=1 --report-out --metrics-out
+  WORKING_DIRECTORY ${bare_dir}
+  RESULT_VARIABLE fig07_rc OUTPUT_QUIET)
+file(GLOB written RELATIVE ${bare_dir} ${bare_dir}/*)
+if(NOT fig07_rc EQUAL 0 OR
+   NOT written STREQUAL "mron_metrics.json;mron_report.json")
+  message(FATAL_ERROR "fig07 bare flags: exit ${fig07_rc}, wrote '${written}'")
+endif()

@@ -66,3 +66,51 @@ if(improve_rc EQUAL 0)
   message(FATAL_ERROR
           "--check-improves passed on identical reports; the gate is broken")
 endif()
+
+# Every artifact follows the report's rule: each file describes the
+# greatest-keyed run, so it is byte-identical at --jobs=1 and over three
+# --jobs=4 runs, for mron_cli's repeated runs and a bench binary's fan-out.
+# The bare flags take the mron_* default names in both drivers.
+function(check_artifacts_stable name)
+  foreach(run j1 j4a j4b j4c)
+    set(dir ${WORKDIR}/${name}_${run})
+    file(REMOVE_RECURSE ${dir})
+    file(MAKE_DIRECTORY ${dir})
+    string(SUBSTRING ${run} 1 1 jobs)
+    execute_process(
+      COMMAND ${ARGN} --jobs=${jobs} --report-out --metrics-out --trace-out
+              --audit-out
+      WORKING_DIRECTORY ${dir}
+      RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "${name} --jobs=${jobs} failed with ${rc}")
+    endif()
+    foreach(f mron_report.json mron_metrics.json mron_trace.json
+              mron_audit.jsonl)
+      execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORKDIR}/${name}_j1/${f} ${dir}/${f}
+        RESULT_VARIABLE cmp_rc)
+      if(NOT cmp_rc EQUAL 0)
+        message(FATAL_ERROR "${name}: ${f} differs between j1 and ${run}")
+      endif()
+    endforeach()
+  endforeach()
+endfunction()
+
+check_artifacts_stable(check_cli_artifacts ${CLI} --app=terasort --size-gb=2
+                       --runs=4)
+check_artifacts_stable(check_fig14_artifacts ${FIG14})
+
+# A bench binary's audit describes its tuned run (the greatest key), not
+# whichever plain run finished last.
+file(SIZE ${WORKDIR}/check_fig14_artifacts_j1/mron_audit.jsonl fig14_audit)
+execute_process(
+  COMMAND ${FIG04} --jobs=4 --audit-out=check_fig04_audit.jsonl
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE fig04_rc OUTPUT_QUIET)
+file(SIZE ${WORKDIR}/check_fig04_audit.jsonl fig04_audit)
+if(NOT fig04_rc EQUAL 0 OR fig04_audit EQUAL 0 OR fig14_audit EQUAL 0)
+  message(FATAL_ERROR "fig04 (rc ${fig04_rc}, audit ${fig04_audit} B) or "
+                      "fig14 (audit ${fig14_audit} B): empty tuned audit")
+endif()

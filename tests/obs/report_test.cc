@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/check.h"
 #include "mapreduce/report_rollup.h"
 #include "mapreduce/simulation.h"
 #include "obs/recorder.h"
@@ -99,17 +101,30 @@ std::string slurp(const std::string& path) {
 
 TEST(ReportCollector, ExportsTheLexicographicallyGreatestKey) {
   const std::string path = testing::TempDir() + "mron_collector_report.json";
-  ReportCollector collector;
+  std::remove(path.c_str());
+  ReportCollector collector(path);
+  // The constructor's writability probe leaves no file behind.
+  EXPECT_FALSE(std::ifstream(path).good());
+  int serialized = 0;
+  auto run = [&](const char* name) {
+    return [&serialized, name](std::ostream& os) {
+      ++serialized;
+      os << "{\"run\":\"" << name << "\"}";
+    };
+  };
   EXPECT_TRUE(collector.empty());
-  EXPECT_TRUE(collector.offer("1|b", "{\"run\":\"b\"}", path));
+  EXPECT_TRUE(collector.offer("1|b", run("b")));
   EXPECT_FALSE(collector.empty());
-  // A lower key neither wins nor rewrites the file.
-  EXPECT_FALSE(collector.offer("0|z", "{\"run\":\"z\"}", path));
+  // A lower key is not serialized and does not rewrite the file.
+  EXPECT_FALSE(collector.offer("0|z", run("z")));
+  EXPECT_EQ(serialized, 1);
   EXPECT_EQ(slurp(path), "{\"run\":\"b\"}");
   // A higher key replaces it; equal keys (identical runs) also rewrite.
-  EXPECT_TRUE(collector.offer("1|c", "{\"run\":\"c\"}", path));
-  EXPECT_TRUE(collector.offer("1|c", "{\"run\":\"c\"}", path));
+  EXPECT_TRUE(collector.offer("1|c", run("c")));
+  EXPECT_TRUE(collector.offer("1|c", run("c")));
+  EXPECT_EQ(serialized, 3);
   EXPECT_EQ(slurp(path), "{\"run\":\"c\"}");
+  EXPECT_THROW(ReportCollector("/nonexistent-dir/x.json"), InputError);
 }
 
 TEST(RunReport, SimulationRollupProducesFullSchema) {

@@ -92,12 +92,5 @@ TEST(ParallelRunner, ReusableAcrossBatches) {
   EXPECT_EQ(sum, 10LL * (49 * 50 / 2));
 }
 
-TEST(ParallelRunner, DefaultJobsRoundTrips) {
-  const int before = ParallelRunner::default_jobs();
-  ParallelRunner::set_default_jobs(3);
-  EXPECT_EQ(ParallelRunner::default_jobs(), 3);
-  ParallelRunner::set_default_jobs(before);
-}
-
 }  // namespace
 }  // namespace mron::sim
