@@ -22,17 +22,17 @@ struct SkewPoint {
 
 SkewPoint run_with_skew(double cv, const mapreduce::JobConfig& cfg,
                         std::uint64_t seed) {
-  mapreduce::SimulationOptions opt;
-  opt.seed = seed;
-  mapreduce::Simulation sim(opt);
-  mapreduce::JobSpec spec =
-      workloads::make_job(sim, Benchmark::Bigram, Corpus::Wikipedia);
-  spec.profile.partition_skew_cv = cv;
-  spec.config = cfg;
-  mapreduce::JobResult result;
-  sim.submit_job(std::move(spec),
-                 [&](const mapreduce::JobResult& r) { result = r; });
-  sim.run();
+  // The skew is part of the key: runs that differ only in it are distinct.
+  const mapreduce::JobResult result = bench::run_job(
+      Benchmark::Bigram, Corpus::Wikipedia, seed,
+      "skew cv=" + TextTable::num(cv, 1),
+      [&](mapreduce::Simulation& sim) {
+        mapreduce::JobSpec spec =
+            workloads::make_job(sim, Benchmark::Bigram, Corpus::Wikipedia);
+        spec.profile.partition_skew_cv = cv;
+        spec.config = cfg;
+        return spec;
+      });
   const auto s = trace::summarize(result);
   return {result.exec_time(), s.avg_reduce_secs, s.p95_reduce_secs};
 }

@@ -127,15 +127,25 @@ void init_obs_from_flags(int argc, char** argv) {
   }
 }
 
+JobResult run_job(Benchmark b, Corpus c, std::uint64_t seed,
+                  const std::string& phase,
+                  const std::function<JobSpec(Simulation&)>& make) {
+  Simulation sim(sim_options(seed));
+  JobSpec spec = make(sim);
+  const JobConfig cfg = spec.config;
+  const JobResult result = sim.run_job(std::move(spec));
+  offer(sim, b, c, phase, {{&result, &cfg}});
+  return result;
+}
+
 RunStats run_plain(Benchmark b, Corpus c, const JobConfig& cfg,
                    std::uint64_t seed, Bytes terasort_bytes,
                    int terasort_reduces) {
-  Simulation sim(sim_options(seed));
-  JobSpec spec = make_spec(sim, b, c, terasort_bytes, terasort_reduces);
-  spec.config = cfg;
-  const JobResult result = sim.run_job(std::move(spec));
-  offer(sim, b, c, "plain", {{&result, &cfg}});
-  return stats_from(result);
+  return stats_from(run_job(b, c, seed, "plain", [&](Simulation& sim) {
+    JobSpec spec = make_spec(sim, b, c, terasort_bytes, terasort_reduces);
+    spec.config = cfg;
+    return spec;
+  }));
 }
 
 RunStats run_averaged(Benchmark b, Corpus c, const JobConfig& cfg,

@@ -8,6 +8,7 @@
 // applicable.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,15 @@ struct RunStats {
   double reduce_cpu_util = 0.0;
   int failed_attempts = 0;
 };
+
+/// One run of the job `make` builds inside the simulation (a benchmark
+/// with its own tweaks: skew, a config, a size), on the harness's cluster
+/// and fault plan, observed for and offered to the artifact flags under
+/// `phase`. Every bench simulation goes through here or the runs below.
+mapreduce::JobResult run_job(
+    workloads::Benchmark b, workloads::Corpus c, std::uint64_t seed,
+    const std::string& phase,
+    const std::function<mapreduce::JobSpec(mapreduce::Simulation&)>& make);
 
 /// One plain run of a benchmark (no tuner). `terasort_bytes` overrides the
 /// Terasort input size (0 = the paper's 100 GB); ignored otherwise.

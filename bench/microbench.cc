@@ -54,7 +54,7 @@ BENCHMARK(BM_EngineScheduleDispatch);
 
 // Schedule/cancel churn: the timeout-heavy pattern (speculation timers,
 // heartbeats) where most events never fire. Exercises slot reuse and the
-// amortized heap compaction.
+// O(log n) heap removal.
 void BM_EngineCancelChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng;
@@ -69,12 +69,29 @@ void BM_EngineCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancelChurn);
 
+// The same churn with one far-future event moved in place each iteration
+// instead of cancelled and scheduled anew: the pattern SharedServer's
+// completion event follows on every submit.
+void BM_EngineRescheduleChurn(benchmark::State& state) {
+  for (auto _ : state) {
+    sim::Engine eng;
+    const auto id = eng.schedule_after(2000.0, [] {});
+    for (int i = 0; i < 1000; ++i) {
+      eng.reschedule(id, 1000.0 + i);
+      eng.schedule_at(static_cast<double>(i % 97), [] {});
+    }
+    benchmark::DoNotOptimize(eng.run());
+  }
+  state.SetItemsProcessed(state.iterations() * 2000);
+}
+BENCHMARK(BM_EngineRescheduleChurn);
+
 /// Queue-churn workload at configurable depth: build `pending` timers
 /// spread over an hour of sim-time, run `churn` cancel+reschedule cycles
 /// against them (far-future replacements — the timeout pattern), then
 /// drain. This is the regime a 10,240-node cluster's heartbeat/speculation
-/// timers put the engine in: 1M+ pending heap entries, with tombstones
-/// swept by compaction. Returns events dispatched (for DoNotOptimize).
+/// timers put the engine in: 1M+ pending heap entries, each cancel an
+/// O(log n) removal. Returns events dispatched (for DoNotOptimize).
 std::int64_t run_queue_churn(int pending, int churn) {
   sim::Engine eng;
   Rng rng(11);

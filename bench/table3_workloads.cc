@@ -16,13 +16,15 @@ int main(int argc, char** argv) {
                    "Output(P)", "Output(M)", "#Map,#Red", "Type"});
   for (const BenchmarkInfo& info : workloads::table3()) {
     // One run measures the modeled shuffle/output volumes.
-    mapreduce::SimulationOptions opt;
-    opt.seed = 1;
-    mapreduce::Simulation sim(opt);
-    mapreduce::JobSpec spec =
-        workloads::make_job(sim, info.benchmark, info.corpus);
-    const double out_ratio = spec.profile.reduce_output_ratio;
-    const mapreduce::JobResult r = sim.run_job(std::move(spec));
+    double out_ratio = 0.0;
+    const mapreduce::JobResult r = bench::run_job(
+        info.benchmark, info.corpus, /*seed=*/1, "plain",
+        [&](mapreduce::Simulation& sim) {
+          mapreduce::JobSpec spec =
+              workloads::make_job(sim, info.benchmark, info.corpus);
+          out_ratio = spec.profile.reduce_output_ratio;
+          return spec;
+        });
     Bytes shuffled{0};
     Bytes output{0};
     for (const auto& rep : r.reduce_reports) {

@@ -107,28 +107,22 @@ Simulation::Simulation(SimulationOptions options)
       HOST_PROF_CATEGORY(kMonitor);
       monitor_->start();
     }
-    // Queue occupancy: live pending events, stale cancel tombstones not yet
-    // collected, and slot-map capacity. Pull model (queue churn is the
-    // hottest path). Each flush also pushes the gauges into the series
-    // store, making queue occupancy plottable over the run rather than a
-    // final scalar only.
+    // Queue occupancy: pending events and slot-map capacity. Pull model
+    // (queue churn is the hottest path). Each flush also pushes the gauges
+    // into the series store, making queue occupancy plottable over the run
+    // rather than a final scalar only.
     auto* queue_live = &recorder_->metrics().gauge("sim.queue.live");
-    auto* queue_stale = &recorder_->metrics().gauge("sim.queue.stale");
     auto* queue_capacity = &recorder_->metrics().gauge("sim.queue.capacity");
     auto* live_series = &recorder_->series().series("sim.queue.live");
-    auto* stale_series = &recorder_->series().series("sim.queue.stale");
     auto* capacity_series = &recorder_->series().series("sim.queue.capacity");
-    recorder_->add_flush_hook([this, queue_live, queue_stale, queue_capacity,
-                               live_series, stale_series, capacity_series] {
+    recorder_->add_flush_hook([this, queue_live, queue_capacity, live_series,
+                               capacity_series] {
       const auto live = static_cast<double>(engine_.pending());
-      const auto stale = static_cast<double>(engine_.stale_entries());
       const auto capacity = static_cast<double>(engine_.slot_capacity());
       queue_live->set(live);
-      queue_stale->set(stale);
       queue_capacity->set(capacity);
       const SimTime now = engine_.now();
       live_series->push(now, live);
-      stale_series->push(now, stale);
       capacity_series->push(now, capacity);
     });
     auto& trace = recorder_->trace();

@@ -1,17 +1,10 @@
 #include "sim/engine.h"
 
-#include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "obs/host_profile.h"
 
 namespace mron::sim {
-
-namespace {
-// Compaction hysteresis: never bother sweeping a tiny queue.
-constexpr std::size_t kMinQueueForCompaction = 64;
-}  // namespace
 
 EventId Engine::schedule_impl(SimTime t, Callback cb, bool daemon) {
   MRON_CHECK_MSG(t >= now_, "schedule_at(" << t << ") before now=" << now_);
@@ -23,6 +16,7 @@ EventId Engine::schedule_impl(SimTime t, Callback cb, bool daemon) {
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
+    heap_pos_.push_back(0);
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
@@ -33,8 +27,8 @@ EventId Engine::schedule_impl(SimTime t, Callback cb, bool daemon) {
   if (host_profiler_ != nullptr) {
     s.cat = obs::HostProfiler::CatScope::current();
   }
-  heap_.push_back(EventEntry{t, next_seq_++, slot, s.gen});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
+  heap_.push_back(EventEntry{t, next_seq_++, slot});
+  sift_up(heap_.size() - 1);
   ++live_events_;
   if (daemon) ++daemon_events_;
   return pack(slot, s.gen);
@@ -58,67 +52,107 @@ EventId Engine::schedule_daemon_after(SimTime delay, Callback cb) {
   return schedule_impl(now_ + delay, std::move(cb), /*daemon=*/true);
 }
 
-void Engine::cancel(EventId id) {
-  if (!id.valid()) return;
+std::uint32_t Engine::pending_slot(EventId id) const {
+  if (!id.valid()) return kNoSlot;
   const auto packed = static_cast<std::uint64_t>(id.value());
   const auto slot = static_cast<std::uint32_t>(packed & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(packed >> 32);
   if (slot >= slots_.size() || slots_[slot].gen != gen || !slots_[slot].cb) {
-    return;  // already fired, already cancelled, or never issued
+    return kNoSlot;
   }
+  return slot;
+}
+
+void Engine::cancel(EventId id) {
+  const std::uint32_t slot = pending_slot(id);
+  // Already fired, already cancelled, or never issued: a no-op.
+  if (slot == kNoSlot) return;
+  heap_erase(heap_pos_[slot]);
   if (slots_[slot].daemon) --daemon_events_;
   release_slot(slot);
   --live_events_;
-  // The queue entry stays behind as a tombstone: dropped at pop time, or
-  // swept by maybe_compact() before tombstones can outnumber live events.
-  ++stale_in_queue_;
-  maybe_compact();
+}
+
+void Engine::reschedule(EventId id, SimTime t) {
+  MRON_CHECK_MSG(t >= now_, "reschedule(" << t << ") before now=" << now_);
+  const std::uint32_t slot = pending_slot(id);
+  MRON_CHECK_MSG(slot != kNoSlot, "reschedule of an event that already "
+                                  "fired or was cancelled");
+  Slot& s = slots_[slot];
+  // Stamped as schedule_impl() would stamp a fresh event.
+  if (host_profiler_ != nullptr) {
+    s.cat = obs::HostProfiler::CatScope::current();
+  }
+  const std::size_t pos = heap_pos_[slot];
+  // The fresh seq exceeds every queued one, so the key only decreases when
+  // the time does: an earlier event can only move up, any other only down.
+  const bool earlier = t < heap_[pos].time;
+  heap_[pos] = EventEntry{t, next_seq_++, slot};
+  if (earlier) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
 }
 
 void Engine::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb.reset();
   s.daemon = false;
-  // Wrapping at 2^31 keeps EventId::value() non-negative; a stale handle
+  // Wrapping at 2^31 keeps EventId::value() non-negative; a dead handle
   // would have to survive two billion reuses of one slot to collide.
   s.gen = (s.gen + 1) & 0x7fffffffu;
   free_slots_.push_back(slot);
 }
 
-void Engine::maybe_compact() {
-  if (stale_in_queue_ <= live_events_ ||
-      heap_.size() < kMinQueueForCompaction) {
-    return;
+void Engine::sift_up(std::size_t pos) {
+  const EventEntry e = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!(e < heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
   }
-  std::erase_if(heap_, [this](const EventEntry& e) { return !is_live(e); });
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
-  stale_in_queue_ = 0;
+  place(pos, e);
 }
 
-EventEntry Engine::heap_pop() {
-  const EventEntry e = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<EventEntry>{});
+void Engine::sift_down(std::size_t pos) {
+  const EventEntry e = heap_[pos];
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n) child += heap_[child + 1] < heap_[child];
+    if (!(heap_[child] < e)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, e);
+}
+
+void Engine::heap_erase(std::size_t pos) {
+  const EventEntry last = heap_.back();
   heap_.pop_back();
-  return e;
+  if (pos == heap_.size()) return;  // erased the last entry itself
+  heap_[pos] = last;
+  if (pos > 0 && last < heap_[(pos - 1) / 2]) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
 }
 
 bool Engine::pop_next(Callback* cb, std::uint8_t* cat) {
-  while (!heap_.empty()) {
-    const EventEntry entry = heap_pop();
-    if (!is_live(entry)) {
-      --stale_in_queue_;
-      continue;
-    }
-    *cb = std::move(slots_[entry.slot].cb);
-    if (slots_[entry.slot].daemon) --daemon_events_;
-    *cat = slots_[entry.slot].cat;
-    release_slot(entry.slot);
-    --live_events_;
-    now_ = entry.time;
-    ++total_dispatched_;
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const EventEntry entry = heap_.front();
+  heap_erase(0);
+  Slot& s = slots_[entry.slot];
+  *cb = std::move(s.cb);
+  if (s.daemon) --daemon_events_;
+  *cat = s.cat;
+  release_slot(entry.slot);
+  --live_events_;
+  now_ = entry.time;
+  ++total_dispatched_;
+  return true;
 }
 
 bool Engine::dispatch_next() {
@@ -150,12 +184,12 @@ std::int64_t Engine::run(std::int64_t max_events) {
 std::int64_t Engine::run_profiled(std::int64_t max_events) {
   // Clock reads only at category transitions: a contiguous run of
   // same-category events is billed as one batch whose wall is the delta
-  // between the boundary reads (callbacks + queue pops + any tombstone
-  // skips in between). The boundary deltas partition the loop's wall time,
-  // so the per-subsystem totals still sum to it by construction — but the
-  // raw_ticks() cost (~20ns virtualized) amortizes across each run instead
-  // of taxing every event. Steady-state traffic is long runs of heartbeats
-  // punctuated by task events, so runs are typically many events deep.
+  // between the boundary reads (callbacks + queue pops in between). The
+  // boundary deltas partition the loop's wall time, so the per-subsystem
+  // totals still sum to it by construction — but the raw_ticks() cost
+  // (~20ns virtualized) amortizes across each run instead of taxing every
+  // event. Steady-state traffic is long runs of heartbeats punctuated by
+  // task events, so runs are typically many events deep.
   obs::HostProfiler::Activation activation(host_profiler_);
   std::int64_t fired = 0;
   std::int64_t t0 = obs::HostProfiler::raw_ticks();
@@ -192,17 +226,7 @@ std::int64_t Engine::run_profiled(std::int64_t max_events) {
 std::int64_t Engine::run_until(SimTime t) {
   MRON_CHECK(t >= now_);
   std::int64_t fired = 0;
-  while (!heap_.empty()) {
-    // The time check comes before the staleness check: tombstones beyond
-    // `t` stay queued until their turn or the compaction sweep, so a
-    // bounded run never consumes entries past its boundary.
-    const EventEntry& entry = heap_.front();
-    if (entry.time > t) break;
-    if (!is_live(entry)) {
-      heap_pop();
-      --stale_in_queue_;
-      continue;
-    }
+  while (!heap_.empty() && heap_.front().time <= t) {
     dispatch_next();
     ++fired;
   }

@@ -9,11 +9,10 @@
 // Internals are built for the hot path (see DESIGN.md "Engine internals"):
 // callbacks live in a generation-checked slot map (contiguous storage, slots
 // recycled through a free list, no per-event node allocation), and the ready
-// queue is a binary min-heap of 24-byte plain-data entries ordered by
-// (time, seq). cancel() is O(1): it releases the slot immediately and leaves
-// a stale heap entry behind that is dropped at pop time or by an amortized
-// compaction pass that keeps the heap no larger than a constant multiple of
-// the live event count.
+// queue is an indexed binary min-heap of 24-byte plain-data entries ordered
+// by (time, seq). The engine tracks each slot's heap position: cancel()
+// removes the entry in O(log n), reschedule() moves it in place, and the
+// heap holds exactly the pending events.
 #pragma once
 
 #include <cstdint>
@@ -35,24 +34,23 @@ namespace mron::sim {
 
 struct EventTag {};
 /// Packed handle: low 32 bits slot index, upper bits the slot's generation
-/// at scheduling time. A handle goes stale the moment its event fires or is
-/// cancelled, and stale handles are rejected in O(1).
+/// at scheduling time. A handle dies the moment its event fires or is
+/// cancelled, and dead handles are rejected in O(1). reschedule() keeps the
+/// handle alive.
 using EventId = StrongId<EventTag>;
 
 /// One pending event: 24 bytes of plain data. `(time, seq)` is the total
-/// dispatch order; `(slot, gen)` locates the callback in the engine's slot
-/// map and detects staleness after an O(1) cancel.
+/// dispatch order; `slot` locates the callback in the engine's slot map.
 struct EventEntry {
   SimTime time;
   std::int64_t seq;
   std::uint32_t slot;
-  std::uint32_t gen;
 
   bool operator<(const EventEntry& other) const {
-    if (time != other.time) return time < other.time;
-    return seq < other.seq;
+    // Branch-free: which child of a heap node is the smaller one is a coin
+    // flip that no branch predictor learns.
+    return (time < other.time) | ((time == other.time) & (seq < other.seq));
   }
-  bool operator>(const EventEntry& other) const { return other < *this; }
 };
 
 class Engine {
@@ -77,9 +75,16 @@ class Engine {
   /// services keep each other alive forever and run() never drains.
   EventId schedule_daemon_at(SimTime t, Callback cb);
   EventId schedule_daemon_after(SimTime delay, Callback cb);
-  /// Cancel a pending event. Cancelling an already-fired or already-cancelled
-  /// event is a no-op (the common pattern when a completion races a cancel).
+  /// Cancel a pending event in O(log n). Cancelling an already-fired or
+  /// already-cancelled event is a no-op (the common pattern when a completion
+  /// races a cancel).
   void cancel(EventId id);
+  /// Move the pending event `id` to absolute time `t >= now()`, keeping its
+  /// handle, callback and daemon flag. It takes the next sequence number, so
+  /// it dispatches exactly where cancel() + schedule_at() would have put it,
+  /// in O(log n) and without releasing its slot. `id` must be pending:
+  /// rescheduling a fired or cancelled event is a check failure.
+  void reschedule(EventId id, SimTime t);
 
   /// Run until the event queue drains (or `max_events` fire, as a runaway
   /// guard). Returns the number of events dispatched.
@@ -103,12 +108,10 @@ class Engine {
     return live_events_ == daemon_events_;
   }
 
-  /// Diagnostics for the tombstone-growth regression test and the
-  /// `sim.queue.*` gauges: total queue entries (live + not-yet-collected
-  /// stale), the stale tombstones alone, and slot-map capacity. All stay
-  /// O(pending()) under any schedule/cancel churn pattern.
+  /// Diagnostics for the churn tests and the `sim.queue.*` gauges: heap
+  /// entries (always exactly pending()) and slot-map capacity (the high-water
+  /// mark of pending()).
   [[nodiscard]] std::size_t queue_size() const { return heap_.size(); }
-  [[nodiscard]] std::size_t stale_entries() const { return stale_in_queue_; }
   [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
 
   /// Attach/detach the flight recorder. The engine does not own it; the
@@ -136,7 +139,8 @@ class Engine {
   }
   [[nodiscard]] std::size_t slot_memory_bytes() const {
     return slots_.capacity() * sizeof(Slot) +
-           free_slots_.capacity() * sizeof(std::uint32_t);
+           (free_slots_.capacity() + heap_pos_.capacity()) *
+               sizeof(std::uint32_t);
   }
 
   /// Progress heartbeat: call `fn` once every `stride` dispatched events
@@ -164,25 +168,31 @@ class Engine {
         (static_cast<std::uint64_t>(gen) << 32) | slot));
   }
 
-  [[nodiscard]] bool is_live(const EventEntry& e) const {
-    return slots_[e.slot].gen == e.gen && slots_[e.slot].cb;
-  }
+  /// Slot of the pending event `id`, or kNoSlot when it already fired, was
+  /// cancelled or was never issued.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  [[nodiscard]] std::uint32_t pending_slot(EventId id) const;
 
   /// Free the slot for reuse; bumping the generation invalidates every
-  /// outstanding EventId and queue entry pointing at it.
+  /// outstanding EventId pointing at it.
   void release_slot(std::uint32_t slot);
 
-  /// Sweep stale entries out of the queue once they outnumber live ones.
-  /// Amortized O(1) per cancel; bounds queue memory to O(live).
-  void maybe_compact();
+  /// Indexed-heap primitives: every entry that lands in the heap goes
+  /// through place(), which keeps heap_pos_ in step with its position.
+  void place(std::size_t pos, const EventEntry& e) {
+    heap_[pos] = e;
+    heap_pos_[e.slot] = static_cast<std::uint32_t>(pos);
+  }
+  /// Move the entry at `pos` up, or down, to where its key belongs.
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  /// Remove the entry at `pos`, filling the hole with the last entry.
+  void heap_erase(std::size_t pos);
 
-  /// Remove the heap's minimum (time, seq) entry. Heap must be non-empty.
-  EventEntry heap_pop();
-
-  /// Pops the next live event; returns false when drained.
+  /// Pops the next event; returns false when drained.
   bool dispatch_next();
 
-  /// Pops the next live event *without* running it: fills the callback and
+  /// Pops the next event *without* running it: fills the callback and
   /// its subsystem category, advances the clock and dispatch counters.
   /// Returns false when drained. Shared by dispatch_next and the profiled
   /// run loop, which must see the category before the callback fires.
@@ -209,11 +219,14 @@ class Engine {
   std::int64_t next_seq_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<EventEntry> heap_;  // binary min-heap on (time, seq)
+  /// Per slot, the heap index of its pending event's entry. A dense array
+  /// beside slots_ rather than a Slot field: every sift step writes one,
+  /// and 4-byte strides keep those writes in cache where 80-byte ones miss.
+  std::vector<std::uint32_t> heap_pos_;
+  std::vector<EventEntry> heap_;  // indexed binary min-heap on (time, seq)
   std::size_t live_events_ = 0;
   std::int64_t total_dispatched_ = 0;
   std::size_t daemon_events_ = 0;
-  std::size_t stale_in_queue_ = 0;
   ProgressFn progress_fn_;
   std::int64_t progress_stride_ = 0;
   std::int64_t progress_left_ = 0;

@@ -249,14 +249,11 @@ void SharedServer::recompute_rates(const Agg& agg) {
 }
 
 void SharedServer::reallocate(const Agg& agg) {
-  // The completion event is always cancelled and rescheduled here — even
-  // when the rates are provably unchanged — so that the engine sees the
-  // exact event sequence the naive implementation produced (determinism).
-  if (has_pending_event_) {
-    engine_.cancel(pending_event_);
-    has_pending_event_ = false;
-  }
   if (streams_.empty()) {
+    if (has_pending_event_) {
+      engine_.cancel(pending_event_);
+      has_pending_event_ = false;
+    }
     total_rate_ = 0.0;
     return;
   }
@@ -303,9 +300,16 @@ void SharedServer::reallocate(const Agg& agg) {
   // Completion events are the server's own bookkeeping, not the submitting
   // task's: override whatever category the caller's context carries.
   HOST_PROF_CATEGORY(kSharedServer);
-  pending_event_ = engine_.schedule_after(next_completion,
-                                          [this] { on_completion(); });
-  has_pending_event_ = true;
+  // The pending event is moved even when the rates are provably unchanged:
+  // it takes a fresh sequence number exactly as the naive cancel + schedule
+  // did, so the engine's dispatch order is bit-identical to it.
+  if (has_pending_event_) {
+    engine_.reschedule(pending_event_, engine_.now() + next_completion);
+  } else {
+    pending_event_ = engine_.schedule_after(next_completion,
+                                            [this] { on_completion(); });
+    has_pending_event_ = true;
+  }
 }
 
 void SharedServer::on_completion() {

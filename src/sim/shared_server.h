@@ -21,10 +21,11 @@
 // naive implementation pays; only true water-filling materializes
 // per-stream rates over reusable scratch storage, and rates are recomputed
 // only when the binding set — stream membership or caps — actually
-// changed. The completion event is still cancelled and rescheduled on
-// exactly the same occasions as before, so the engine-level event ordering
-// (and with it every seeded experiment) is bit-identical to the
-// straightforward implementation.
+// changed. The one completion event is moved in place (Engine::reschedule)
+// on exactly the occasions the straightforward implementation cancelled and
+// re-scheduled it, taking the same sequence number, so the engine-level
+// event ordering (and with it every seeded experiment) is bit-identical to
+// it.
 #pragma once
 
 #include <limits>
@@ -141,7 +142,8 @@ class SharedServer {
   /// mutators, which advance() separately).
   [[nodiscard]] Agg aggregate_scan() const;
   /// Refresh the allocation (when the binding set changed since the last
-  /// pass) and reschedule the next completion event.
+  /// pass) and move the completion event to the next completion; cancel it
+  /// once the server is empty.
   void reallocate(const Agg& agg);
   /// Classify the allocation shape from the aggregates; O(1) except true
   /// water-filling, which writes Stream::rate.

@@ -161,6 +161,36 @@ TEST(SharedServerProperty, ConservationUnderRandomLoad) {
   }
 }
 
+// A loaded server keeps exactly one completion event: every submit and
+// cancel moves it in place (Engine::reschedule) instead of leaving a
+// cancelled entry behind in the engine's heap.
+TEST(SharedServer, SubmitMovesTheCompletionEventInPlace) {
+  Engine eng;
+  SharedServer disk(eng, 100.0, "disk");
+  int done = 0;
+  std::vector<StreamId> ids;
+  ids.push_back(disk.submit(1e6, [&done] { ++done; }));
+  const std::size_t slots = eng.slot_capacity();
+  auto check = [&] {
+    ASSERT_EQ(eng.pending(), 1u);
+    ASSERT_EQ(eng.queue_size(), 1u);
+    ASSERT_EQ(eng.slot_capacity(), slots);
+  };
+  for (int i = 0; i < 50; ++i) {
+    eng.run_until(eng.now() + 0.5);  // far from any completion
+    ids.push_back(disk.submit(1e6 + i, [&done] { ++done; }));
+    ASSERT_NO_FATAL_FAILURE(check());
+  }
+  for (int i = 0; i < 10; ++i) {
+    disk.cancel(ids[static_cast<std::size_t>(5 * i)]);
+    ASSERT_NO_FATAL_FAILURE(check());
+  }
+  EXPECT_EQ(disk.active(), 41u);
+  eng.run();
+  EXPECT_EQ(done, 41);
+  EXPECT_EQ(eng.queue_size(), 0u);
+}
+
 // Property: the server never exceeds its capacity: work served over any
 // interval is at most capacity * dt. Checked via total makespan lower bound.
 TEST(SharedServerProperty, MakespanRespectsCapacity) {
