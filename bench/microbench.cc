@@ -145,6 +145,36 @@ void BM_SharedServerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedServerChurn)->Arg(16)->Arg(128)->Arg(1024);
 
+/// A loaded rack uplink: `streams` uncapped streams share one server in
+/// flat split, and each completion submits a replacement until
+/// `completions` have been submitted, then the table drains. Returns the
+/// engine events dispatched (one per completion event).
+std::int64_t run_uplink_churn(int streams, int completions) {
+  struct Churn {
+    sim::Engine eng;
+    sim::SharedServer uplink{eng, 1.25e9, "rack0/uplink"};
+    Rng rng{7};
+    int left = 0;
+    void submit() {
+      uplink.submit(rng.uniform(1e6, 64e6), [this] {
+        if (left-- > 0) submit();
+      });
+    }
+  } churn;
+  churn.left = completions;
+  for (int i = 0; i < streams; ++i) churn.submit();
+  return churn.eng.run();
+}
+
+void BM_SharedServerUplinkChurn(benchmark::State& state) {
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    events += run_uplink_churn(300, 20'000);
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_SharedServerUplinkChurn)->Unit(benchmark::kMillisecond);
+
 void BM_LhsSampling(benchmark::State& state) {
   auto space = tuner::SearchSpace::map_side(mapreduce::JobConfig{});
   tuner::LhsSampler sampler(24, Rng(2));
@@ -363,6 +393,16 @@ double measure_queue_churn_events_per_sec() {
   return static_cast<double>(queue_churn_ops(kPending, kChurn)) / (ms / 1e3);
 }
 
+/// Completion events/sec of one 300-stream uplink under churn: the
+/// SharedServer flat-split path on its own. Informational, not gated.
+double measure_uplink_churn_events_per_sec() {
+  std::int64_t events = 0;
+  const double ms = best_wall_ms(5, [&] {
+    events = run_uplink_churn(300, 50'000);
+  });
+  return static_cast<double>(events) / (ms / 1e3);
+}
+
 double measure_terasort_wall_ms(int gb, int reps) {
   return best_wall_ms(reps, [&] {
     mapreduce::SimulationOptions opt;
@@ -509,6 +549,7 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
   }
   const double events_per_sec = measure_engine_events_per_sec();
   const double queue_churn = measure_queue_churn_events_per_sec();
+  const double uplink_churn = measure_uplink_churn_events_per_sec();
   const double terasort2_ms = measure_terasort_wall_ms(2, 5);
   const double terasort32_ms = measure_terasort_wall_ms(32, 3);
 
@@ -591,6 +632,9 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
                 "    \"queue_churn_1m_events_per_sec\": %.0f,\n", queue_churn);
   out << buf;
   std::snprintf(buf, sizeof buf,
+                "    \"uplink_churn_events_per_sec\": %.0f,\n", uplink_churn);
+  out << buf;
+  std::snprintf(buf, sizeof buf,
                 "    \"terasort_2gb_wall_ms\": %.3f,\n", terasort2_ms);
   out << buf;
   std::snprintf(buf, sizeof buf,
@@ -647,6 +691,7 @@ int run_baseline_suite(const std::string& out_path, int jobs) {
   out.close();
   std::cout << "wrote " << out_path << " (events/sec=" << events_per_sec
             << ", queue churn=" << queue_churn
+            << ", uplink churn=" << uplink_churn
             << ", terasort32=" << terasort32_ms << " ms, profile overhead "
             << profile_overhead_pct << "%, sweep speedup x"
             << speedup << " at jobs=" << jobs << ", whatif evals/sec="

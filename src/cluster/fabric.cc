@@ -29,6 +29,12 @@ Fabric::Fabric(sim::Engine& engine, const ClusterSpec& spec,
   }
 }
 
+std::size_t Fabric::uplink_table_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& uplink : rack_uplinks_) bytes += uplink->table_bytes();
+  return bytes;
+}
+
 void Fabric::transfer(NodeId src, NodeId dst, Bytes size, Done done) {
   MRON_CHECK(src.valid() && dst.valid());
   MRON_CHECK(done);

@@ -10,6 +10,7 @@
 // utilization statistics but not rate-limited.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -53,6 +54,8 @@ class Fabric {
 
   /// Total bytes that have crossed rack boundaries (for tests/benches).
   [[nodiscard]] double inter_rack_bytes() const { return inter_rack_bytes_; }
+  /// SharedServer::table_bytes() summed over the rack uplinks.
+  [[nodiscard]] std::size_t uplink_table_bytes() const;
 
  private:
   /// Bookkeeping for one transfer_capped(): which server streams to cancel

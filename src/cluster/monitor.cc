@@ -176,7 +176,7 @@ void ClusterMonitor::publish(SimTime now) {
     h.net_series->push(now, net);
   }
   samples_counter_->add(1.0);
-  rec.flush();  // pull-model publishers (SharedServer gauges)
+  rec.flush();  // pull-model publishers (RM, DFS, AM, engine queue)
 }
 
 }  // namespace mron::cluster

@@ -213,7 +213,7 @@ void Simulation::run() {
   if (recorder_ != nullptr) {
     obs::HostProfiler::Activation hp(host_profiler_.get());
     HOST_PROF_SCOPE("sim.final_flush");
-    recorder_->flush();
+    recorder_->final_flush();
     emit_critical_path_flows();
   }
 }
@@ -227,6 +227,14 @@ bool Simulation::write_host_profile(std::ostream& os) {
                 static_cast<double>(engine_.queue_memory_bytes()));
   hp.set_memory("engine.slot_map_bytes",
                 static_cast<double>(engine_.slot_memory_bytes()));
+  std::size_t server_table_bytes = fabric_->uplink_table_bytes();
+  for (const auto& node : nodes_) {
+    server_table_bytes += node->cpu().table_bytes() +
+                          node->disk().table_bytes() +
+                          node->nic_in().table_bytes();
+  }
+  hp.set_memory("sim.server_table_bytes",
+                static_cast<double>(server_table_bytes));
   if (recorder_ != nullptr) {
     hp.set_memory("obs.trace_bytes",
                   static_cast<double>(recorder_->trace().memory_bytes()));

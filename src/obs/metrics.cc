@@ -57,10 +57,11 @@ bool Histogram::quantile_clamped(double q) const {
   return rank > static_cast<double>(count_ - overflow_count());
 }
 
-MetricsRegistry::Entry& MetricsRegistry::entry_of(const std::string& name,
+MetricsRegistry::Entry& MetricsRegistry::entry_of(std::string_view name,
                                                   Kind kind) {
-  auto [it, inserted] = metrics_.try_emplace(name);
-  if (inserted) {
+  auto it = metrics_.lower_bound(name);
+  if (it == metrics_.end() || it->first != name) {
+    it = metrics_.try_emplace(it, std::string(name));
     it->second.kind = kind;
   } else {
     MRON_CHECK_MSG(it->second.kind == kind,
@@ -69,15 +70,15 @@ MetricsRegistry::Entry& MetricsRegistry::entry_of(const std::string& name,
   return it->second;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
+Counter& MetricsRegistry::counter(std::string_view name) {
   return entry_of(name, Kind::Counter).counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
+Gauge& MetricsRegistry::gauge(std::string_view name) {
   return entry_of(name, Kind::Gauge).gauge;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
+Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> bounds) {
   Entry& e = entry_of(name, Kind::Histogram);
   if (e.histogram == nullptr) {

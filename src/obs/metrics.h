@@ -11,10 +11,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mron::obs {
@@ -80,9 +82,11 @@ class MetricsRegistry {
 
   /// Find-or-create. Re-requesting a name with a different kind aborts: a
   /// metric name means one thing for the whole run.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
+  /// Taking a string_view, a lookup of an existing metric allocates
+  /// nothing, whatever the name's length.
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
+  Histogram& histogram(std::string_view name, std::vector<double> bounds);
 
   [[nodiscard]] std::size_t size() const { return metrics_.size(); }
   [[nodiscard]] std::vector<std::string> names() const;
@@ -114,9 +118,10 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
     [[nodiscard]] double scalar() const;
   };
-  Entry& entry_of(const std::string& name, Kind kind);
+  Entry& entry_of(std::string_view name, Kind kind);
 
-  std::map<std::string, Entry> metrics_;  // ordered: deterministic export
+  /// Ordered (deterministic export); std::less<> finds by string_view.
+  std::map<std::string, Entry, std::less<>> metrics_;
 };
 
 }  // namespace mron::obs

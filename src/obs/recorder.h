@@ -55,6 +55,17 @@ class Recorder {
   void flush() {
     for (const auto& hook : flush_hooks_) hook();
   }
+  /// For publishers whose values matter only at the end of the run — a
+  /// gauge with no series that nothing reads mid-run: the end-of-run flush
+  /// calls these once, the per-tick flush never does.
+  void add_final_hook(std::function<void()> hook) {
+    final_hooks_.push_back(std::move(hook));
+  }
+  /// The end-of-run flush: every per-tick hook, then every final hook.
+  void final_flush() {
+    flush();
+    for (const auto& hook : final_hooks_) hook();
+  }
 
  private:
   MetricsRegistry metrics_;
@@ -63,6 +74,7 @@ class Recorder {
   SeriesStore series_;
   CriticalPathBuilder critical_path_;
   std::vector<std::function<void()>> flush_hooks_;
+  std::vector<std::function<void()>> final_hooks_;
 };
 
 }  // namespace mron::obs

@@ -11,7 +11,10 @@ Series::Series(std::size_t capacity) : capacity_(capacity) {
 
 void Series::push(SimTime t, double v) {
   const std::uint64_t index = offered_++;
-  if (index % stride_ != 0) return;
+  // The stride is a power of two (1, doubled by each compaction), so the
+  // mask is index % stride_.
+  const std::uint64_t mask = stride_ - 1;
+  if ((index & mask) != 0) return;
   if (points_.size() == capacity_) {
     // 2x downsample: keep the even-position points (push indices that are
     // multiples of the doubled stride) and double the acceptance stride.
@@ -22,7 +25,8 @@ void Series::push(SimTime t, double v) {
     }
     points_.resize((points_.size() + 1) / 2);
     stride_ *= 2;
-    if (index % stride_ != 0) return;  // odd capacity: sample now off-stride
+    // Odd capacity: the sample is now off-stride.
+    if ((index & (stride_ - 1)) != 0) return;
   }
   points_.push_back(SeriesPoint{t, v});
 }

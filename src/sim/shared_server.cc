@@ -18,7 +18,111 @@ constexpr double kWorkEpsilon = 1e-9;
 // smaller than double resolution at `now`, time never advances, and the
 // event re-fires forever.
 constexpr double kTimeEpsilon = 1e-9;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Rows the first submit() allocates; the block doubles from there.
+constexpr std::uint32_t kInitialRows = 8;
+constexpr std::size_t kRowBytes = 3 * sizeof(double) + sizeof(std::uint32_t);
+
+/// rem[i] = max(0, rem[i] - step(i)) for every row; returns the column's
+/// minimum afterwards (+inf when n == 0). The minimum may be taken in any
+/// order: the column never holds NaN (rates and dt are finite) nor -0.0
+/// (std::max(0.0, x) returns +0.0 for every x <= 0, and submit() stores at
+/// least kWorkEpsilon), and over such doubles std::min is associative and
+/// commutative. So four independent accumulators give the sequential
+/// minimum bit for bit while breaking the loop-carried dependence.
+template <typename Step>
+double progress_min(double* rem, std::uint32_t n, Step step) {
+  double m0 = kInf, m1 = kInf, m2 = kInf, m3 = kInf;
+  std::uint32_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    rem[i] = std::max(0.0, rem[i] - step(i));
+    rem[i + 1] = std::max(0.0, rem[i + 1] - step(i + 1));
+    rem[i + 2] = std::max(0.0, rem[i + 2] - step(i + 2));
+    rem[i + 3] = std::max(0.0, rem[i + 3] - step(i + 3));
+    m0 = std::min(m0, rem[i]);
+    m1 = std::min(m1, rem[i + 1]);
+    m2 = std::min(m2, rem[i + 2]);
+    m3 = std::min(m3, rem[i + 3]);
+  }
+  for (; i < n; ++i) {
+    rem[i] = std::max(0.0, rem[i] - step(i));
+    m0 = std::min(m0, rem[i]);
+  }
+  return std::min(std::min(m0, m1), std::min(m2, m3));
+}
 }  // namespace
+
+void SharedServer::Table::push(double remaining, double stream_cap,
+                               StreamId id, Done done,
+                               std::uint8_t submitter_cat) {
+  if (n == capacity) {
+    // One allocation holds all four columns; rows [0, n) carry over. A
+    // std::byte array implicitly creates the double and uint32_t objects
+    // the columns hold (C++20 [intro.object]).
+    const std::uint32_t rows = capacity == 0 ? kInitialRows : 2 * capacity;
+    auto grown = std::make_unique_for_overwrite<std::byte[]>(rows * kRowBytes);
+    auto* g_rem = reinterpret_cast<double*>(grown.get());
+    double* g_cap = g_rem + rows;
+    double* g_rate = g_cap + rows;
+    auto* g_slot = reinterpret_cast<std::uint32_t*>(g_rate + rows);
+    std::copy_n(rem, n, g_rem);
+    std::copy_n(cap, n, g_cap);
+    std::copy_n(rate, n, g_rate);
+    std::copy_n(slot, n, g_slot);
+    block = std::move(grown);
+    rem = g_rem;
+    cap = g_cap;
+    rate = g_rate;
+    slot = g_slot;
+    capacity = rows;
+    pool.reserve(rows);
+  }
+  std::uint32_t s = free_slot;
+  if (s != kNoSlot) {
+    Entry& e = pool[s];
+    free_slot = e.next_free;
+    e.done = std::move(done);
+    e.id = id;
+    e.cat = submitter_cat;
+  } else {
+    s = static_cast<std::uint32_t>(pool.size());
+    pool.push_back(Entry{std::move(done), id, kNoSlot, submitter_cat});
+  }
+  rem[n] = remaining;
+  cap[n] = stream_cap;
+  rate[n] = 0.0;
+  slot[n] = s;
+  ++n;
+  if (stream_cap != kUncapped) ++finite_caps;
+}
+
+void SharedServer::Table::erase(std::uint32_t i) {
+  if (cap[i] != kUncapped) --finite_caps;
+  pool[slot[i]].done.reset();
+  release(slot[i]);
+  std::copy(rem + i + 1, rem + n, rem + i);
+  std::copy(cap + i + 1, cap + n, cap + i);
+  std::copy(rate + i + 1, rate + n, rate + i);
+  std::copy(slot + i + 1, slot + n, slot + i);
+  --n;
+}
+
+std::uint32_t SharedServer::Table::find(StreamId id) const {
+  std::uint32_t i = 0;
+  while (i < n && pool[slot[i]].id != id) ++i;
+  return i;
+}
+
+void SharedServer::Table::release(std::uint32_t s) {
+  pool[s].next_free = free_slot;
+  free_slot = s;
+}
+
+std::size_t SharedServer::Table::bytes() const {
+  return sizeof(Table) + capacity * kRowBytes +
+         pool.capacity() * sizeof(Entry) +
+         (unsat.capacity() + finished.capacity()) * sizeof(std::uint32_t);
+}
 
 SharedServer::SharedServer(Engine& engine, double capacity, std::string name,
                            double concurrency_penalty)
@@ -34,42 +138,17 @@ SharedServer::SharedServer(Engine& engine, double capacity, std::string name,
     busy_gauge_ = &rec->metrics().gauge("server." + name_ + ".busy_integral");
     streams_gauge_ =
         &rec->metrics().gauge("server." + name_ + ".active_streams");
-    // Pull model: the per-event paths are the simulation's hottest, so the
-    // gauges refresh once per sampling tick instead of per event.
-    rec->add_flush_hook([this] {
+    // Only the final values are exported and nothing reads them mid-run,
+    // so they are refreshed once, by the end-of-run flush, not per tick.
+    rec->add_final_hook([this] {
       busy_gauge_->set(busy_integral());
-      streams_gauge_->set(static_cast<double>(streams_.size()));
+      streams_gauge_->set(static_cast<double>(active()));
     });
   }
 }
 
-int SharedServer::find(StreamId id) const {
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    if (streams_[i].id == id) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-double SharedServer::rate_of(const Stream& s) const {
-  switch (mode_) {
-    case RateMode::kFlat:
-      return flat_share_;
-    case RateMode::kPerCap:
-      return s.cap;
-    case RateMode::kExplicit:
-      return s.rate;
-  }
-  return s.rate;  // unreachable
-}
-
-void SharedServer::Agg::add(double remaining, double cap) {
-  // Deliberately division-free: a divide per stream per pass costs more
-  // than the whole rest of the visit, and the completion minimums that do
-  // need one are computed in a dedicated scan only on the branches that
-  // consume them.
-  cap_sum += cap;  // inf-safe: stays inf once any stream is uncapped
-  min_cap = std::min(min_cap, cap);
-  min_rem = std::min(min_rem, remaining);
+std::size_t SharedServer::table_bytes() const {
+  return table_ == nullptr ? 0 : table_->bytes();
 }
 
 StreamId SharedServer::submit(double work, double cap, Done done) {
@@ -77,35 +156,31 @@ StreamId SharedServer::submit(double work, double cap, Done done) {
   MRON_CHECK_MSG(cap > 0.0, "non-positive cap " << cap);
   MRON_CHECK(static_cast<bool>(done));
   if (activity_cb_) activity_cb_();
-  // One fused pass: progress every stream to now and gather the allocation
-  // aggregates, then fold the new stream in. The append keeps cap_sum's
-  // accumulation order identical to a fresh front-to-back scan.
-  Agg agg = advance_and_aggregate();
+  if (table_ == nullptr) table_ = std::make_unique<Table>();
+  // Progress every stream to now, then append: the new row is last, so
+  // the cap sum still accumulates in insertion order.
+  const double min_rem = advance();
   const StreamId id = ids_.next();
   const double remaining = std::max(work, kWorkEpsilon);
-  streams_.push_back(Stream{id, remaining, cap, 0.0, std::move(done)});
-  if (cats_ == nullptr && engine_.host_profiler() != nullptr) {
-    cats_ = std::make_unique<SubmitterCats>();
-  }
-  if (cats_ != nullptr) {
-    // Streams submitted before a profiler attached stay unattributed.
-    cats_->live.resize(streams_.size() - 1, 0);
-    cats_->live.push_back(obs::HostProfiler::CatScope::current());
-  }
-  agg.add(remaining, cap);
+  // done() runs under its submitter's category, so what done() schedules
+  // is billed to the code that asked for the work, not to this server.
+  table_->push(remaining, cap, id, std::move(done),
+               obs::HostProfiler::CatScope::current());
   alloc_dirty_ = true;
-  reallocate(agg);
+  reallocate(std::min(min_rem, remaining));
   return id;
 }
 
 void SharedServer::cancel(StreamId id) {
-  const int i = find(id);
-  if (i < 0) return;
-  advance();
-  streams_.erase(streams_.begin() + i);
-  if (cats_ != nullptr) cats_->live.erase(cats_->live.begin() + i);
+  if (table_ == nullptr) return;
+  const std::uint32_t i = table_->find(id);
+  if (i == table_->n) return;
+  // Rows keep their rates through the erase, so progressing the survivors
+  // afterwards is progressing them before it.
+  table_->erase(i);
+  const double min_rem = advance();
   alloc_dirty_ = true;
-  reallocate(aggregate_scan());
+  reallocate(min_rem);
 }
 
 void SharedServer::set_capacity_scale(double scale) {
@@ -113,68 +188,56 @@ void SharedServer::set_capacity_scale(double scale) {
                  "server " << name_ << " capacity scale must be >0");
   const double scaled = base_capacity_ * scale;
   if (scaled == capacity_) return;
-  advance();
+  const double min_rem = advance();
   capacity_ = scaled;
   alloc_dirty_ = true;
-  reallocate(aggregate_scan());
+  reallocate(min_rem);
 }
 
 double SharedServer::remaining(StreamId id) const {
-  const int i = find(id);
-  if (i < 0) return 0.0;
-  const auto& s = streams_[static_cast<std::size_t>(i)];
+  if (table_ == nullptr) return 0.0;
+  const std::uint32_t i = table_->find(id);
+  if (i == table_->n) return 0.0;
+  const Table& t = *table_;
+  double rate = t.rate[i];
+  if (mode_ == RateMode::kFlat) rate = flat_share_;
+  if (mode_ == RateMode::kPerCap) rate = t.cap[i];
   // Account for progress since the last state change without mutating.
   const double dt = engine_.now() - last_update_;
-  return std::max(0.0, s.remaining - rate_of(s) * dt);
+  return std::max(0.0, t.rem[i] - rate * dt);
 }
 
 double SharedServer::busy_integral() const {
   return busy_integral_ + total_rate_ * (engine_.now() - last_update_);
 }
 
-void SharedServer::advance() {
-  const SimTime now = engine_.now();
-  const double dt = now - last_update_;
-  if (dt <= 0.0) {
-    last_update_ = now;
-    return;
-  }
-  for (auto& s : streams_) {
-    s.remaining = std::max(0.0, s.remaining - rate_of(s) * dt);
-  }
+double SharedServer::advance() {
+  // dt is 0 when another event already advanced this server at the
+  // current timestamp; every rate is finite, so x - rate * 0.0 is x and
+  // the pass below then only takes the minimum.
+  const double dt = engine_.now() - last_update_;
+  last_update_ = engine_.now();
+  if (table_ == nullptr) return kInf;  // nothing served: total_rate_ is 0
+  Table& t = *table_;
   busy_integral_ += total_rate_ * dt;
-  last_update_ = now;
-}
-
-SharedServer::Agg SharedServer::advance_and_aggregate() {
-  const SimTime now = engine_.now();
-  const double dt = now - last_update_;
-  Agg agg;
-  if (dt <= 0.0) {
-    for (const auto& s : streams_) {
-      agg.add(s.remaining, s.cap);
+  switch (mode_) {
+    case RateMode::kFlat: {
+      const double step = flat_share_ * dt;
+      return progress_min(t.rem, t.n, [step](std::uint32_t) { return step; });
     }
-  } else {
-    for (auto& s : streams_) {
-      s.remaining = std::max(0.0, s.remaining - rate_of(s) * dt);
-      agg.add(s.remaining, s.cap);
-    }
-    busy_integral_ += total_rate_ * dt;
+    case RateMode::kPerCap:
+      return progress_min(t.rem, t.n,
+                          [&t, dt](std::uint32_t i) { return t.cap[i] * dt; });
+    case RateMode::kExplicit:
+      break;
   }
-  last_update_ = now;
-  return agg;
+  return progress_min(t.rem, t.n,
+                      [&t, dt](std::uint32_t i) { return t.rate[i] * dt; });
 }
 
-SharedServer::Agg SharedServer::aggregate_scan() const {
-  Agg agg;
-  for (const auto& s : streams_) {
-    agg.add(s.remaining, s.cap);
-  }
-  return agg;
-}
-
-void SharedServer::recompute_rates(const Agg& agg) {
-  const auto n = streams_.size();
+void SharedServer::recompute_rates() {
+  Table& t = *table_;
+  const std::uint32_t n = t.n;
   const double effective =
       capacity_ /
       (1.0 + concurrency_penalty_ * (static_cast<double>(n) - 1.0));
@@ -182,30 +245,38 @@ void SharedServer::recompute_rates(const Agg& agg) {
   // Fast path 1: a lone stream takes min(cap, capacity). Represented as
   // per-cap or flat share so no per-stream rate is written.
   if (n == 1) {
-    if (streams_[0].cap <= effective) {
+    if (t.cap[0] <= effective) {
       mode_ = RateMode::kPerCap;
     } else {
       mode_ = RateMode::kFlat;
       flat_share_ = effective;
     }
-    total_rate_ = std::min(streams_[0].cap, effective);
+    total_rate_ = std::min(t.cap[0], effective);
     return;
   }
 
   const double share = effective / static_cast<double>(n);
 
-  // Fast path 2: total demand fits — everyone runs at cap. cap_sum was
-  // accumulated in stream order from 0.0, the exact sum the legacy
-  // rate-assignment loop produced for total_rate_.
-  if (agg.cap_sum <= effective) {
-    mode_ = RateMode::kPerCap;
-    total_rate_ = agg.cap_sum;
-    return;
+  // Fast path 2: total demand fits — everyone runs at cap. The cap sum is
+  // the sequential sum in stream order from 0.0, the exact sum the
+  // rate-assignment loop produces for total_rate_. One uncapped stream
+  // makes that sum +inf in any order (no summand is -inf), and +inf never
+  // fits, so it is only summed when every cap is finite.
+  if (t.finite_caps == n) {
+    double cap_sum = 0.0;
+    for (std::uint32_t i = 0; i < n; ++i) cap_sum += t.cap[i];
+    if (cap_sum <= effective) {
+      mode_ = RateMode::kPerCap;
+      total_rate_ = cap_sum;
+      return;
+    }
   }
 
   // Fast path 3: no cap binds below the equal share — flat split.
   // (min_cap >= share) is exactly !any(cap < share).
-  if (agg.min_cap >= share) {
+  const double min_cap =
+      t.finite_caps == 0 ? kInf : *std::min_element(t.cap, t.cap + n);
+  if (min_cap >= share) {
     mode_ = RateMode::kFlat;
     flat_share_ = share;
     total_rate_ = share * static_cast<double>(n);
@@ -216,8 +287,10 @@ void SharedServer::recompute_rates(const Agg& agg) {
   // scratch vector has grown to the server's high-water stream count). The
   // only shape that materializes per-stream rates.
   mode_ = RateMode::kExplicit;
-  for (auto& s : streams_) s.rate = 0.0;
-  auto& unsat = unsat_scratch_;
+  double* rate = t.rate;
+  const double* cap = t.cap;
+  std::fill_n(rate, n, 0.0);
+  auto& unsat = t.unsat;
   unsat.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) unsat[i] = i;
   double remaining_capacity = effective;
@@ -227,10 +300,9 @@ void SharedServer::recompute_rates(const Agg& agg) {
     std::size_t kept = 0;
     bool any_capped = false;
     for (const std::uint32_t i : unsat) {
-      Stream& s = streams_[i];
-      if (s.cap - s.rate <= round_share) {
-        remaining_capacity -= (s.cap - s.rate);
-        s.rate = s.cap;
+      if (cap[i] - rate[i] <= round_share) {
+        remaining_capacity -= (cap[i] - rate[i]);
+        rate[i] = cap[i];
         any_capped = true;
       } else {
         unsat[kept++] = i;  // compact in place, order preserved
@@ -238,18 +310,18 @@ void SharedServer::recompute_rates(const Agg& agg) {
     }
     unsat.resize(kept);
     if (!any_capped) {
-      for (const std::uint32_t i : unsat) streams_[i].rate += round_share;
+      for (const std::uint32_t i : unsat) rate[i] += round_share;
       remaining_capacity = 0.0;
       unsat.clear();
     }
   }
 
   total_rate_ = 0.0;
-  for (const auto& s : streams_) total_rate_ += s.rate;
+  for (std::uint32_t i = 0; i < n; ++i) total_rate_ += rate[i];
 }
 
-void SharedServer::reallocate(const Agg& agg) {
-  if (streams_.empty()) {
+void SharedServer::reallocate(double min_rem) {
+  if (active() == 0) {
     if (has_pending_event_) {
       engine_.cancel(pending_event_);
       has_pending_event_ = false;
@@ -258,44 +330,36 @@ void SharedServer::reallocate(const Agg& agg) {
     return;
   }
 
-  SimTime next_completion = std::numeric_limits<double>::infinity();
   if (alloc_dirty_) {
-    recompute_rates(agg);
+    recompute_rates();
     alloc_dirty_ = false;
-    // Flat split — the shape the loaded servers live in — needs exactly
-    // one division: with every rate equal to `share`, IEEE division is
-    // monotone in the numerator, so min(rem) / share IS min(rem / share)
-    // bit for bit. The other shapes pay a dedicated scan whose per-element
-    // divisions use the same operands the legacy post-recompute scan did.
-    switch (mode_) {
-      case RateMode::kFlat:
-        next_completion = agg.min_rem / flat_share_;
-        break;
-      case RateMode::kPerCap:
-        for (const auto& s : streams_) {
-          next_completion = std::min(next_completion, s.remaining / s.cap);
-        }
-        break;
-      case RateMode::kExplicit:
-        for (const auto& s : streams_) {
-          if (s.rate > 0.0) {
-            next_completion = std::min(next_completion, s.remaining / s.rate);
-          }
-        }
-        break;
-    }
-  } else {
-    // Rates unchanged since the last pass (a completion event that retired
-    // nothing): same scan the legacy implementation ran.
-    for (const auto& s : streams_) {
-      const double rate = rate_of(s);
-      if (rate > 0.0) {
-        next_completion = std::min(next_completion, s.remaining / rate);
+  }
+  const Table& t = *table_;
+  // Flat split — the shape the loaded servers live in — needs exactly one
+  // division: with every rate equal to `share`, IEEE division is monotone
+  // in the numerator, so min(rem) / share IS min(rem / share) bit for bit.
+  // The other shapes divide per stream, with the operands the
+  // straightforward per-stream scan uses.
+  double next_completion = kInf;
+  switch (mode_) {
+    case RateMode::kFlat:
+      next_completion = min_rem / flat_share_;
+      break;
+    case RateMode::kPerCap:
+      for (std::uint32_t i = 0; i < t.n; ++i) {
+        next_completion = std::min(next_completion, t.rem[i] / t.cap[i]);
       }
-    }
+      break;
+    case RateMode::kExplicit:
+      for (std::uint32_t i = 0; i < t.n; ++i) {
+        if (t.rate[i] > 0.0) {
+          next_completion = std::min(next_completion, t.rem[i] / t.rate[i]);
+        }
+      }
+      break;
   }
   MRON_CHECK_MSG(std::isfinite(next_completion),
-                 "server " << name_ << " stalled with " << streams_.size()
+                 "server " << name_ << " stalled with " << t.n
                            << " streams and zero rate");
   // Completion events are the server's own bookkeeping, not the submitting
   // task's: override whatever category the caller's context carries.
@@ -312,66 +376,75 @@ void SharedServer::reallocate(const Agg& agg) {
   }
 }
 
-void SharedServer::on_completion() {
-  has_pending_event_ = false;
-  const SimTime now = engine_.now();
-  const double dt = now - last_update_;
-  // The retirement threshold must exceed double-precision resolution at the
-  // current timestamp or time stops advancing for near-finished streams.
-  const double time_eps = std::max(kTimeEpsilon, now * 1e-12);
-  // One fused pass: progress each stream to now, partition the finished
-  // streams out (callbacks fire after the server is consistent again,
-  // survivors keep their arrival order), and gather the allocation
-  // aggregates over the survivors. dt can be exactly zero when another
-  // event already advanced this server at the current timestamp;
-  // remaining - rate*0 reproduces remaining bit for bit, so one loop
-  // covers both cases.
-  // Member scratch: a completion fires on almost every event on a loaded
-  // server, and a fresh vector here would be a malloc/free per event. Safe
-  // to reuse because on_completion never re-enters itself — done callbacks
-  // may submit or cancel streams, but completions only run from the engine
-  // event loop.
-  std::vector<Done>& finished = finished_scratch_;
-  finished.clear();
-  // Submitter categories move in lockstep with their streams.
-  SubmitterCats* cats = cats_.get();
-  if (cats != nullptr) cats->finished.clear();
-  std::size_t kept = 0;
-  Agg agg;
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    Stream& s = streams_[i];
-    const double rate = rate_of(s);
-    s.remaining = std::max(0.0, s.remaining - rate * dt);
-    if (s.remaining <= kWorkEpsilon + rate * time_eps) {
-      finished.push_back(std::move(s.done));
-      if (cats != nullptr) cats->finished.push_back(cats->live[i]);
+template <typename Threshold>
+double SharedServer::retire(Threshold done_below) {
+  Table& t = *table_;
+  double min_rem = kInf;
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < t.n; ++i) {
+    if (t.rem[i] <= done_below(i)) {
+      t.finished.push_back(t.slot[i]);
+      if (t.cap[i] != kUncapped) --t.finite_caps;
     } else {
-      if (kept != i) {
-        streams_[kept] = std::move(s);
-        if (cats != nullptr) cats->live[kept] = cats->live[i];
-      }
-      agg.add(streams_[kept].remaining, streams_[kept].cap);
+      // Survivors keep their order. Rates are not carried: a retirement
+      // makes the allocation dirty, and recompute_rates() rewrites them.
+      t.rem[kept] = t.rem[i];
+      t.cap[kept] = t.cap[i];
+      t.slot[kept] = t.slot[i];
+      min_rem = std::min(min_rem, t.rem[i]);
       ++kept;
     }
   }
-  if (dt > 0.0) busy_integral_ += total_rate_ * dt;
-  last_update_ = now;
-  if (kept != streams_.size()) {
-    streams_.resize(kept);
-    if (cats != nullptr) cats->live.resize(kept);
-    alloc_dirty_ = true;
-  }
-  reallocate(agg);
-  // Callbacks run after the server is in a consistent state; they may submit
-  // new streams re-entrantly, each under its submitter's category.
-  for (std::size_t k = 0; k < finished.size(); ++k) {
-    if (cats != nullptr) {
-      const obs::HostProfiler::CatScope scope(
-          static_cast<obs::HostCat>(cats->finished[k]));
-      finished[k]();
-    } else {
-      finished[k]();
+  t.n = kept;
+  return min_rem;
+}
+
+void SharedServer::on_completion() {
+  has_pending_event_ = false;
+  Table& t = *table_;
+  // The retirement threshold must exceed double-precision resolution at the
+  // current timestamp or time stops advancing for near-finished streams.
+  const double time_eps = std::max(kTimeEpsilon, engine_.now() * 1e-12);
+  double min_rem = advance();
+  // Member scratch: a completion fires on almost every event on a loaded
+  // server. Safe to reuse because on_completion never re-enters itself —
+  // done callbacks may submit or cancel streams, but completions only run
+  // from the engine event loop.
+  std::vector<std::uint32_t>& finished = t.finished;
+  finished.clear();
+  switch (mode_) {
+    case RateMode::kFlat: {
+      // One threshold for every stream: when even the smallest remaining
+      // work is above it nothing retires, and no compaction pass runs.
+      const double done_below = kWorkEpsilon + flat_share_ * time_eps;
+      if (min_rem <= done_below) {
+        min_rem = retire([done_below](std::uint32_t) { return done_below; });
+      }
+      break;
     }
+    case RateMode::kPerCap:
+      min_rem = retire([&t, time_eps](std::uint32_t i) {
+        return kWorkEpsilon + t.cap[i] * time_eps;
+      });
+      break;
+    case RateMode::kExplicit:
+      min_rem = retire([&t, time_eps](std::uint32_t i) {
+        return kWorkEpsilon + t.rate[i] * time_eps;
+      });
+      break;
+  }
+  if (!finished.empty()) alloc_dirty_ = true;
+  reallocate(min_rem);
+  // Callbacks run after the server is in a consistent state; they may submit
+  // new streams re-entrantly (which may grow the pool, so each callback is
+  // moved out of it first), each under its submitter's category.
+  for (std::size_t k = 0; k < finished.size(); ++k) {
+    const std::uint32_t s = finished[k];
+    Done done = std::move(t.pool[s].done);
+    const auto cat = static_cast<obs::HostCat>(t.pool[s].cat);
+    t.release(s);
+    const obs::HostProfiler::CatScope scope(cat);
+    done();
   }
   finished.clear();
 }

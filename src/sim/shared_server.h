@@ -10,24 +10,33 @@
 // Work is a scalar in resource-specific units: bytes for disks and links,
 // core-seconds for CPU.
 //
-// Internals (see DESIGN.md "Engine internals"): streams live in a flat
-// insertion-ordered table instead of a node-based map, and the allocation
-// is represented as a *mode* — flat equal split, everyone-at-cap, or
-// explicit water-filled rates — so the common shapes are classified and
-// applied in O(1) from aggregates (cap sum, min cap, min remaining)
-// gathered in the same single pass that progresses the streams. A submit
-// or completion on a server with k streams costs one fused scan, not the
-// four or five (advance, classify, assign, min-completion, partition) the
-// naive implementation pays; only true water-filling materializes
-// per-stream rates over reusable scratch storage, and rates are recomputed
-// only when the binding set — stream membership or caps — actually
-// changed. The one completion event is moved in place (Engine::reschedule)
-// on exactly the occasions the straightforward implementation cancelled and
-// re-scheduled it, taking the same sequence number, so the engine-level
-// event ordering (and with it every seeded experiment) is bit-identical to
-// it.
+// Internals (see DESIGN.md "Incremental water-filling"): the streams live
+// in a structure-of-arrays table in insertion order — packed columns of
+// remaining work, cap and (water-filling only) rate, plus a 4-byte slot
+// number per stream. Each slot names an entry of a pool that holds the
+// stream's cold state: its id, its submitter's host-profiler category and
+// its `done` callback. The per-event passes therefore scan packed doubles,
+// and retiring a stream compacts the columns by moving slot numbers, never
+// a Callback. The table is allocated by the first submit(); a server that
+// never serves a stream holds one null pointer.
+//
+// The allocation is represented as a *mode* — flat equal split, everyone
+// at cap, or explicit water-filled rates — so the common shapes are
+// classified in O(1) from aggregates: the minimum remaining work, gathered
+// in the pass that progresses the streams, and the cap sum and minimum cap,
+// read off the cap column only when some cap is finite. Every float is the
+// one the straightforward per-stream implementation computes: each stream
+// takes the same max(0, r - rate*dt), the cap sum is a sequential sum in
+// stream order, and the minimums — over columns that hold no NaN and no
+// -0.0 — do not depend on the order they are taken in. The one completion
+// event is moved in place (Engine::reschedule) on exactly the occasions
+// the straightforward implementation cancelled and re-scheduled it, taking
+// the same sequence number, so the engine-level event ordering (and with
+// it every seeded experiment) is bit-identical to it.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -74,7 +83,9 @@ class SharedServer {
   /// Remaining work of a live stream, or 0 when finished/unknown.
   [[nodiscard]] double remaining(StreamId id) const;
 
-  [[nodiscard]] std::size_t active() const { return streams_.size(); }
+  [[nodiscard]] std::size_t active() const {
+    return table_ == nullptr ? 0 : table_->n;
+  }
   [[nodiscard]] double capacity() const { return capacity_; }
 
   /// Rescale the capacity relative to its construction-time value (fault
@@ -94,60 +105,81 @@ class SharedServer {
   /// idempotent; at most one callback.
   void set_activity_callback(Callback cb) { activity_cb_ = std::move(cb); }
 
- private:
-  struct Stream {
-    StreamId id;
-    double remaining;
-    double cap;
-    double rate = 0.0;  // authoritative only in RateMode::kExplicit
-    Done done;
-  };
+  /// Heap bytes held by the stream table: 0 until the first submit(), then
+  /// its high-water columns, slot pool and scratch.
+  [[nodiscard]] std::size_t table_bytes() const;
 
+ private:
   /// How the current allocation is represented. The common shapes (flat
   /// equal split, everyone at cap) are a single scalar, so recomputing them
-  /// after every submit/completion writes no per-stream state — the loops
-  /// that made every event O(active streams) several times over collapse
-  /// into one fused pass. Only true water-filling materializes per-stream
-  /// rates.
+  /// after a submit or completion writes no per-stream state. Only true
+  /// water-filling materializes per-stream rates.
   enum class RateMode : std::uint8_t {
-    kExplicit,  ///< Stream::rate holds each stream's allocation
+    kExplicit,  ///< Table::rate holds each stream's allocation
     kFlat,      ///< every stream runs at flat_share_
     kPerCap,    ///< every stream runs at its own cap
   };
 
-  /// Allocation aggregates gathered in the same pass that progresses the
-  /// streams: everything reallocate() needs to classify the next shape and
-  /// schedule the next completion without re-scanning.
-  struct Agg {
-    double cap_sum = 0.0;  ///< in stream order from 0.0 (FP determinism)
-    double min_cap = std::numeric_limits<double>::infinity();
-    double min_rem = std::numeric_limits<double>::infinity();
-    void add(double remaining, double cap);
+  /// The stream table. Hot columns in insertion order (ids are issued in
+  /// ascending order, so this matches the id-ordered iteration of the
+  /// seed's std::map — determinism); `rem`, `cap`, `rate` and `slot` share
+  /// one allocation of `capacity` rows.
+  struct Table {
+    /// A stream's cold state, addressed by its slot number. Free entries
+    /// chain through `next_free`.
+    struct Entry {
+      Done done;
+      StreamId id;
+      std::uint32_t next_free = 0;
+      std::uint8_t cat = 0;  ///< submitter's host-profiler category
+    };
+
+    std::uint32_t n = 0;
+    std::uint32_t capacity = 0;
+    /// Streams with a finite cap: the cap sum is taken only when every
+    /// cap is finite, the minimum cap only when some cap is.
+    std::uint32_t finite_caps = 0;
+    std::uint32_t free_slot = kNoSlot;
+    std::unique_ptr<std::byte[]> block;
+    double* rem = nullptr;
+    double* cap = nullptr;
+    double* rate = nullptr;  ///< authoritative only in RateMode::kExplicit
+    std::uint32_t* slot = nullptr;
+    std::vector<Entry> pool;
+    /// Scratch for recompute_rates() and on_completion(): members so the
+    /// hot paths never allocate once warm.
+    std::vector<std::uint32_t> unsat;
+    std::vector<std::uint32_t> finished;
+
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+    /// Append a stream at row n, growing the block when full.
+    void push(double remaining, double stream_cap, StreamId id, Done done,
+              std::uint8_t submitter_cat);
+    /// Remove row i, keeping the order of the rest; frees its slot.
+    void erase(std::uint32_t i);
+    /// Row of the live stream `id`, or n. Only the cold paths (cancel,
+    /// remaining) resolve ids, so a linear scan beats any index.
+    [[nodiscard]] std::uint32_t find(StreamId id) const;
+    void release(std::uint32_t s);
+    [[nodiscard]] std::size_t bytes() const;
   };
 
-  /// Index into streams_ of the live stream `id`, or -1. Only the cold
-  /// paths (cancel, remaining) resolve ids, so a linear scan beats
-  /// any index structure.
-  [[nodiscard]] int find(StreamId id) const;
-
-  /// The stream's current allocation under mode_.
-  [[nodiscard]] double rate_of(const Stream& s) const;
-
-  /// Progress all streams from last_update_ to now.
-  void advance();
-  /// advance() fused with the aggregate gathering — the hot paths' single
-  /// pass over the stream table.
-  Agg advance_and_aggregate();
-  /// Aggregates at the current instant, no progression (for the cold
-  /// mutators, which advance() separately).
-  [[nodiscard]] Agg aggregate_scan() const;
+  /// Progress all streams from last_update_ to now; returns the minimum
+  /// remaining work over the table (+inf when empty).
+  double advance();
   /// Refresh the allocation (when the binding set changed since the last
   /// pass) and move the completion event to the next completion; cancel it
-  /// once the server is empty.
-  void reallocate(const Agg& agg);
-  /// Classify the allocation shape from the aggregates; O(1) except true
-  /// water-filling, which writes Stream::rate.
-  void recompute_rates(const Agg& agg);
+  /// once the server is empty. `min_rem` is the table's minimum remaining.
+  void reallocate(double min_rem);
+  /// Classify the allocation shape; O(1) for all-uncapped tables, one scan
+  /// of the cap column otherwise, and true water-filling writes Table::rate.
+  void recompute_rates();
+  /// Compact away every row whose remaining work is at most
+  /// done_below(row), in order, collecting its slot in Table::finished;
+  /// returns the survivors' minimum remaining.
+  template <typename Threshold>
+  double retire(Threshold done_below);
   /// Completion event body: retire all streams that have drained.
   void on_completion();
 
@@ -157,29 +189,12 @@ class SharedServer {
   double concurrency_penalty_;
   std::string name_;
   IdAllocator<StreamId> ids_;
-  /// Insertion-ordered (ids are issued in ascending order, so this matches
-  /// the id-ordered iteration of the seed's std::map — determinism).
-  std::vector<Stream> streams_;
+  std::unique_ptr<Table> table_;  ///< null until the first submit()
   /// Set when membership or caps changed, i.e. the current rates are stale.
   bool alloc_dirty_ = false;
   RateMode mode_ = RateMode::kExplicit;
-  /// Packed with the flags above, so cats_ below leaves the size as is.
   bool has_pending_event_ = false;
   double flat_share_ = 0.0;  ///< every stream's rate while mode_ == kFlat
-  /// Scratch for recompute_rates(); member so the hot path never allocates.
-  std::vector<std::uint32_t> unsat_scratch_;
-  /// Scratch for on_completion()'s finished-callback batch, same reason.
-  std::vector<Done> finished_scratch_;
-  /// Host-profiler category of each stream's submitter. done() runs under
-  /// it, so what done() schedules is billed to the code that asked for the
-  /// work, not to this server. Allocated by the first submit() with a
-  /// profiler attached: an unprofiled server pays one pointer, and Stream,
-  /// which the hot loops scan, does not grow.
-  struct SubmitterCats {
-    std::vector<std::uint8_t> live;      ///< in streams_ order
-    std::vector<std::uint8_t> finished;  ///< on_completion() scratch
-  };
-  std::unique_ptr<SubmitterCats> cats_;
   SimTime last_update_ = 0.0;
   double busy_integral_ = 0.0;
   double total_rate_ = 0.0;

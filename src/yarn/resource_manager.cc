@@ -417,7 +417,12 @@ bool ResourceManager::try_place(AppId app_id, AppState& app,
   app.allocated_memory += req.resource.memory;
   ++live_containers_;
   if (auto* rec = engine_.recorder()) {
-    rec->metrics().counter("yarn.containers_allocated").add(1.0);
+    // Resolved on the first grant, so the metric exists only once counted.
+    if (containers_allocated_ == nullptr) {
+      containers_allocated_ =
+          &rec->metrics().counter("yarn.containers_allocated");
+    }
+    containers_allocated_->add(1.0);
   }
   Container container;
   container.id = container_ids_.next();

@@ -245,6 +245,7 @@ class ResourceManager {
   obs::Counter* alloc_rack_local_ = nullptr;
   obs::Counter* alloc_any_ = nullptr;
   obs::Counter* alloc_index_probes_ = nullptr;
+  obs::Counter* containers_allocated_ = nullptr;  ///< set by the first grant
 };
 
 }  // namespace mron::yarn

@@ -39,7 +39,9 @@ switching the flight recorder on costs: observe_surcharge is the current
 file's terasort_32gb_observed_wall_ms / terasort_32gb_wall_ms (a
 steady-state run), observe_surcharge_bigram is
 bigram_aggressive_observed_wall_ms / bigram_aggressive_wall_ms (a
-shuffle-heavy aggressive tuning run).
+shuffle-heavy aggressive tuning run). The INFORMATIONAL metrics
+(uplink_churn_events_per_sec) are compared against the baseline like the
+gated ones, but never fail.
 
 When $GITHUB_STEP_SUMMARY is set (or --summary FILE is given), the same
 comparison is appended there as a markdown table for the job summary page.
@@ -60,6 +62,14 @@ GATED = {
     "sweep_serial_wall_ms": "lower",
     "whatif_evals_per_sec": "higher",
     "whatif_search_uncached_wall_ms": "lower",
+}
+
+# Compared against the baseline like GATED, but never failing: per-layer
+# numbers to watch.
+INFORMATIONAL = {
+    # One 300-stream rack uplink under submit/complete churn: the
+    # SharedServer flat-split path on its own.
+    "uplink_churn_events_per_sec": "higher",
 }
 
 # Gated only when core counts allow a meaningful comparison (see below).
@@ -179,6 +189,18 @@ def main() -> int:
         if bad:
             failures.append(name)
 
+    for name, direction in INFORMATIONAL.items():
+        if name not in cur_m:
+            continue
+        c = float(cur_m[name])
+        b = float(base_m[name]) if name in base_m else None
+        delta_pct = 100.0 * (c - b) / b if b else None
+        shown = "" if delta_pct is None else f" ({delta_pct:+.1f}%)"
+        print(f"info  {name}: baseline={'-' if b is None else f'{b:g}'} "
+              f"current={c:g}{shown}, {direction} is better, not gated")
+        rows.append(("info", name, b, c, delta_pct,
+                     f"{direction} (not gated)"))
+
     # Absolute parallel-efficiency floor: gates on the current machine
     # alone, so it still bites when the relative parallel gates skip.
     if args.efficiency_floor is not None:
@@ -269,7 +291,7 @@ def main() -> int:
                 if bad:
                     failures.append(name)
 
-    for name in sorted(set(cur_m) - set(gated)):
+    for name in sorted(set(cur_m) - set(gated) - set(INFORMATIONAL)):
         if name == "events_per_sec_vs_nodes":
             continue
         print(f"info  {name}: {cur_m[name]}")
