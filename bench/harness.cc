@@ -79,7 +79,6 @@ RunStats stats_from(const JobResult& r) {
   s.reduce_mem_util = r.avg_util(TaskKind::Reduce, false);
   s.map_cpu_util = r.avg_util(TaskKind::Map, true);
   s.reduce_cpu_util = r.avg_util(TaskKind::Reduce, true);
-  s.failed_attempts = r.counters.failed_task_attempts;
   return s;
 }
 
@@ -94,7 +93,6 @@ RunStats average(const std::vector<RunStats>& all) {
     avg.reduce_mem_util += s.reduce_mem_util;
     avg.map_cpu_util += s.map_cpu_util;
     avg.reduce_cpu_util += s.reduce_cpu_util;
-    avg.failed_attempts += s.failed_attempts;
   }
   const double n = static_cast<double>(all.size());
   avg.exec_secs /= n;
@@ -178,6 +176,10 @@ TuneResult tune_aggressive(Benchmark b, Corpus c, std::uint64_t seed,
                     out.configs_tried};
 }
 
+double improvement_pct(double base, double tuned) {
+  return base > 0.0 ? 100.0 * (base - tuned) / base : 0.0;
+}
+
 namespace {
 
 /// One run with the conservative tuner riding along (fast single run).
@@ -219,93 +221,83 @@ JobConfig offline_config(Benchmark b, Corpus c) {
   return baselines::offline_guide_config(spec, sim.dfs().block_size(), maps);
 }
 
+/// Every run one app's figures read, each averaged over the repeat seeds.
+struct AppRuns {
+  RunStats def, offline, tuned, conservative;
+};
+
+AppRuns run_app(const ExpeditedApp& app) {
+  const Benchmark b = app.benchmark;
+  const Corpus c = app.corpus;
+  AppRuns runs;
+  runs.def = run_averaged(b, c, JobConfig{});
+  runs.offline = run_averaged(b, c, offline_config(b, c));
+  runs.tuned = run_averaged(b, c, tune_aggressive(b, c).config);
+  runs.conservative = run_conservative_averaged(b, c);
+  return runs;
+}
+
+std::string improvement_cell(double base, double tuned) {
+  return TextTable::num(improvement_pct(base, tuned), 1) + "%";
+}
+
+std::string paper_cell(double pct) { return TextTable::num(pct, 0) + "%"; }
+
+std::string spills_cell(double records) {
+  return TextTable::num(records / 1e9, 2);
+}
+
 }  // namespace
 
-double improvement_pct(double base, double tuned) {
-  return base > 0.0 ? 100.0 * (base - tuned) / base : 0.0;
-}
+void app_figures(int first_figure, const std::vector<ExpeditedApp>& apps) {
+  // Apps are independent experiments: fan them across the worker pool and
+  // add their rows to the tables in app order afterwards.
+  const auto runs = runner().map<AppRuns>(
+      apps.size(), [&](std::size_t i) { return run_app(apps[i]); });
+  const auto figure = [&](int offset) {
+    return "Figure " + std::to_string(first_figure + offset);
+  };
 
-void expedited_figure(const std::string& figure,
-                      const std::vector<ExpeditedApp>& apps) {
-  print_preamble(figure, "job execution time, expedited test runs "
-                         "(aggressive tuning) vs Default and Offline guide");
-  TextTable table({"Benchmark", "Default (s)", "Offline (s)", "MRONLINE (s)",
-                   "Improvement", "Paper"});
-  // Rows are independent experiments: fan them across the worker pool and
-  // add them to the table in app order afterwards.
-  const auto rows = runner().map<std::vector<std::string>>(
-      apps.size(), [&](std::size_t i) -> std::vector<std::string> {
-        const auto& app = apps[i];
-        const RunStats def =
-            run_averaged(app.benchmark, app.corpus, JobConfig{});
-        const RunStats offline =
-            run_averaged(app.benchmark, app.corpus,
-                         offline_config(app.benchmark, app.corpus));
-        const TuneResult tuned_cfg = tune_aggressive(app.benchmark,
-                                                     app.corpus);
-        const RunStats tuned =
-            run_averaged(app.benchmark, app.corpus, tuned_cfg.config);
-        return {app.label, TextTable::num(def.exec_secs, 0),
-                TextTable::num(offline.exec_secs, 0),
-                TextTable::num(tuned.exec_secs, 0),
-                TextTable::num(
-                    improvement_pct(def.exec_secs, tuned.exec_secs), 1) +
-                    "%",
-                TextTable::num(app.paper_improvement_pct, 0) + "%"};
-      });
-  for (const auto& row : rows) table.add_row(row);
-  table.print(std::cout);
-}
+  print_preamble(figure(0), "job execution time, expedited test runs "
+                            "(aggressive tuning) vs Default and Offline guide");
+  TextTable exec({"Benchmark", "Default (s)", "Offline (s)", "MRONLINE (s)",
+                  "Improvement", "Paper"});
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const AppRuns& r = runs[i];
+    exec.add_row({apps[i].label, TextTable::num(r.def.exec_secs, 0),
+                  TextTable::num(r.offline.exec_secs, 0),
+                  TextTable::num(r.tuned.exec_secs, 0),
+                  improvement_cell(r.def.exec_secs, r.tuned.exec_secs),
+                  paper_cell(apps[i].paper_expedited_pct)});
+  }
+  exec.print(std::cout);
 
-void spill_figure(const std::string& figure,
-                  const std::vector<ExpeditedApp>& apps) {
-  print_preamble(figure,
+  print_preamble(figure(3),
                  "map-side spill records (1e9) under Optimal / Default / "
                  "Offline guide / MRONLINE");
-  TextTable table({"Benchmark", "Optimal", "Default", "Offline", "MRONLINE"});
-  const auto rows = runner().map<std::vector<std::string>>(
-      apps.size(), [&](std::size_t i) -> std::vector<std::string> {
-        const auto& app = apps[i];
-        const RunStats def =
-            run_averaged(app.benchmark, app.corpus, JobConfig{});
-        const RunStats offline =
-            run_averaged(app.benchmark, app.corpus,
-                         offline_config(app.benchmark, app.corpus));
-        const TuneResult tuned_cfg = tune_aggressive(app.benchmark,
-                                                     app.corpus);
-        const RunStats tuned =
-            run_averaged(app.benchmark, app.corpus, tuned_cfg.config);
-        return {app.label, TextTable::num(def.optimal_spilled / 1e9, 2),
-                TextTable::num(def.map_spilled / 1e9, 2),
-                TextTable::num(offline.map_spilled / 1e9, 2),
-                TextTable::num(tuned.map_spilled / 1e9, 2)};
-      });
-  for (const auto& row : rows) table.add_row(row);
-  table.print(std::cout);
-}
+  TextTable spills({"Benchmark", "Optimal", "Default", "Offline", "MRONLINE"});
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const AppRuns& r = runs[i];
+    spills.add_row({apps[i].label, spills_cell(r.def.optimal_spilled),
+                    spills_cell(r.def.map_spilled),
+                    spills_cell(r.offline.map_spilled),
+                    spills_cell(r.tuned.map_spilled)});
+  }
+  spills.print(std::cout);
 
-void single_run_figure(const std::string& figure,
-                       const std::vector<ExpeditedApp>& apps) {
-  print_preamble(figure, "job execution time, fast single run "
-                         "(conservative in-run tuning) vs Default");
-  TextTable table({"Benchmark", "Default (s)", "MRONLINE (s)", "Improvement",
-                   "Paper"});
-  const auto rows = runner().map<std::vector<std::string>>(
-      apps.size(), [&](std::size_t i) -> std::vector<std::string> {
-        const auto& app = apps[i];
-        const RunStats def =
-            run_averaged(app.benchmark, app.corpus, JobConfig{});
-        const RunStats tuned =
-            run_conservative_averaged(app.benchmark, app.corpus);
-        return {app.label, TextTable::num(def.exec_secs, 0),
-                TextTable::num(tuned.exec_secs, 0),
-                TextTable::num(
-                    improvement_pct(def.exec_secs, tuned.exec_secs), 1) +
-                    "%",
-                TextTable::num(app.paper_improvement_pct, 0) + "%"};
-      });
-  for (const auto& row : rows) table.add_row(row);
-  table.print(std::cout);
+  print_preamble(figure(6), "job execution time, fast single run "
+                            "(conservative in-run tuning) vs Default");
+  TextTable single({"Benchmark", "Default (s)", "MRONLINE (s)", "Improvement",
+                    "Paper"});
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const AppRuns& r = runs[i];
+    single.add_row(
+        {apps[i].label, TextTable::num(r.def.exec_secs, 0),
+         TextTable::num(r.conservative.exec_secs, 0),
+         improvement_cell(r.def.exec_secs, r.conservative.exec_secs),
+         paper_cell(apps[i].paper_single_run_pct)});
+  }
+  single.print(std::cout);
 }
 
 namespace {

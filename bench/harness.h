@@ -3,9 +3,9 @@
 // Mirrors Section 8.1's methodology: the paper's 19-node cluster, four
 // repetitions per data point (averaged), expedited-test-run tuning for the
 // aggressive figures and in-run conservative tuning for the fast-single-run
-// figures. Each bench binary regenerates one table or figure of the paper
-// as an ASCII table, with the paper's reported numbers alongside where
-// applicable.
+// figures. Each bench binary regenerates one table of the paper, or one
+// family of figures that read the same experiments, as ASCII tables, with
+// the paper's reported numbers alongside where applicable.
 #pragma once
 
 #include <functional>
@@ -47,7 +47,6 @@ struct RunStats {
   double reduce_mem_util = 0.0;
   double map_cpu_util = 0.0;
   double reduce_cpu_util = 0.0;
-  int failed_attempts = 0;
 };
 
 /// One run of the job `make` builds inside the simulation (a benchmark
@@ -92,30 +91,27 @@ double improvement_pct(double base, double tuned);
 /// Standard header printed by every figure bench.
 void print_preamble(const std::string& figure, const std::string& caption);
 
-/// One app of an expedited-test-runs figure (Figures 4-6).
+/// One app of a data set's figure family (Figures 4/7/10, 5/8/11, 6/9/12).
 struct ExpeditedApp {
   workloads::Benchmark benchmark;
   workloads::Corpus corpus;
   std::string label;
-  double paper_improvement_pct;  ///< what the paper reports vs default
+  double paper_expedited_pct;   ///< the paper's improvement vs default, 4-6
+  double paper_single_run_pct;  ///< the same for the fast single run, 10-12
 };
 
-/// Figures 4-6: exec time under Default / Offline guide / MRONLINE.
-void expedited_figure(const std::string& figure,
-                      const std::vector<ExpeditedApp>& apps);
+/// Figures n, n+3 and n+6 for one data set (n = `first_figure`, 4 to 6),
+/// printed from one set of simulations per app: exec time of the expedited
+/// test runs under Default / Offline guide / MRONLINE (Figures 4-6),
+/// map-side spill records under Optimal / Default / Offline / MRONLINE
+/// (7-9), and exec time of the fast single run, Default vs
+/// MRONLINE-conservative (10-12).
+void app_figures(int first_figure, const std::vector<ExpeditedApp>& apps);
 
-/// Figures 7-9: map-side spill records under Optimal / Default / Offline /
-/// MRONLINE.
-void spill_figure(const std::string& figure,
-                  const std::vector<ExpeditedApp>& apps);
-
-/// Figures 10-12: exec time under Default / MRONLINE-conservative.
-void single_run_figure(const std::string& figure,
-                       const std::vector<ExpeditedApp>& apps);
-
-/// The Section-8.5 multi-tenant experiment: Terasort(60 GB, 448 maps? the
-/// paper says 448/200 — our blocks give 480) + BBP, fair scheduler, run with
-/// default configs and with per-job MRONLINE-derived configs.
+/// The Section-8.5 multi-tenant experiment: Terasort (60 GB, 200 reduces)
+/// + BBP, fair scheduler, run with default configs and with per-job
+/// MRONLINE-derived configs. The paper's Terasort has 448 maps; our 128 MiB
+/// blocks give 480.
 struct MultiTenantOutcome {
   RunStats terasort_default, terasort_tuned;
   RunStats bbp_default, bbp_tuned;

@@ -95,11 +95,11 @@ set(bare_dir ${WORKDIR}/check_bench_bare_flags)
 file(REMOVE_RECURSE ${bare_dir})
 file(MAKE_DIRECTORY ${bare_dir})
 execute_process(
-  COMMAND ${FIG07} --jobs=1 --report-out --metrics-out
+  COMMAND ${FIG} --jobs=1 --report-out --metrics-out
   WORKING_DIRECTORY ${bare_dir}
-  RESULT_VARIABLE fig07_rc OUTPUT_QUIET)
+  RESULT_VARIABLE fig_rc OUTPUT_QUIET)
 file(GLOB written RELATIVE ${bare_dir} ${bare_dir}/*)
-if(NOT fig07_rc EQUAL 0 OR
+if(NOT fig_rc EQUAL 0 OR
    NOT written STREQUAL "mron_metrics.json;mron_report.json")
-  message(FATAL_ERROR "fig07 bare flags: exit ${fig07_rc}, wrote '${written}'")
+  message(FATAL_ERROR "${FIG} bare flags: exit ${fig_rc}, wrote '${written}'")
 endif()

@@ -100,17 +100,18 @@ endfunction()
 
 check_artifacts_stable(check_cli_artifacts ${CLI} --app=terasort --size-gb=2
                        --runs=4)
-check_artifacts_stable(check_fig14_artifacts ${FIG14})
+check_artifacts_stable(check_tenants_artifacts ${TENANTS})
 
 # A bench binary's audit describes its tuned run (the greatest key), not
-# whichever plain run finished last.
-file(SIZE ${WORKDIR}/check_fig14_artifacts_j1/mron_audit.jsonl fig14_audit)
+# whichever plain or conservative run finished last.
+file(SIZE ${WORKDIR}/check_tenants_artifacts_j1/mron_audit.jsonl tenants_audit)
 execute_process(
-  COMMAND ${FIG04} --jobs=4 --audit-out=check_fig04_audit.jsonl
+  COMMAND ${FIG} --jobs=4 --audit-out=check_fig_audit.jsonl
   WORKING_DIRECTORY ${WORKDIR}
-  RESULT_VARIABLE fig04_rc OUTPUT_QUIET)
-file(SIZE ${WORKDIR}/check_fig04_audit.jsonl fig04_audit)
-if(NOT fig04_rc EQUAL 0 OR fig04_audit EQUAL 0 OR fig14_audit EQUAL 0)
-  message(FATAL_ERROR "fig04 (rc ${fig04_rc}, audit ${fig04_audit} B) or "
-                      "fig14 (audit ${fig14_audit} B): empty tuned audit")
+  RESULT_VARIABLE fig_rc OUTPUT_QUIET)
+file(SIZE ${WORKDIR}/check_fig_audit.jsonl fig_audit)
+if(NOT fig_rc EQUAL 0 OR fig_audit EQUAL 0 OR tenants_audit EQUAL 0)
+  message(FATAL_ERROR "${FIG} (rc ${fig_rc}, audit ${fig_audit} B) or "
+                      "${TENANTS} (audit ${tenants_audit} B): empty tuned "
+                      "audit")
 endif()
