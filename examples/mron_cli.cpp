@@ -28,6 +28,9 @@
 // is quarantined in its own file — run reports stay byte-identical with or
 // without it. --progress prints a wall-clock-throttled stderr heartbeat
 // (events/sec, sim-time, RSS) for long runs; it never touches any artifact.
+// --digest prints one line, digest=<16 hex digits>, a digest of every run
+// the invocation made (mapreduce::result_digest, chained in print order,
+// an aggressive test run first): tests/golden/sim_digests.txt pins it.
 // Bad input (an unknown flag or stray argument, a value flag given bare,
 // an unwritable path) prints one "error:" line and exits 2 before any run.
 #include <cstdio>
@@ -69,6 +72,8 @@ int g_dfs_replication = 3;
 // Every artifact file, each written from the greatest-keyed run offered, so
 // the files are a pure function of the flags, never of worker timing.
 std::unique_ptr<mapreduce::RunExports> g_exports;
+// Every run's result folded in print order (--digest).
+std::uint64_t g_digest = mapreduce::kResultDigestSeed;
 
 /// Options for one simulation of the invocation.
 mapreduce::SimulationOptions sim_options(std::uint64_t seed) {
@@ -113,6 +118,7 @@ mapreduce::JobSpec make_spec(mapreduce::Simulation& sim, const AppChoice& app,
 }
 
 void print_result(const char* label, const mapreduce::JobResult& r) {
+  g_digest = mapreduce::result_digest(r, g_digest);
   std::printf("%-14s exec=%8.1f s  maps=%zu reds=%zu  spilled=%.3fe9 "
               "(optimal %.3fe9)  mem-util m/r=%.0f%%/%.0f%%  "
               "cpu-util m/r=%.0f%%/%.0f%%  failed-attempts=%d\n",
@@ -175,7 +181,8 @@ constexpr const char* kFlagNames[] = {
     "jobs",        "fair",        "show-config",  "log-level",
     "metrics-out", "trace-out",   "audit-out",    "report-out",
     "profile-out", "progress",    "trace-detail", "fault-plan",
-    "fault-spec",  "speculative", "cluster",      "dfs-replication"};
+    "fault-spec",  "speculative", "cluster",      "dfs-replication",
+    "digest"};
 
 int run_cli(int argc, char** argv) {
   const Flags flags(argc, argv);
@@ -196,7 +203,7 @@ int run_cli(int argc, char** argv) {
                 " [--trace-detail]"
                 " [--fault-plan=F] [--fault-spec='directives']"
                 " [--speculative] [--cluster=SPEC]"
-                " [--dfs-replication=N]\n");
+                " [--dfs-replication=N] [--digest]\n");
     return 0;
   }
   if (flags.get("list", false)) {
@@ -246,9 +253,15 @@ int run_cli(int argc, char** argv) {
   MRON_INPUT_CHECK(g_dfs_replication >= 1,
                    "--dfs-replication wants a positive integer");
   g_base.dfs_replication = g_dfs_replication;
+  const bool digest = flags.get("digest", false);
   sim::ParallelRunner pool(run.jobs);
-  // One "wrote F" line per artifact file, once every run has finished.
-  auto note_written = [] {
+  // Once every run has finished: the --digest line, then one "wrote F"
+  // line per artifact file.
+  auto note_written = [digest] {
+    if (digest) {
+      std::printf("digest=%016llx\n",
+                  static_cast<unsigned long long>(g_digest));
+    }
     for (const std::string& path : g_exports->written()) {
       std::fprintf(stderr, "wrote %s\n", path.c_str());
     }
@@ -328,6 +341,7 @@ int run_cli(int argc, char** argv) {
     const auto& out = online_tuner.outcome(am.id());
     offer(sim, /*phase=*/"0", app, "aggressive", test_result,
           out.best_config);
+    g_digest = mapreduce::result_digest(test_result, g_digest);
     // The tuner's test run is the one worth inspecting — keep its artifacts
     // instead of letting the production runs below replace them. The run
     // report keeps flowing: phase "1" offers outrank the test run's, so it

@@ -1,7 +1,6 @@
 #include "cluster/fabric.h"
 
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -25,7 +24,7 @@ Fabric::Fabric(sim::Engine& engine, const ClusterSpec& spec,
                        inter_rack_factor_ *
                        static_cast<double>(topo_.rack_size(rack));
     rack_uplinks_.push_back(std::make_unique<sim::SharedServer>(
-        engine_, cap, "rack" + std::to_string(r) + "/uplink"));
+        engine_, cap, sim::ServerName("rack/uplink", r)));
   }
 }
 

@@ -1,22 +1,15 @@
 #include "cluster/node.h"
 
-#include <string>
 #include <utility>
 
 namespace mron::cluster {
 
-namespace {
-std::string server_name(NodeId id, const char* what) {
-  return "node" + std::to_string(id.value()) + "/" + what;
-}
-}  // namespace
-
 Node::Node(sim::Engine& engine, NodeId id, const NodeHardware& hw)
     : id_(id),
-      cpu_(engine, hw.container_core_units(), server_name(id, "cpu")),
-      disk_(engine, hw.disk_bandwidth.rate(), server_name(id, "disk"),
+      cpu_(engine, hw.container_core_units(), {"node/cpu", id.value()}),
+      disk_(engine, hw.disk_bandwidth.rate(), {"node/disk", id.value()},
             hw.disk_seek_penalty),
-      nic_in_(engine, hw.nic_bandwidth.rate(), server_name(id, "nic_in")),
+      nic_in_(engine, hw.nic_bandwidth.rate(), {"node/nic_in", id.value()}),
       memory_capacity_(hw.container_memory),
       vcores_capacity_(hw.container_vcores),
       cpu_quota_per_vcore_(hw.cpu_quota_per_vcore) {}

@@ -1,6 +1,7 @@
 #include "mapreduce/report_rollup.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "cluster/cluster_spec.h"
@@ -41,6 +42,35 @@ void duration_stats(const std::vector<TaskReport>& reports,
       reports.empty() ? 0.0 : sum / static_cast<double>(reports.size());
   stats[prefix + "_task_secs_max"] = max;
 }
+
+/// FNV-1a over 64-bit words, one byte at a time.
+class Fnv {
+ public:
+  explicit Fnv(std::uint64_t h) : h_(h) {}
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
+    }
+  }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+  void add(int v) { add(static_cast<std::uint64_t>(v)); }
+  void add(bool v) { add(static_cast<std::uint64_t>(v)); }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const TaskCounters& c) {
+    add(c.map_output_records);
+    add(c.combine_output_records);
+    add(c.spilled_records);
+    add(c.map_output_bytes.count());
+    add(c.shuffle_bytes.count());
+    add(c.local_disk_write_bytes.count());
+    add(c.local_disk_read_bytes.count());
+    add(c.cpu_seconds);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_;
+};
 
 }  // namespace
 
@@ -132,6 +162,42 @@ std::string run_report_json(
       {"rerepl.recovery_time", rs.last_fully_replicated},
   });
   return report.to_json(sim.recorder());
+}
+
+std::uint64_t result_digest(const JobResult& result, std::uint64_t h) {
+  Fnv d(h);
+  d.add(result.submit_time);
+  d.add(result.finish_time);
+  d.add(result.counters.map);
+  d.add(result.counters.reduce);
+  d.add(result.counters.failed_task_attempts);
+  d.add(result.speculative_launches);
+  d.add(result.speculative_wins);
+  d.add(result.injected_failures);
+  d.add(result.fetch_failures);
+  d.add(result.lost_maps_reexecuted);
+  const auto& reg = ParamRegistry::extended();
+  for (const auto* reports : {&result.map_reports, &result.reduce_reports}) {
+    d.add(static_cast<std::uint64_t>(reports->size()));
+    for (const TaskReport& r : *reports) {
+      d.add(static_cast<int>(r.task.kind));
+      d.add(r.task.index);
+      d.add(r.attempt);
+      d.add(r.start_time);
+      d.add(r.end_time);
+      d.add(r.node.value());
+      d.add(static_cast<int>(r.locality));
+      d.add(r.cpu_util);
+      d.add(r.mem_util);
+      d.add(r.mem_commit);
+      d.add(r.counters);
+      d.add(r.failed_oom);
+      d.add(r.failed_injected);
+      d.add(r.faulted);
+      for (std::size_t i = 0; i < reg.size(); ++i) d.add(reg.get(r.config, i));
+    }
+  }
+  return d.value();
 }
 
 std::string run_report_key(

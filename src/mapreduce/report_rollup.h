@@ -10,6 +10,7 @@
 // front end: the run flags they share and their one artifact writer.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,6 +48,16 @@ std::string run_report_key(
     const std::string& phase,
     const std::vector<std::pair<std::string, std::string>>& meta,
     const JobConfig& config);
+
+/// A 64-bit FNV-1a digest of what a run computed, chained through `h`
+/// so one digest can cover every run of an invocation: the exec time, the
+/// job counters and failure tallies, and every task report (task,
+/// attempt, times, node, locality, utilisations, counters, flags and the
+/// configuration it ran with). Doubles are hashed by their bits, so any
+/// change to a simulated number changes the digest.
+constexpr std::uint64_t kResultDigestSeed = 14695981039346656037ULL;
+std::uint64_t result_digest(const JobResult& result,
+                            std::uint64_t h = kResultDigestSeed);
 
 /// The drivers' shared run flags: --jobs=N, in [1,
 /// ParallelRunner::kMaxJobs], and the options every run of the invocation

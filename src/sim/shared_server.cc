@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <ostream>
 #include <utility>
 
 #include "obs/host_profile.h"
@@ -93,6 +95,7 @@ void SharedServer::Table::push(double remaining, double stream_cap,
   rate[n] = 0.0;
   slot[n] = s;
   ++n;
+  min_rem = std::min(min_rem, remaining);
   if (stream_cap != kUncapped) ++finite_caps;
 }
 
@@ -105,6 +108,7 @@ void SharedServer::Table::erase(std::uint32_t i) {
   std::copy(rate + i + 1, rate + n, rate + i);
   std::copy(slot + i + 1, slot + n, slot + i);
   --n;
+  min_fresh = false;
 }
 
 std::uint32_t SharedServer::Table::find(StreamId id) const {
@@ -124,20 +128,30 @@ std::size_t SharedServer::Table::bytes() const {
          (unsat.capacity() + finished.capacity()) * sizeof(std::uint32_t);
 }
 
-SharedServer::SharedServer(Engine& engine, double capacity, std::string name,
+std::string ServerName::str() const {
+  const char* slash = owner < 0 ? nullptr : std::strchr(path, '/');
+  if (slash == nullptr) return path;
+  return std::string(path, slash) + std::to_string(owner) + slash;
+}
+
+std::ostream& operator<<(std::ostream& os, const ServerName& name) {
+  return os << name.str();
+}
+
+SharedServer::SharedServer(Engine& engine, double capacity, ServerName name,
                            double concurrency_penalty)
     : engine_(engine),
       capacity_(capacity),
       base_capacity_(capacity),
       concurrency_penalty_(concurrency_penalty),
-      name_(std::move(name)) {
+      name_(name) {
   MRON_CHECK_MSG(capacity_ > 0.0, "server " << name_ << " capacity must be >0");
   MRON_CHECK(concurrency_penalty_ >= 0.0);
   last_update_ = engine_.now();
   if (auto* rec = engine_.recorder()) {
-    busy_gauge_ = &rec->metrics().gauge("server." + name_ + ".busy_integral");
-    streams_gauge_ =
-        &rec->metrics().gauge("server." + name_ + ".active_streams");
+    const std::string prefix = "server." + name_.str();
+    busy_gauge_ = &rec->metrics().gauge(prefix + ".busy_integral");
+    streams_gauge_ = &rec->metrics().gauge(prefix + ".active_streams");
     // Only the final values are exported and nothing reads them mid-run,
     // so they are refreshed once, by the end-of-run flush, not per tick.
     rec->add_final_hook([this] {
@@ -211,28 +225,40 @@ double SharedServer::busy_integral() const {
   return busy_integral_ + total_rate_ * (engine_.now() - last_update_);
 }
 
+template <typename F>
+double SharedServer::with_rates(F f) const {
+  const Table& t = *table_;
+  switch (mode_) {
+    case RateMode::kFlat: {
+      const double share = flat_share_;
+      return f([share](std::uint32_t) { return share; });
+    }
+    case RateMode::kPerCap:
+      return f([&t](std::uint32_t i) { return t.cap[i]; });
+    case RateMode::kExplicit:
+      break;
+  }
+  return f([&t](std::uint32_t i) { return t.rate[i]; });
+}
+
 double SharedServer::advance() {
-  // dt is 0 when another event already advanced this server at the
-  // current timestamp; every rate is finite, so x - rate * 0.0 is x and
-  // the pass below then only takes the minimum.
   const double dt = engine_.now() - last_update_;
   last_update_ = engine_.now();
   if (table_ == nullptr) return kInf;  // nothing served: total_rate_ is 0
   Table& t = *table_;
+  // dt is 0 when another call already advanced this server at the current
+  // timestamp. Every rate is finite and every rem is at least +0.0, so
+  // max(0, r - rate * 0.0) is r and busy_integral_ + total_rate_ * 0.0 is
+  // busy_integral_: a pass would only recompute the minimum, and the
+  // cached one is exact while fresh.
+  if (dt == 0.0 && t.min_fresh) return t.min_rem;
   busy_integral_ += total_rate_ * dt;
-  switch (mode_) {
-    case RateMode::kFlat: {
-      const double step = flat_share_ * dt;
-      return progress_min(t.rem, t.n, [step](std::uint32_t) { return step; });
-    }
-    case RateMode::kPerCap:
-      return progress_min(t.rem, t.n,
-                          [&t, dt](std::uint32_t i) { return t.cap[i] * dt; });
-    case RateMode::kExplicit:
-      break;
-  }
-  return progress_min(t.rem, t.n,
-                      [&t, dt](std::uint32_t i) { return t.rate[i] * dt; });
+  t.min_rem = with_rates([&t, dt](auto rate) {
+    return progress_min(t.rem, t.n,
+                        [&rate, dt](std::uint32_t i) { return rate(i) * dt; });
+  });
+  t.min_fresh = true;
+  return t.min_rem;
 }
 
 void SharedServer::recompute_rates() {
@@ -376,65 +402,52 @@ void SharedServer::reallocate(double min_rem) {
   }
 }
 
-template <typename Threshold>
-double SharedServer::retire(Threshold done_below) {
-  Table& t = *table_;
-  double min_rem = kInf;
-  std::uint32_t kept = 0;
-  for (std::uint32_t i = 0; i < t.n; ++i) {
-    if (t.rem[i] <= done_below(i)) {
-      t.finished.push_back(t.slot[i]);
-      if (t.cap[i] != kUncapped) --t.finite_caps;
-    } else {
-      // Survivors keep their order. Rates are not carried: a retirement
-      // makes the allocation dirty, and recompute_rates() rewrites them.
-      t.rem[kept] = t.rem[i];
-      t.cap[kept] = t.cap[i];
-      t.slot[kept] = t.slot[i];
-      min_rem = std::min(min_rem, t.rem[i]);
-      ++kept;
-    }
-  }
-  t.n = kept;
-  return min_rem;
-}
-
 void SharedServer::on_completion() {
   has_pending_event_ = false;
   Table& t = *table_;
+  const double dt = engine_.now() - last_update_;
+  last_update_ = engine_.now();
+  busy_integral_ += total_rate_ * dt;
   // The retirement threshold must exceed double-precision resolution at the
   // current timestamp or time stops advancing for near-finished streams.
   const double time_eps = std::max(kTimeEpsilon, engine_.now() * 1e-12);
-  double min_rem = advance();
   // Member scratch: a completion fires on almost every event on a loaded
   // server. Safe to reuse because on_completion never re-enters itself —
   // done callbacks may submit or cancel streams, but completions only run
   // from the engine event loop.
   std::vector<std::uint32_t>& finished = t.finished;
   finished.clear();
-  switch (mode_) {
-    case RateMode::kFlat: {
-      // One threshold for every stream: when even the smallest remaining
-      // work is above it nothing retires, and no compaction pass runs.
-      const double done_below = kWorkEpsilon + flat_share_ * time_eps;
-      if (min_rem <= done_below) {
-        min_rem = retire([done_below](std::uint32_t) { return done_below; });
+  // One pass: each row progresses exactly as advance() takes it; a row at
+  // or below kWorkEpsilon + rate * time_eps retires (its slot goes to
+  // `finished`), the rest compact in order and give the new minimum. Row i
+  // is read before any write reaches it (writes go to kept <= i), so its
+  // step and threshold see its pre-pass cap and rate. Rates are not
+  // carried: a retirement makes the allocation dirty, and
+  // recompute_rates() rewrites them.
+  t.min_rem = with_rates([&t, &finished, dt, time_eps](auto rate) {
+    const std::uint32_t n = t.n;
+    double min_rem = kInf;
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const double r = std::max(0.0, t.rem[i] - rate(i) * dt);
+      if (r <= kWorkEpsilon + rate(i) * time_eps) {
+        finished.push_back(t.slot[i]);
+        if (t.cap[i] != kUncapped) --t.finite_caps;
+        continue;
       }
-      break;
+      if (kept != i) {
+        t.cap[kept] = t.cap[i];
+        t.slot[kept] = t.slot[i];
+      }
+      t.rem[kept++] = r;
+      min_rem = std::min(min_rem, r);
     }
-    case RateMode::kPerCap:
-      min_rem = retire([&t, time_eps](std::uint32_t i) {
-        return kWorkEpsilon + t.cap[i] * time_eps;
-      });
-      break;
-    case RateMode::kExplicit:
-      min_rem = retire([&t, time_eps](std::uint32_t i) {
-        return kWorkEpsilon + t.rate[i] * time_eps;
-      });
-      break;
-  }
+    t.n = kept;
+    return min_rem;
+  });
+  t.min_fresh = true;
   if (!finished.empty()) alloc_dirty_ = true;
-  reallocate(min_rem);
+  reallocate(t.min_rem);
   // Callbacks run after the server is in a consistent state; they may submit
   // new streams re-entrantly (which may grow the pool, so each callback is
   // moved out of it first), each under its submitter's category.

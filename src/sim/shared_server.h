@@ -20,6 +20,14 @@
 // a Callback. The table is allocated by the first submit(); a server that
 // never serves a stream holds one null pointer.
 //
+// Each event touches the columns at most once. The table caches the
+// minimum remaining work: a second advance at one timestamp (dt == 0)
+// returns it without a pass, exact because max(0, r - rate*0) is r for
+// every finite rate and r >= +0.0. submit() lowers the cache, every
+// progress pass retakes it and cancel() marks it stale. A completion
+// progresses, retires, compacts and takes the survivors' minimum in one
+// loop.
+//
 // The allocation is represented as a *mode* — flat equal split, everyone
 // at cap, or explicit water-filled rates — so the common shapes are
 // classified in O(1) from aggregates: the minimum remaining work, gathered
@@ -37,6 +45,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <string>
@@ -54,6 +63,24 @@ namespace mron::sim {
 struct StreamTag {};
 using StreamId = StrongId<StreamTag>;
 
+/// What a server is called in check messages and recorder gauge names.
+/// `path` is a static string; an owner index, when given, is printed
+/// before its first '/': {"node/cpu", 3} reads "node3/cpu", {"rack/uplink",
+/// 0} "rack0/uplink", and "disk" alone "disk". A server holds a pointer
+/// and an index, not a heap string; the text is formatted only where it
+/// is printed.
+struct ServerName {
+  ServerName(const char* path) : path(path) {}  // NOLINT: implicit
+  ServerName(const char* path, std::int64_t owner)
+      : path(path), owner(owner) {}
+
+  [[nodiscard]] std::string str() const;
+
+  const char* path;
+  std::int64_t owner = -1;  ///< -1: no index
+};
+std::ostream& operator<<(std::ostream& os, const ServerName& name);
+
 class SharedServer {
  public:
   using Done = Callback;
@@ -64,7 +91,7 @@ class SharedServer {
   /// `concurrency_penalty` models efficiency loss under concurrent streams
   /// (e.g. disk seek thrashing): the effective capacity becomes
   /// capacity / (1 + penalty * (n - 1)) for n active streams.
-  SharedServer(Engine& engine, double capacity, std::string name,
+  SharedServer(Engine& engine, double capacity, ServerName name,
                double concurrency_penalty = 0.0);
 
   SharedServer(const SharedServer&) = delete;
@@ -93,7 +120,6 @@ class SharedServer {
   /// dark). Live streams keep their progress; rates and the completion
   /// event are recomputed under the new capacity. `scale` must be > 0.
   void set_capacity_scale(double scale);
-  [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Integral of (allocated rate) dt since construction, i.e. total work
   /// served. utilization over [t0,t1] = delta(busy_integral)/(capacity*(t1-t0)).
@@ -150,6 +176,11 @@ class SharedServer {
     /// hot paths never allocate once warm.
     std::vector<std::uint32_t> unsat;
     std::vector<std::uint32_t> finished;
+    /// Minimum of rem[0, n) (+inf when empty), exact while `min_fresh`:
+    /// push() lowers it, the progress passes (advance(), on_completion())
+    /// retake it and erase() makes it stale.
+    double min_rem = std::numeric_limits<double>::infinity();
+    bool min_fresh = true;
 
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
@@ -166,8 +197,15 @@ class SharedServer {
   };
 
   /// Progress all streams from last_update_ to now; returns the minimum
-  /// remaining work over the table (+inf when empty).
+  /// remaining work over the table (+inf when empty). A call at the
+  /// timestamp of the last progress pass returns Table::min_rem without a
+  /// pass while it is fresh.
   double advance();
+  /// f(rate), where rate(i) is row i's allocated rate under the current
+  /// mode (flat_share_, cap[i] or rate[i]): one instantiation per mode,
+  /// so a per-stream pass reads only the column its mode needs.
+  template <typename F>
+  double with_rates(F f) const;
   /// Refresh the allocation (when the binding set changed since the last
   /// pass) and move the completion event to the next completion; cancel it
   /// once the server is empty. `min_rem` is the table's minimum remaining.
@@ -175,19 +213,15 @@ class SharedServer {
   /// Classify the allocation shape; O(1) for all-uncapped tables, one scan
   /// of the cap column otherwise, and true water-filling writes Table::rate.
   void recompute_rates();
-  /// Compact away every row whose remaining work is at most
-  /// done_below(row), in order, collecting its slot in Table::finished;
-  /// returns the survivors' minimum remaining.
-  template <typename Threshold>
-  double retire(Threshold done_below);
-  /// Completion event body: retire all streams that have drained.
+  /// Completion event body: progress every stream, retire the drained
+  /// ones and compact the rest in one pass, then run their callbacks.
   void on_completion();
 
   Engine& engine_;
   double capacity_;
   double base_capacity_;  ///< construction-time capacity, scale reference
   double concurrency_penalty_;
-  std::string name_;
+  ServerName name_;
   IdAllocator<StreamId> ids_;
   std::unique_ptr<Table> table_;  ///< null until the first submit()
   /// Set when membership or caps changed, i.e. the current rates are stale.

@@ -6,10 +6,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
+#include "obs/recorder.h"
 
 namespace mron::sim {
 namespace {
@@ -215,9 +218,11 @@ TEST(SharedServerProperty, MakespanRespectsCapacity) {
 
 // A server that never serves a stream holds no table, and the table moved
 // out of the object keeps it small: 30,720 servers stand at 10,240 nodes,
-// most of them idle for the whole run.
+// most of them idle for the whole run. Neither the per-event state (the
+// cached minimum lives in the table) nor the name (a static path and an
+// index) may grow it.
 TEST(SharedServer, TableIsAllocatedByTheFirstSubmit) {
-  EXPECT_LE(sizeof(SharedServer), 288u);
+  EXPECT_LE(sizeof(SharedServer), 192u);
   Engine eng;
   SharedServer disk(eng, 100.0, "disk");
   EXPECT_EQ(disk.table_bytes(), 0u);
@@ -237,6 +242,30 @@ TEST(SharedServer, TableIsAllocatedByTheFirstSubmit) {
   disk.submit(10.0, [] {});
   eng.run();
   EXPECT_EQ(disk.table_bytes(), warm);
+}
+
+// A name is formatted only where it is printed — recorder gauge names and
+// check messages — as "node3/cpu": exported gauge names such as
+// server.node3/cpu.busy_integral must not change.
+TEST(SharedServer, NameIsFormattedWherePrinted) {
+  EXPECT_EQ(ServerName("node/cpu", 3).str(), "node3/cpu");
+  EXPECT_EQ(ServerName("node/nic_in", 10239).str(), "node10239/nic_in");
+  EXPECT_EQ(ServerName("rack/uplink", 0).str(), "rack0/uplink");
+  EXPECT_EQ(ServerName("disk").str(), "disk");
+  Engine eng;
+  obs::Recorder rec;
+  eng.set_recorder(&rec);
+  const SharedServer cpu(eng, 8.0, {"node/cpu", 3});
+  EXPECT_TRUE(rec.metrics().has("server.node3/cpu.busy_integral"));
+  EXPECT_TRUE(rec.metrics().has("server.node3/cpu.active_streams"));
+  try {
+    const SharedServer dead(eng, 0.0, {"node/disk", 7});
+    ADD_FAILURE() << "a zero capacity must be a check failure";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("server node7/disk capacity"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // The straightforward array-of-structs SharedServer: one 96-byte Stream per
@@ -419,7 +448,8 @@ class ReferenceServer {
 enum class Caps { kUncapped, kAllCapped, kMixed };
 
 struct ChurnOp {
-  enum Kind { kSubmit, kCancel, kScale, kQuery } kind;
+  /// kCancelMin cancels the live stream with the least remaining work.
+  enum Kind { kSubmit, kCancel, kCancelMin, kScale, kQuery } kind;
   double at;
   double work = 0.0;  ///< kSubmit
   double cap = SharedServer::kUncapped;
@@ -429,7 +459,12 @@ struct ChurnOp {
 };
 
 /// A seeded script of submits (some at shared instants, some of whose
-/// done() callbacks submit again), cancels, capacity rescales and queries.
+/// done() callbacks submit again), cancels, capacity rescales, queries and
+/// same-instant bursts: several submits at one timestamp, and a submit, a
+/// cancel of the stream with the least remaining work and another submit
+/// at one timestamp — the cancel then lands on a server already advanced
+/// to that instant, where a stale cached minimum can leave every float
+/// unchanged and show only as a spurious completion event.
 std::vector<ChurnOp> churn_script(std::uint64_t seed, int streams, Caps caps,
                                   double capacity) {
   Rng rng(seed);
@@ -469,15 +504,26 @@ std::vector<ChurnOp> churn_script(std::uint64_t seed, int streams, Caps caps,
     ops.push_back(op);
   }
   for (int i = 0; i < 24; ++i) ops.push_back(ChurnOp{ChurnOp::kQuery, when()});
+  for (int b = 0; b < 3; ++b) {
+    ChurnOp op{ChurnOp::kSubmit, when()};
+    op.work = rng.uniform(0.1, 2.0) * work;
+    for (std::int64_t k = rng.uniform_int(2, 5); k > 0; --k) ops.push_back(op);
+    op.at = when();
+    ops.push_back(op);
+    ops.push_back(ChurnOp{ChurnOp::kCancelMin, op.at});
+    ops.push_back(op);
+  }
   return ops;
 }
 
 /// What one server reports under a churn script: every completion as
-/// (time, id), and at each query every stream's remaining work and the
-/// busy integral.
+/// (time, id), at each query every stream's remaining work and the busy
+/// integral, and the number of events the engine dispatched (a completion
+/// event that retires nothing shows only there).
 struct ChurnLog {
   std::vector<std::pair<double, std::int64_t>> completions;
   std::vector<double> observed;
+  std::int64_t events = 0;
 };
 
 template <typename Server>
@@ -512,6 +558,21 @@ ChurnLog run_churn(const std::vector<ChurnOp>& ops, double capacity,
         case ChurnOp::kCancel:
           if (op.victim < ids.size()) srv.cancel(ids[op.victim]);
           break;
+        case ChurnOp::kCancelMin: {
+          // Both servers report the same remaining work, so they pick
+          // the same victim.
+          const StreamId* victim = nullptr;
+          double least = std::numeric_limits<double>::infinity();
+          for (const StreamId& id : ids) {
+            const double r = srv.remaining(id);
+            if (r > 0.0 && r < least) {
+              least = r;
+              victim = &id;
+            }
+          }
+          if (victim != nullptr) srv.cancel(*victim);
+          break;
+        }
         case ChurnOp::kScale:
           srv.set_capacity_scale(op.scale);
           break;
@@ -524,7 +585,7 @@ ChurnLog run_churn(const std::vector<ChurnOp>& ops, double capacity,
       }
     });
   }
-  eng.run();
+  log.events = eng.run();
   log.observed.push_back(srv.busy_integral());
   return log;
 }
@@ -566,6 +627,7 @@ TEST(SharedServer, TableMatchesReferenceModelBitForBit) {
           for (std::size_t i = 0; i < want.observed.size(); ++i) {
             ASSERT_EQ(got.observed[i], want.observed[i]) << "#" << i;
           }
+          ASSERT_EQ(got.events, want.events);
           ++runs;
         }
       }
@@ -593,6 +655,7 @@ TEST(SharedServer, TableMatchesReferenceModelBitForBit) {
   const ChurnLog got = run_churn<RealServer>(edge, capacity, 0.0);
   EXPECT_EQ(got.completions, want.completions);
   EXPECT_EQ(got.observed, want.observed);
+  EXPECT_EQ(got.events, want.events);
 }
 
 }  // namespace
