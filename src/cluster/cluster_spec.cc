@@ -163,22 +163,8 @@ void validate_hardware(const NodeHardware& hw, const std::string& where) {
 void validate_cluster_spec(const ClusterSpec& spec) {
   MRON_INPUT_CHECK(spec.inter_rack_factor > 0.0,
                  "inter_rack_factor must be > 0");
-  if (spec.groups.empty()) {
-    MRON_INPUT_CHECK(spec.num_slaves >= 1, "cluster needs at least one slave");
-    MRON_INPUT_CHECK(spec.num_slaves <= kMaxClusterNodes,
-                   "cluster of " << spec.num_slaves << " nodes exceeds the "
-                                 << kMaxClusterNodes << "-node limit");
-    int total = 0;
-    for (int s : spec.rack_sizes) {
-      MRON_INPUT_CHECK(s >= 1, "every rack needs at least one node");
-      total += s;
-    }
-    MRON_INPUT_CHECK(total == spec.num_slaves,
-                   "rack sizes sum to " << total << ", expected "
-                                        << spec.num_slaves);
-    validate_hardware(spec.default_hardware(), "cluster");
-    return;
-  }
+  MRON_INPUT_CHECK(!spec.groups.empty(),
+                 "cluster spec declares no group statements");
   std::int64_t total = 0;  // wide: racks x nodes may overflow an int
   for (const NodeGroup& g : spec.groups) {
     const std::string where =
@@ -209,20 +195,17 @@ ClusterSpec parse_cluster_spec(const std::string& text) {
       MRON_INPUT_CHECK(false, "unknown cluster spec statement: " << stmt);
     }
   }
-  MRON_INPUT_CHECK(!spec.groups.empty(),
-                 "cluster spec declares no group statements");
-  validate_cluster_spec(spec);  // before sync_totals() sizes per-rack state
-  spec.sync_totals();
+  validate_cluster_spec(spec);
   return spec;
 }
 
-ClusterSpec scaled_spec(int num_slaves, int rack_size) {
-  MRON_INPUT_CHECK(num_slaves >= 1, "scaled spec needs at least one slave");
+ClusterSpec scaled_spec(int slaves, int rack_size) {
+  MRON_INPUT_CHECK(slaves >= 1, "scaled spec needs at least one slave");
   MRON_INPUT_CHECK(rack_size >= 1, "scaled spec needs rack_size >= 1");
   ClusterSpec spec;
   spec.groups.clear();
-  const int full = num_slaves / rack_size;
-  const int rem = num_slaves % rack_size;
+  const int full = slaves / rack_size;
+  const int rem = slaves % rack_size;
   if (full > 0) {
     NodeGroup g;
     g.name = "std";
@@ -238,7 +221,6 @@ ClusterSpec scaled_spec(int num_slaves, int rack_size) {
     spec.groups.push_back(g);
   }
   validate_cluster_spec(spec);
-  spec.sync_totals();
   return spec;
 }
 
@@ -274,11 +256,11 @@ std::string render_cluster_spec(const ClusterSpec& spec) {
   std::ostringstream out;
   out << "inter_rack_factor " << format_double(spec.inter_rack_factor)
       << "\n";
-  auto emit = [&](const std::string& name, int racks, int nodes,
-                  const NodeHardware& hw) {
+  for (const NodeGroup& g : spec.groups) {
+    const NodeHardware& hw = g.hardware;
     out << "group";
-    if (!name.empty()) out << " name=" << name;
-    out << " racks=" << racks << " nodes=" << nodes
+    if (!g.name.empty()) out << " name=" << g.name;
+    out << " racks=" << g.racks << " nodes=" << g.nodes_per_rack
         << " cores=" << hw.physical_cores << " vcores=" << hw.total_vcores
         << " container_vcores=" << hw.container_vcores
         << " mem_gb=" << format_double(hw.node_memory.gib())
@@ -290,25 +272,6 @@ std::string render_cluster_spec(const ClusterSpec& spec) {
         << " nic_gbps=" << format_double(hw.nic_bandwidth.rate() * 8.0 / 1e9)
         << " daemon_reserve=" << format_double(hw.daemon_core_reserve)
         << "\n";
-  };
-  if (spec.groups.empty()) {
-    // Homogeneous spec: render each distinct rack size as its own group so
-    // the text round-trips into an equivalent topology.
-    const NodeHardware hw = spec.default_hardware();
-    std::size_t i = 0;
-    while (i < spec.rack_sizes.size()) {
-      std::size_t j = i;
-      while (j < spec.rack_sizes.size() &&
-             spec.rack_sizes[j] == spec.rack_sizes[i]) {
-        ++j;
-      }
-      emit("", static_cast<int>(j - i), spec.rack_sizes[i], hw);
-      i = j;
-    }
-  } else {
-    for (const NodeGroup& g : spec.groups) {
-      emit(g.name, g.racks, g.nodes_per_rack, g.hardware);
-    }
   }
   return out.str();
 }

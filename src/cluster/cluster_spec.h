@@ -1,9 +1,9 @@
 // The `--cluster=SPEC` topology grammar.
 //
-// A spec describes a cluster as hardware groups, each contributing whole
-// racks of identical nodes (see topology.h). The textual form is
-// line-oriented; `;` also separates statements so a whole spec fits in one
-// CLI argument, and `#` starts a comment:
+// A ClusterSpec is its hardware groups, each contributing whole racks of
+// identical nodes (see topology.h); the text form lists them in id order.
+// It is line-oriented; `;` also separates statements so a whole spec fits
+// in one CLI argument, and `#` starts a comment:
 //
 //   # 1,024 nodes in two hardware classes (spec mix after arXiv:1411.3811)
 //   inter_rack_factor 0.5
@@ -17,8 +17,9 @@
 // seek_penalty, nic_gbps, daemon_reserve.
 //
 // `load_cluster_spec` additionally accepts the presets `testbed19` (the
-// default 18-slave/2-rack cluster) and `nodes:N[,rack:R]` (N testbed-class
-// slaves in racks of R, default 64), or a path to a spec file.
+// default ClusterSpec: one group of 2 racks x 9 testbed nodes) and
+// `nodes:N[,rack:R]` (N testbed-class slaves in racks of R, default 64),
+// or a path to a spec file.
 #pragma once
 
 #include <string>
@@ -42,17 +43,18 @@ inline constexpr int kMaxClusterNodes = 131072;
 /// containing '='), or a spec file path.
 [[nodiscard]] ClusterSpec load_cluster_spec(const std::string& arg);
 
-/// N testbed-hardware slaves packed into racks of `rack_size` (a trailing
-/// smaller rack takes the remainder) — the scalebench sweep shape.
-[[nodiscard]] ClusterSpec scaled_spec(int num_slaves, int rack_size = 64);
+/// `slaves` testbed-hardware nodes packed into racks of `rack_size` (a
+/// trailing smaller rack takes the remainder) — the scalebench sweep shape.
+[[nodiscard]] ClusterSpec scaled_spec(int slaves, int rack_size = 64);
 
 /// Render `spec` back into parseable text (round-trips through
 /// parse_cluster_spec).
 [[nodiscard]] std::string render_cluster_spec(const ClusterSpec& spec);
 
-/// Validate hardware sanity (positive rates, container resources within
-/// node resources, between one and kMaxClusterNodes nodes). Throws
-/// InputError on violation.
+/// Validate a spec: at least one group, every group at least one rack of
+/// at least one node, hardware sanity (positive rates, container resources
+/// within node resources) and at most kMaxClusterNodes nodes in all.
+/// Throws InputError on violation.
 /// parse_cluster_spec and scaled_spec call this; hand-built specs can too.
 void validate_cluster_spec(const ClusterSpec& spec);
 

@@ -14,9 +14,6 @@ Node::Node(sim::Engine& engine, NodeId id, const NodeHardware& hw)
       vcores_capacity_(hw.container_vcores),
       cpu_quota_per_vcore_(hw.cpu_quota_per_vcore) {}
 
-Node::Node(sim::Engine& engine, NodeId id, const ClusterSpec& spec)
-    : Node(engine, id, spec.default_hardware()) {}
-
 void Node::allocate(Bytes memory, int vcores) {
   MRON_CHECK_MSG(memory <= memory_available(),
                  "node " << id_ << " memory over-allocation");

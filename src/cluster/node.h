@@ -22,8 +22,6 @@ namespace mron::cluster {
 class Node {
  public:
   Node(sim::Engine& engine, NodeId id, const NodeHardware& hw);
-  /// Convenience for homogeneous clusters: the spec's top-level hardware.
-  Node(sim::Engine& engine, NodeId id, const ClusterSpec& spec);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

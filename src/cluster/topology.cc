@@ -4,73 +4,15 @@
 
 namespace mron::cluster {
 
-NodeHardware ClusterSpec::default_hardware() const {
-  NodeHardware hw;
-  hw.physical_cores = physical_cores;
-  hw.total_vcores = total_vcores;
-  hw.container_vcores = container_vcores;
-  hw.node_memory = node_memory;
-  hw.container_memory = container_memory;
-  hw.cpu_quota_per_vcore = cpu_quota_per_vcore;
-  hw.disk_bandwidth = disk_bandwidth;
-  hw.disk_seek_penalty = disk_seek_penalty;
-  hw.nic_bandwidth = nic_bandwidth;
-  hw.daemon_core_reserve = daemon_core_reserve;
-  return hw;
-}
-
-void ClusterSpec::sync_totals() {
-  if (groups.empty()) return;
-  num_slaves = 0;
-  rack_sizes.clear();
-  for (const NodeGroup& g : groups) {
-    MRON_CHECK_MSG(g.racks >= 1 && g.nodes_per_rack >= 1,
-                   "group '" << g.name << "' needs racks >= 1 and nodes >= 1");
-    for (int r = 0; r < g.racks; ++r) {
-      rack_sizes.push_back(g.nodes_per_rack);
-      num_slaves += g.nodes_per_rack;
-    }
-  }
-  // Representative hardware for single-point consumers (what-if model).
-  const NodeHardware& hw = groups.front().hardware;
-  physical_cores = hw.physical_cores;
-  total_vcores = hw.total_vcores;
-  container_vcores = hw.container_vcores;
-  node_memory = hw.node_memory;
-  container_memory = hw.container_memory;
-  cpu_quota_per_vcore = hw.cpu_quota_per_vcore;
-  disk_bandwidth = hw.disk_bandwidth;
-  disk_seek_penalty = hw.disk_seek_penalty;
-  nic_bandwidth = hw.nic_bandwidth;
-  daemon_core_reserve = hw.daemon_core_reserve;
-}
-
 int ClusterSpec::total_slaves() const {
-  if (groups.empty()) return num_slaves;
   int total = 0;
   for (const NodeGroup& g : groups) total += g.racks * g.nodes_per_rack;
   return total;
 }
 
 Topology::Topology(const ClusterSpec& spec) {
-  if (spec.groups.empty()) {
-    // Homogeneous cluster: racks from rack_sizes, one hardware class.
-    hardware_.push_back(spec.default_hardware());
-    int total = 0;
-    for (int r = 0; r < static_cast<int>(spec.rack_sizes.size()); ++r) {
-      racks_.push_back(RackInfo{total, spec.rack_sizes[r], 0});
-      for (int i = 0; i < spec.rack_sizes[r]; ++i) {
-        rack_of_.emplace_back(r);
-        ++total;
-      }
-    }
-    MRON_CHECK_MSG(total == spec.num_slaves,
-                   "rack sizes sum to " << total << ", expected "
-                                        << spec.num_slaves);
-    return;
-  }
-  // Grouped cluster: each group contributes whole racks of one hardware
-  // class; ids are assigned group by group so every rack is contiguous.
+  // Each group contributes whole racks of one hardware class; ids are
+  // assigned group by group so every rack is contiguous.
   int total = 0;
   for (const NodeGroup& g : spec.groups) {
     MRON_CHECK_MSG(g.racks >= 1 && g.nodes_per_rack >= 1,
@@ -86,7 +28,7 @@ Topology::Topology(const ClusterSpec& spec) {
       }
     }
   }
-  MRON_CHECK_MSG(total > 0, "grouped cluster spec has no nodes");
+  MRON_CHECK_MSG(total > 0, "cluster spec has no nodes");
 }
 
 RackId Topology::rack_of(NodeId node) const {

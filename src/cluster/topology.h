@@ -6,11 +6,11 @@
 // and 6 GB per node for containers (4 vcores / 2 GB reserved for the HDFS
 // datanode and node-manager daemons).
 //
-// Beyond the testbed, a spec may carry heterogeneous `groups`: each group
-// contributes whole racks of identical nodes, so every rack stays
-// homogeneous (the ToR uplink model needs one NIC rate per rack) while the
-// cluster as a whole can mix hardware classes (cluster_spec.h parses the
-// `--cluster=SPEC` grammar into this form).
+// A ClusterSpec is a list of node groups (the testbed is one group of two
+// racks): each group contributes whole racks of identical nodes, so every
+// rack stays homogeneous (the ToR uplink model needs one NIC rate per rack)
+// while the cluster as a whole can mix hardware classes (cluster_spec.h
+// parses the `--cluster=SPEC` grammar into this form).
 #pragma once
 
 #include <cstdint>
@@ -27,9 +27,7 @@ using NodeId = StrongId<NodeTag>;
 struct RackTag {};
 using RackId = StrongId<RackTag>;
 
-/// Hardware of one node class. The fields mirror ClusterSpec's top-level
-/// homogeneous knobs; a heterogeneous cluster carries one NodeHardware per
-/// group.
+/// Hardware of one node class; a cluster carries one per NodeGroup.
 struct NodeHardware {
   // CPU. `total_vcores` is yarn.nodemanager total; `container_vcores` is
   // what the scheduler may hand to containers. Physical core throughput is
@@ -76,6 +74,8 @@ struct NodeHardware {
     return static_cast<double>(physical_cores) /
            static_cast<double>(total_vcores);
   }
+
+  bool operator==(const NodeHardware&) const = default;
 };
 
 /// One hardware class contributing `racks` whole racks of `nodes_per_rack`
@@ -88,61 +88,25 @@ struct NodeGroup {
   NodeHardware hardware;
 };
 
+/// A cluster is its node groups: racks and ids follow `groups` in order.
+/// The default is the paper's testbed, one group of 2 racks x 9 nodes with
+/// the default NodeHardware.
 struct ClusterSpec {
-  int num_slaves = 18;
-  std::vector<int> rack_sizes = {9, 9};  // slaves per rack
-
-  // Homogeneous hardware knobs (the 19-node testbed defaults). These stay
-  // authoritative when `groups` is empty; with groups they describe the
-  // *representative* node class (the first group) for consumers that model
-  // a single hardware point (the what-if predictor, static planner).
-  int physical_cores = 8;
-  int total_vcores = 32;
-  int container_vcores = 28;
-  Bytes node_memory = gibibytes(8);
-  Bytes container_memory = gibibytes(6);
-  double cpu_quota_per_vcore = 1.0;
-  BytesPerSec disk_bandwidth = mib_per_sec(90);
-  double disk_seek_penalty = 0.06;
-  BytesPerSec nic_bandwidth = gbit_per_sec(1);
-  double daemon_core_reserve = 1.0;
+  std::vector<NodeGroup> groups = {NodeGroup{"", 2, 9, NodeHardware{}}};
 
   // Factor applied to cross-rack streams (top-of-rack uplink
   // oversubscription). Cluster-wide, not per group.
   double inter_rack_factor = 0.5;
 
-  /// Heterogeneous node classes; empty = homogeneous cluster described by
-  /// the top-level fields + rack_sizes. Non-empty groups are authoritative
-  /// for the topology; callers building groups by hand should finish with
-  /// sync_totals().
-  std::vector<NodeGroup> groups;
-
-  /// The top-level homogeneous knobs bundled as a NodeHardware.
-  [[nodiscard]] NodeHardware default_hardware() const;
-
-  /// Recompute num_slaves/rack_sizes from `groups` and copy the first
-  /// group's hardware into the representative top-level fields. No-op when
-  /// groups is empty.
-  void sync_totals();
-
-  /// Total slave count — groups when present, else num_slaves.
+  /// Slaves over every group.
   [[nodiscard]] int total_slaves() const;
-
-  /// Core-units available to containers on one (representative) node.
-  [[nodiscard]] double container_core_units() const {
-    return default_hardware().container_core_units();
-  }
-  /// Core-units represented by one vcore.
-  [[nodiscard]] double core_units_per_vcore() const {
-    return default_hardware().core_units_per_vcore();
-  }
 };
 
 /// Static placement info: which rack each node lives in, which hardware
 /// class it runs, and where each rack's contiguous id range starts. Racks
-/// are contiguous by construction (both the legacy rack_sizes path and the
-/// grouped path assign ids rack by rack), which is what makes O(1)
-/// rack-range arithmetic — DFS placement, rack-local scheduling — valid.
+/// are contiguous by construction (ids are assigned group by group, rack by
+/// rack), which is what makes O(1) rack-range arithmetic — DFS placement,
+/// rack-local scheduling — valid.
 class Topology {
  public:
   explicit Topology(const ClusterSpec& spec);

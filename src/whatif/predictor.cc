@@ -20,29 +20,28 @@ using mapreduce::kHeapFraction;
 namespace {
 
 /// Containers of `mem_mb`/`vcores` that fit one node.
-int slots_per_node(const cluster::ClusterSpec& cluster, double mem_mb,
+int slots_per_node(const cluster::NodeHardware& hw, double mem_mb,
                    double vcores) {
-  const int by_mem = static_cast<int>(cluster.container_memory.as_double() /
+  const int by_mem = static_cast<int>(hw.container_memory.as_double() /
                                       mebibytes(mem_mb).as_double());
   const int by_vcores =
-      static_cast<int>(cluster.container_vcores / std::max(1.0, vcores));
+      static_cast<int>(hw.container_vcores / std::max(1.0, vcores));
   return std::max(0, std::min(by_mem, by_vcores));
 }
 
 /// Fair-share disk rate for `streams` concurrent streams on one spindle.
-double disk_rate(const cluster::ClusterSpec& cluster, int streams) {
+double disk_rate(const cluster::NodeHardware& hw, int streams) {
   const double eff =
-      cluster.disk_bandwidth.rate() /
-      (1.0 + cluster.disk_seek_penalty * std::max(0, streams - 1));
+      hw.disk_bandwidth.rate() /
+      (1.0 + hw.disk_seek_penalty * std::max(0, streams - 1));
   return eff / std::max(1, streams);
 }
 
 /// Fair-share CPU rate (core-units) for a task whose quota is `quota`
 /// among `tasks` concurrent tasks on the node.
-double cpu_rate(const cluster::ClusterSpec& cluster, double quota,
+double cpu_rate(const cluster::NodeHardware& hw, double quota,
                 double demand, int tasks) {
-  const double share =
-      cluster.container_core_units() / std::max(1, tasks);
+  const double share = hw.container_core_units() / std::max(1, tasks);
   return std::min({quota, demand, std::max(share, 1e-9)});
 }
 
@@ -74,14 +73,17 @@ double phase_secs(int waves, double task_secs,
 }  // namespace
 
 Prediction predict(const PredictionInputs& inputs) {
-  const cluster::ClusterSpec& cl = inputs.cluster;
+  // A single-point model: the first group is the representative node
+  // class, and every slave counts toward concurrency.
+  MRON_CHECK_MSG(!inputs.cluster.groups.empty(), "cluster has no groups");
+  const cluster::NodeHardware& hw = inputs.cluster.groups.front().hardware;
+  const int slaves = inputs.cluster.total_slaves();
   const mapreduce::AppProfile& p = inputs.profile;
   JobConfig cfg = inputs.config;
   mapreduce::clamp_constraints(cfg);
 
   MRON_CHECK_MSG(inputs.node_slowdown.empty() ||
-                     static_cast<int>(inputs.node_slowdown.size()) ==
-                         cl.num_slaves,
+                     static_cast<int>(inputs.node_slowdown.size()) == slaves,
                  "node_slowdown must be empty or one factor per slave");
   const std::pair<double, double> stretch =
       slowdown_stretch(inputs.node_slowdown);
@@ -100,11 +102,11 @@ Prediction predict(const PredictionInputs& inputs) {
 
   // --- geometry ---------------------------------------------------------------
   out.map_slots_per_node =
-      slots_per_node(cl, cfg.map_memory_mb, cfg.map_cpu_vcores);
+      slots_per_node(hw, cfg.map_memory_mb, cfg.map_cpu_vcores);
   out.reduce_slots_per_node =
-      slots_per_node(cl, cfg.reduce_memory_mb, cfg.reduce_cpu_vcores);
+      slots_per_node(hw, cfg.reduce_memory_mb, cfg.reduce_cpu_vcores);
   MRON_CHECK_MSG(out.map_slots_per_node > 0, "map container exceeds a node");
-  const int map_concurrency = out.map_slots_per_node * cl.num_slaves;
+  const int map_concurrency = out.map_slots_per_node * slaves;
   out.map_waves = (num_maps + map_concurrency - 1) / map_concurrency;
 
   // --- map task ---------------------------------------------------------------
@@ -120,14 +122,14 @@ Prediction predict(const PredictionInputs& inputs) {
 
   // Node-level contention: assume all slots busy with like tasks.
   const int streams = out.map_slots_per_node;
-  const double read_secs = split.as_double() / disk_rate(cl, streams);
+  const double read_secs = split.as_double() / disk_rate(hw, streams);
   const double cpu =
       (split.mib() * p.map_cpu_secs_per_mib + p.map_cpu_secs_fixed) /
-      cpu_rate(cl, cfg.map_cpu_vcores * cl.cpu_quota_per_vcore,
+      cpu_rate(hw, cfg.map_cpu_vcores * hw.cpu_quota_per_vcore,
                p.map_cpu_demand_cores, streams);
   const double spill_secs =
       (plan.disk_write_bytes + plan.disk_read_bytes).as_double() * codec /
-      disk_rate(cl, streams);
+      disk_rate(hw, streams);
   out.map_task_secs =
       p.task_startup_secs + std::max(read_secs, cpu) + spill_secs;
   out.map_phase_secs = phase_secs(out.map_waves, out.map_task_secs, stretch);
@@ -146,8 +148,7 @@ Prediction predict(const PredictionInputs& inputs) {
     return out;
   }
   if (inputs.num_reduces > 0 && out.reduce_slots_per_node > 0) {
-    const int reduce_concurrency =
-        out.reduce_slots_per_node * cl.num_slaves;
+    const int reduce_concurrency = out.reduce_slots_per_node * slaves;
     out.reduce_waves =
         (inputs.num_reduces + reduce_concurrency - 1) / reduce_concurrency;
     const Bytes partition =
@@ -158,7 +159,7 @@ Prediction predict(const PredictionInputs& inputs) {
     // visit: maps spread evenly over min(maps, slaves) hosts, each host
     // needs ceil(its maps / kMaxSegmentsPerFetch) visits, and
     // parallelcopies of them (at most one per host) overlap.
-    const int hosts = std::max(1, std::min(num_maps, cl.num_slaves));
+    const int hosts = std::max(1, std::min(num_maps, slaves));
     const int per_host = num_maps / hosts;
     const int extra = num_maps % hosts;
     const auto visits_for = [](int maps) {
@@ -170,7 +171,7 @@ Prediction predict(const PredictionInputs& inputs) {
                             (hosts - extra) * visits_for(per_host));
     const double net_secs =
         partition.as_double() /
-            (cl.nic_bandwidth.rate() /
+            (hw.nic_bandwidth.rate() /
              std::max(1, out.reduce_slots_per_node)) +
         connections /
             std::min(std::max(1.0, cfg.shuffle_parallelcopies),
@@ -189,23 +190,23 @@ Prediction predict(const PredictionInputs& inputs) {
         buffer.disk_files(), static_cast<int>(cfg.io_sort_factor));
     const int rstreams = out.reduce_slots_per_node;
     const double shuffle_disk_secs =
-        disk_in_shuffle.as_double() / disk_rate(cl, rstreams);
+        disk_in_shuffle.as_double() / disk_rate(hw, rstreams);
     const double merge_secs =
-        (merge.read + merge.write).as_double() / disk_rate(cl, rstreams);
+        (merge.read + merge.write).as_double() / disk_rate(hw, rstreams);
     const double logical_mib = partition.mib() / codec;
     double reduce_cpu_secs =
         logical_mib * p.reduce_cpu_secs_per_mib /
-        cpu_rate(cl, cfg.reduce_cpu_vcores * cl.cpu_quota_per_vcore,
+        cpu_rate(hw, cfg.reduce_cpu_vcores * hw.cpu_quota_per_vcore,
                  p.reduce_cpu_demand_cores, rstreams);
     if (compress) {
       reduce_cpu_secs += logical_mib * mapreduce::kDecompressCpuSecsPerMib;
     }
     const double final_read_secs =
-        buffer.disk_write_bytes().as_double() / disk_rate(cl, rstreams);
+        buffer.disk_write_bytes().as_double() / disk_rate(hw, rstreams);
     const Bytes output = partition * (p.reduce_output_ratio / codec);
     const double write_secs =
-        std::max(output.as_double() / disk_rate(cl, rstreams),
-                 output.as_double() / cl.nic_bandwidth.rate());
+        std::max(output.as_double() / disk_rate(hw, rstreams),
+                 output.as_double() / hw.nic_bandwidth.rate());
 
     out.reduce_task_secs = p.task_startup_secs + net_secs +
                            shuffle_disk_secs + merge_secs +

@@ -21,6 +21,9 @@
 namespace mron::whatif {
 
 struct PredictionInputs {
+  /// The model is single-point: every slave is taken to run the first
+  /// group's hardware, and all total_slaves() of them count toward
+  /// concurrency.
   cluster::ClusterSpec cluster;
   mapreduce::AppProfile profile;
   Bytes input_size;       ///< total job input
@@ -29,7 +32,7 @@ struct PredictionInputs {
   mapreduce::JobConfig config;
   /// Optional per-slave slowdown factors (>= 1 = that node runs X times
   /// slower: a degraded disk/NIC or recovering host). Empty = homogeneous
-  /// cluster; otherwise size must equal cluster.num_slaves. An all-1.0
+  /// cluster; otherwise size must equal cluster.total_slaves(). An all-1.0
   /// vector predicts byte-identically to the empty one.
   std::vector<double> node_slowdown;
 };

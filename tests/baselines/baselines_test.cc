@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "baselines/genetic_tuner.h"
+#include "cluster/cluster_spec.h"
 #include "common/check.h"
 #include "baselines/offline_guide.h"
 #include "workloads/benchmarks.h"
@@ -21,8 +22,7 @@ using workloads::Corpus;
 
 TEST(OfflineGuide, SizesSortBufferForSingleSpill) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 2;
-  opt.cluster.rack_sizes = {1, 1};
+  opt.cluster = cluster::scaled_spec(2, 1);
   Simulation sim(opt);
   const JobSpec spec = workloads::make_terasort(sim, gibibytes(10));
   const JobConfig cfg = offline_guide_config(spec, mebibytes(128), 80);
@@ -35,8 +35,7 @@ TEST(OfflineGuide, SizesSortBufferForSingleSpill) {
 
 TEST(OfflineGuide, ContainerFitsWorkingSetAndBuffer) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 2;
-  opt.cluster.rack_sizes = {1, 1};
+  opt.cluster = cluster::scaled_spec(2, 1);
   Simulation sim(opt);
   const JobSpec spec = workloads::make_terasort(sim, gibibytes(10));
   const JobConfig cfg = offline_guide_config(spec, mebibytes(128), 80);
@@ -52,8 +51,7 @@ TEST(OfflineGuide, ComputeJobGetsMoreVcores) {
 
 TEST(OfflineGuide, ReduceBuffersAvoidSpillsWhenPartitionFits) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 2;
-  opt.cluster.rack_sizes = {1, 1};
+  opt.cluster = cluster::scaled_spec(2, 1);
   Simulation sim(opt);
   // Small Terasort: 16 maps x 128 MiB -> 4 reducers x ~512 MiB... too big.
   // WordCount: 16 maps, combiner shrinks shuffle to ~43 MiB/reducer: fits.

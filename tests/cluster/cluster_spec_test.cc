@@ -15,9 +15,32 @@ TEST(ClusterSpecPresets, EmptyAndNamedArgsGiveTheTestbed) {
   for (const char* arg : {"", "testbed19", "default"}) {
     const ClusterSpec spec = load_cluster_spec(arg);
     EXPECT_EQ(spec.total_slaves(), 18) << arg;
-    EXPECT_EQ(spec.rack_sizes, (std::vector<int>{9, 9})) << arg;
-    EXPECT_TRUE(spec.groups.empty()) << arg;
+    ASSERT_EQ(spec.groups.size(), 1u) << arg;
+    EXPECT_EQ(spec.groups[0].racks, 2) << arg;
+    EXPECT_EQ(spec.groups[0].nodes_per_rack, 9) << arg;
   }
+}
+
+TEST(ClusterSpecPresets, TestbedDefaultIsTheSameTopologyEverywhere) {
+  // The default ClusterSpec, the testbed presets and the one-line group
+  // spec build node-by-node identical clusters.
+  const ClusterSpec reference;
+  const Topology ref(reference);
+  ASSERT_EQ(ref.num_nodes(), 18);
+  ASSERT_EQ(ref.num_racks(), 2);
+  for (const ClusterSpec& spec :
+       {load_cluster_spec("testbed19"), load_cluster_spec(""),
+        parse_cluster_spec("group racks=2 nodes=9")}) {
+    EXPECT_DOUBLE_EQ(spec.inter_rack_factor, reference.inter_rack_factor);
+    const Topology topo(spec);
+    ASSERT_EQ(topo.num_nodes(), ref.num_nodes());
+    ASSERT_EQ(topo.num_racks(), ref.num_racks());
+    for (int id = 0; id < ref.num_nodes(); ++id) {
+      EXPECT_EQ(topo.rack_of(NodeId(id)), ref.rack_of(NodeId(id))) << id;
+      EXPECT_EQ(topo.hardware(NodeId(id)), ref.hardware(NodeId(id))) << id;
+    }
+  }
+  EXPECT_EQ(ref.hardware(NodeId(17)), NodeHardware{});
 }
 
 TEST(ClusterSpecPresets, NodesPresetPacksRacksOf64) {
@@ -50,10 +73,8 @@ TEST(ScaledSpec, KeepsTestbedHardwareAndValidates) {
   EXPECT_EQ(spec.groups[0].racks, 4);
   EXPECT_EQ(spec.groups[1].nodes_per_rack, 2);
   // Scaled nodes run testbed-class hardware.
-  const ClusterSpec testbed;
-  EXPECT_EQ(spec.groups[0].hardware.container_vcores,
-            testbed.container_vcores);
-  EXPECT_EQ(spec.groups[0].hardware.node_memory, testbed.node_memory);
+  EXPECT_EQ(spec.groups[0].hardware, NodeHardware{});
+  EXPECT_EQ(spec.groups[1].hardware, NodeHardware{});
   EXPECT_THROW((void)scaled_spec(0), CheckError);
   EXPECT_THROW((void)scaled_spec(10, 0), CheckError);
 }
@@ -68,7 +89,7 @@ TEST(ParseClusterSpec, InlineGroupsCommentsAndSemicolons) {
   ASSERT_EQ(spec.groups.size(), 2u);
   EXPECT_EQ(spec.total_slaves(), 2 * 4 + 2);
   // Omitted keys keep the testbed defaults.
-  const ClusterSpec testbed;
+  const NodeHardware testbed;
   EXPECT_EQ(spec.groups[0].hardware.physical_cores, testbed.physical_cores);
   EXPECT_EQ(spec.groups[0].hardware.node_memory, testbed.node_memory);
   EXPECT_EQ(spec.groups[1].hardware.physical_cores, 16);
@@ -76,9 +97,6 @@ TEST(ParseClusterSpec, InlineGroupsCommentsAndSemicolons) {
   EXPECT_EQ(spec.groups[1].hardware.node_memory, gibibytes(32));
   EXPECT_DOUBLE_EQ(spec.groups[1].hardware.nic_bandwidth.rate(),
                    gbit_per_sec(10).rate());
-  // sync_totals mirrors the groups into the legacy totals.
-  EXPECT_EQ(spec.num_slaves, 10);
-  EXPECT_EQ(spec.rack_sizes, (std::vector<int>{4, 4, 2}));
 }
 
 TEST(ParseClusterSpec, RoundTripsThroughRender) {
@@ -103,19 +121,6 @@ TEST(ParseClusterSpec, RoundTripsThroughRender) {
     EXPECT_DOUBLE_EQ(again.groups[i].hardware.disk_bandwidth.rate(),
                      spec.groups[i].hardware.disk_bandwidth.rate());
   }
-}
-
-TEST(ParseClusterSpec, HomogeneousSpecRendersAndRoundTrips) {
-  // A groupless spec renders as one group per run of equal rack sizes and
-  // parses back into the same topology shape.
-  ClusterSpec spec;  // the 19-node testbed, rack_sizes {9, 9}
-  const ClusterSpec again = parse_cluster_spec(render_cluster_spec(spec));
-  EXPECT_EQ(again.total_slaves(), 18);
-  ASSERT_EQ(again.groups.size(), 1u);
-  EXPECT_EQ(again.groups[0].racks, 2);
-  EXPECT_EQ(again.groups[0].nodes_per_rack, 9);
-  EXPECT_EQ(again.groups[0].hardware.container_memory,
-            spec.container_memory);
 }
 
 TEST(ParseClusterSpec, RejectsMalformedInput) {
@@ -155,9 +160,13 @@ TEST(ValidateClusterSpec, RejectsInvalidHardware) {
       (void)parse_cluster_spec(
           "inter_rack_factor 0\ngroup racks=1 nodes=2"),
       CheckError);
-  ClusterSpec mismatched;
-  mismatched.num_slaves = 10;  // rack_sizes still {9, 9}
-  EXPECT_THROW(validate_cluster_spec(mismatched), CheckError);
+  // Hand-built specs: no groups at all, or a group without nodes.
+  ClusterSpec empty;
+  empty.groups.clear();
+  EXPECT_THROW(validate_cluster_spec(empty), CheckError);
+  ClusterSpec no_nodes;
+  no_nodes.groups.front().nodes_per_rack = 0;
+  EXPECT_THROW(validate_cluster_spec(no_nodes), CheckError);
 }
 
 TEST(ValidateClusterSpec, RejectsClustersAboveTheNodeLimit) {
@@ -182,8 +191,8 @@ TEST(ValidateClusterSpec, RejectsClustersAboveTheNodeLimit) {
                    "group racks=1024 nodes=64; group racks=1024 nodes=65"),
                CheckError);
   ClusterSpec flat;
-  flat.num_slaves = kMaxClusterNodes + 1;
-  flat.rack_sizes = {kMaxClusterNodes + 1};
+  flat.groups.front().racks = 1;
+  flat.groups.front().nodes_per_rack = kMaxClusterNodes + 1;
   EXPECT_THROW(validate_cluster_spec(flat), CheckError);
 }
 

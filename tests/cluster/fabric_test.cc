@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/cluster_spec.h"
 #include "sim/engine.h"
 
 namespace mron::cluster {
@@ -13,11 +14,11 @@ namespace {
 class FabricTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    spec.num_slaves = 4;
-    spec.rack_sizes = {2, 2};
+    spec = scaled_spec(4, 2);
     topo = std::make_unique<Topology>(spec);
     for (int i = 0; i < 4; ++i) {
-      nodes.push_back(std::make_unique<Node>(eng, NodeId(i), spec));
+      nodes.push_back(
+          std::make_unique<Node>(eng, NodeId(i), topo->hardware(NodeId(i))));
     }
     std::vector<Node*> ptrs;
     for (auto& n : nodes) ptrs.push_back(n.get());
@@ -68,7 +69,8 @@ TEST_F(FabricTest, CrossRackUplinkContention) {
   sim::Engine eng2;
   std::vector<std::unique_ptr<Node>> nodes2;
   for (int i = 0; i < 4; ++i) {
-    nodes2.push_back(std::make_unique<Node>(eng2, NodeId(i), spec));
+    nodes2.push_back(
+        std::make_unique<Node>(eng2, NodeId(i), topo->hardware(NodeId(i))));
   }
   std::vector<Node*> ptrs;
   for (auto& n : nodes2) ptrs.push_back(n.get());

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_spec.h"
 #include "obs/recorder.h"
 
 namespace mron::cluster {
@@ -14,16 +15,20 @@ namespace {
 /// Nodes on one engine with a recorder attached: the monitor publishes into
 /// it, and the tests read the published gauges back.
 struct Cluster {
-  explicit Cluster(std::vector<int> rack_sizes) {
+  /// `num_nodes` (even) nodes in two racks.
+  explicit Cluster(int num_nodes)
+      : topo(std::make_unique<Topology>(
+            scaled_spec(num_nodes, num_nodes / 2))) {
     eng.set_recorder(&rec);
-    spec.rack_sizes = std::move(rack_sizes);
-    spec.num_slaves = 0;
-    for (const int r : spec.rack_sizes) spec.num_slaves += r;
-    topo = std::make_unique<Topology>(spec);
-    for (int i = 0; i < spec.num_slaves; ++i) {
-      nodes.push_back(std::make_unique<Node>(eng, NodeId(i), spec));
+    for (int i = 0; i < num_nodes; ++i) {
+      nodes.push_back(
+          std::make_unique<Node>(eng, NodeId(i), topo->hardware(NodeId(i))));
       ptrs.push_back(nodes.back().get());
     }
+  }
+  /// Bytes one node's disk moves in a second with a single stream.
+  [[nodiscard]] double disk_rate() const {
+    return topo->hardware(NodeId(0)).disk_bandwidth.rate();
   }
   [[nodiscard]] double gauge(const std::string& name) const {
     EXPECT_TRUE(rec.metrics().has(name)) << name;
@@ -38,7 +43,6 @@ struct Cluster {
 
   sim::Engine eng;
   obs::Recorder rec;
-  ClusterSpec spec;
   std::unique_ptr<Topology> topo;
   std::vector<std::unique_ptr<Node>> nodes;
   std::vector<Node*> ptrs;
@@ -48,7 +52,7 @@ class MonitorTest : public ::testing::Test {
  protected:
   MonitorTest() : monitor(c.eng, c.ptrs, *c.topo) {}
 
-  Cluster c{{1, 1}};
+  Cluster c{2};
   ClusterMonitor monitor;
 };
 
@@ -63,7 +67,7 @@ TEST_F(MonitorTest, IdleClusterReportsZeroUtilization) {
 TEST_F(MonitorTest, BusyDiskShowsUtilization) {
   monitor.start();
   // Keep node 0's disk busy for the whole window.
-  c.nodes[0]->disk().submit(c.spec.disk_bandwidth.rate() * 10.0, [] {});
+  c.nodes[0]->disk().submit(c.disk_rate() * 10.0, [] {});
   c.eng.run_until(2.5);
   EXPECT_NEAR(c.gauge("cluster.node0.disk_util"), 1.0, 1e-6);
   EXPECT_NEAR(c.gauge("cluster.node1.disk_util"), 0.0, 1e-9);
@@ -82,7 +86,7 @@ TEST_F(MonitorTest, MemoryFractionsTrackAllocations) {
 
 TEST_F(MonitorTest, TicksStopWhenTheEngineDrains) {
   monitor.start();
-  c.nodes[0]->disk().submit(c.spec.disk_bandwidth.rate() * 2.5, [] {});
+  c.nodes[0]->disk().submit(c.disk_rate() * 2.5, [] {});
   c.eng.run();  // must drain without the periodic tick re-arming forever
   EXPECT_TRUE(c.eng.empty());
   // Ticks at 1 and 2 see the stream pending; the tick at 3 finds the
@@ -92,11 +96,10 @@ TEST_F(MonitorTest, TicksStopWhenTheEngineDrains) {
 
 TEST(MonitorRackAggregation, KicksInAboveTheNodeSeriesLimit) {
   // 66 nodes, over the 64-node series limit -> per-rack means.
-  Cluster big({33, 33});
+  Cluster big(66);
   ClusterMonitor monitor(big.eng, big.ptrs, *big.topo);
   monitor.start();
-  big.nodes[40]->disk().submit(big.spec.disk_bandwidth.rate() * 100.0,
-                               [] {});
+  big.nodes[40]->disk().submit(big.disk_rate() * 100.0, [] {});
   big.nodes[40]->allocate(gibibytes(3), 4);
   big.nodes[41]->allocate(gibibytes(3), 4);
   big.eng.run_until(1.5);
@@ -110,11 +113,10 @@ TEST(MonitorRackAggregation, KicksInAboveTheNodeSeriesLimit) {
   big.eng.run();
 
   // At the limit publishing stays per-node.
-  Cluster at_limit({32, 32});
+  Cluster at_limit(64);
   ClusterMonitor per_node(at_limit.eng, at_limit.ptrs, *at_limit.topo);
   per_node.start();
-  at_limit.nodes[63]->disk().submit(
-      at_limit.spec.disk_bandwidth.rate() * 100.0, [] {});
+  at_limit.nodes[63]->disk().submit(at_limit.disk_rate() * 100.0, [] {});
   at_limit.eng.run_until(1.5);
   EXPECT_NEAR(at_limit.gauge("cluster.node63.disk_util"), 1.0, 1e-6);
   EXPECT_FALSE(at_limit.has_metric_prefixed("cluster.rack"));

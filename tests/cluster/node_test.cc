@@ -11,8 +11,8 @@ namespace {
 class NodeTest : public ::testing::Test {
  protected:
   sim::Engine eng;
-  ClusterSpec spec;
-  Node node{eng, NodeId(0), spec};
+  NodeHardware hw;
+  Node node{eng, NodeId(0), hw};
 };
 
 TEST_F(NodeTest, InitialCapacity) {
@@ -65,19 +65,19 @@ TEST_F(NodeTest, CpuStreamCappedByVcoreQuota) {
 
 TEST_F(NodeTest, DiskIsSharedWithSeekPenalty) {
   double a = -1, b = -1;
-  const double bytes = spec.disk_bandwidth.rate();  // 1 second solo
+  const double bytes = hw.disk_bandwidth.rate();  // 1 second solo
   node.disk().submit(bytes, [&] { a = eng.now(); });
   node.disk().submit(bytes, [&] { b = eng.now(); });
   eng.run();
   // Two streams share the disk AND pay the seek penalty:
   // 2 seconds * (1 + 0.04).
-  EXPECT_NEAR(a, 2.0 * (1.0 + spec.disk_seek_penalty), 1e-9);
+  EXPECT_NEAR(a, 2.0 * (1.0 + hw.disk_seek_penalty), 1e-9);
   EXPECT_NEAR(b, a, 1e-9);
 }
 
 TEST_F(NodeTest, SoloDiskStreamPaysNoPenalty) {
   double a = -1;
-  node.disk().submit(spec.disk_bandwidth.rate(), [&] { a = eng.now(); });
+  node.disk().submit(hw.disk_bandwidth.rate(), [&] { a = eng.now(); });
   eng.run();
   EXPECT_NEAR(a, 1.0, 1e-9);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_spec.h"
 #include "common/check.h"
 
 namespace mron::cluster {
@@ -9,13 +10,15 @@ namespace {
 
 TEST(ClusterSpec, PaperDefaults) {
   ClusterSpec spec;
-  EXPECT_EQ(spec.num_slaves, 18);
-  EXPECT_EQ(spec.container_vcores, 28);
-  EXPECT_EQ(spec.container_memory, gibibytes(6));
+  EXPECT_EQ(spec.total_slaves(), 18);
+  ASSERT_EQ(spec.groups.size(), 1u);
+  const NodeHardware& hw = spec.groups.front().hardware;
+  EXPECT_EQ(hw.container_vcores, 28);
+  EXPECT_EQ(hw.container_memory, gibibytes(6));
   // 28 of 32 vcores on 8 physical cores minus 1 core of daemon overhead
   // -> 6 core-units for containers.
-  EXPECT_DOUBLE_EQ(spec.container_core_units(), 6.0);
-  EXPECT_DOUBLE_EQ(spec.core_units_per_vcore(), 0.25);
+  EXPECT_DOUBLE_EQ(hw.container_core_units(), 6.0);
+  EXPECT_DOUBLE_EQ(hw.core_units_per_vcore(), 0.25);
 }
 
 TEST(Topology, RackAssignment) {
@@ -40,17 +43,8 @@ TEST(Topology, NodesInRack) {
   EXPECT_EQ(topo.all_nodes().size(), 18u);
 }
 
-TEST(Topology, RejectsMismatchedRackSizes) {
-  ClusterSpec spec;
-  spec.rack_sizes = {5, 5};  // != 18 slaves
-  EXPECT_THROW(Topology topo(spec), CheckError);
-}
-
 TEST(Topology, CustomShape) {
-  ClusterSpec spec;
-  spec.num_slaves = 4;
-  spec.rack_sizes = {2, 2};
-  Topology topo(spec);
+  Topology topo(scaled_spec(4, 2));
   EXPECT_EQ(topo.num_nodes(), 4);
   EXPECT_THROW((void)topo.rack_of(NodeId(4)), CheckError);
 }

@@ -6,18 +6,11 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster_spec.h"
 #include "common/rng.h"
 
 namespace mron::dfs {
 namespace {
-
-cluster::ClusterSpec spec_for(std::vector<int> racks) {
-  cluster::ClusterSpec spec;
-  spec.rack_sizes = std::move(racks);
-  spec.num_slaves = 0;
-  for (int r : spec.rack_sizes) spec.num_slaves += r;
-  return spec;
-}
 
 /// Distinct in-range replicas, and a target equal to what placement
 /// produced, so a degenerate placement never parks in the
@@ -133,7 +126,7 @@ TEST_F(DfsTest, EmptyDatasetHasNoBlocks) {
 // --- placement on degenerate topologies and replication overrides ----------
 
 TEST(PlacementPolicyEdge, ReplicationAboveNodeCountClamps) {
-  const cluster::Topology topo(spec_for({2, 2}));
+  const cluster::Topology topo(cluster::scaled_spec(4, 2));
   Dfs dfs(topo, Rng(7), mebibytes(128), /*replication=*/10);
   const auto id = dfs.create_dataset("d", mebibytes(128.0 * 6));
   for (const auto& b : dfs.dataset(id).blocks) {
@@ -145,7 +138,7 @@ TEST(PlacementPolicyEdge, ReplicationAboveNodeCountClamps) {
 }
 
 TEST(PlacementPolicyEdge, OneNodeCluster) {
-  const cluster::Topology topo(spec_for({1}));
+  const cluster::Topology topo(cluster::scaled_spec(1, 1));
   Dfs dfs(topo, Rng(7), mebibytes(128), /*replication=*/3);
   const auto id = dfs.create_dataset("d", mebibytes(300));
   for (const auto& b : dfs.dataset(id).blocks) {
@@ -157,7 +150,7 @@ TEST(PlacementPolicyEdge, OneNodeCluster) {
 }
 
 TEST(PlacementPolicyEdge, SingleRackTopology) {
-  const cluster::Topology topo(spec_for({5}));
+  const cluster::Topology topo(cluster::scaled_spec(5, 5));
   Dfs dfs(topo, Rng(7), mebibytes(128), /*replication=*/3);
   const auto id = dfs.create_dataset("d", mebibytes(128.0 * 8));
   for (const auto& b : dfs.dataset(id).blocks) {
@@ -171,7 +164,7 @@ TEST(PlacementPolicyEdge, SingleRackTopology) {
 
 TEST(PlacementPolicyShape, RackAwareIsolatesAcrossTwoRacks) {
   // The HDFS shape on the smallest topology that can satisfy it.
-  const cluster::Topology topo(spec_for({4, 4}));
+  const cluster::Topology topo(cluster::scaled_spec(8, 4));
   Dfs dfs(topo, Rng(11), mebibytes(128), 3);
   const auto id = dfs.create_dataset("d", mebibytes(128.0 * 16));
   for (const auto& b : dfs.dataset(id).blocks) {
@@ -182,7 +175,7 @@ TEST(PlacementPolicyShape, RackAwareIsolatesAcrossTwoRacks) {
 }
 
 TEST(PlacementPolicyShape, PerDatasetReplicationOverride) {
-  const cluster::Topology topo(spec_for({4, 4}));
+  const cluster::Topology topo(cluster::scaled_spec(8, 4));
   Dfs dfs(topo, Rng(11), mebibytes(128), 3);
   const auto one = dfs.create_dataset("single", mebibytes(256), 1);
   const auto five = dfs.create_dataset("wide", mebibytes(256), 5);
@@ -205,13 +198,7 @@ TEST(PlacementPolicyShape, PerDatasetReplicationOverride) {
 // one block keeps the replica set small enough to enumerate.
 class DfsLivenessTest : public ::testing::Test {
  protected:
-  static cluster::ClusterSpec three_racks() {
-    cluster::ClusterSpec spec;
-    spec.num_slaves = 9;
-    spec.rack_sizes = {3, 3, 3};
-    return spec;
-  }
-  cluster::ClusterSpec spec = three_racks();
+  cluster::ClusterSpec spec = cluster::scaled_spec(9, 3);
   cluster::Topology topo{spec};
   Dfs dfs{topo, Rng(42)};
 };
@@ -339,9 +326,7 @@ TEST_F(DfsLivenessTest, LivenessEventsAreIdempotent) {
 }
 
 TEST(DfsSingleRack, SecondReplicaFallsBackToSameRack) {
-  cluster::ClusterSpec spec;
-  spec.num_slaves = 3;
-  spec.rack_sizes = {3};
+  cluster::ClusterSpec spec = cluster::scaled_spec(3, 3);
   cluster::Topology topo(spec);
   Dfs dfs(topo, Rng(1));
   const auto id = dfs.create_dataset("d", mebibytes(256));

@@ -101,19 +101,13 @@ TEST(PlacementEquivalence, LargeScaledCluster) {
 
 TEST(PlacementEquivalence, DegenerateTopologies) {
   // Single rack (off-rack fallback path), two nodes, single node.
-  cluster::ClusterSpec one_rack;
-  one_rack.num_slaves = 5;
-  one_rack.rack_sizes = {5};
+  cluster::ClusterSpec one_rack = cluster::scaled_spec(5, 5);
   expect_equivalent(one_rack, 3, 60);
 
-  cluster::ClusterSpec two_nodes;
-  two_nodes.num_slaves = 2;
-  two_nodes.rack_sizes = {1, 1};
+  cluster::ClusterSpec two_nodes = cluster::scaled_spec(2, 1);
   expect_equivalent(two_nodes, 11, 40);
 
-  cluster::ClusterSpec single;
-  single.num_slaves = 1;
-  single.rack_sizes = {1};
+  cluster::ClusterSpec single = cluster::scaled_spec(1, 1);
   expect_equivalent(single, 13, 20);
 }
 

@@ -5,6 +5,7 @@
 // the per-node stream limiter and the bandwidth cap, in-flight copies
 // cancel idempotently when their source dies or their block recovers, and
 // a reliable cluster schedules nothing at all.
+#include "cluster/cluster_spec.h"
 #include "dfs/rereplicator.h"
 
 #include <gtest/gtest.h>
@@ -22,8 +23,7 @@ using mapreduce::SimulationOptions;
 
 SimulationOptions two_racks(std::uint64_t seed) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 6;
-  opt.cluster.rack_sizes = {3, 3};
+  opt.cluster = cluster::scaled_spec(6, 3);
   opt.seed = seed;
   return opt;
 }

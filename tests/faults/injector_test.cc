@@ -2,6 +2,7 @@
 // draws, fault-window queries, crash -> heartbeat-timeout declaration ->
 // restart re-registration, degradation slowing real work, and the
 // FaultStats tally the run report's `faults` block is built from.
+#include "cluster/cluster_spec.h"
 #include "faults/injector.h"
 
 #include <gtest/gtest.h>
@@ -23,8 +24,7 @@ using mapreduce::SimulationOptions;
 
 SimulationOptions small_cluster(std::uint64_t seed, const char* plan) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 6;
-  opt.cluster.rack_sizes = {3, 3};
+  opt.cluster = cluster::scaled_spec(6, 3);
   opt.seed = seed;
   opt.fault_plan = FaultPlan::parse(plan);
   return opt;
@@ -42,8 +42,7 @@ JobSpec job(Simulation& sim, int blocks, int reduces) {
 
 TEST(FaultInjector, AbsentWhenPlanIsEmpty) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 6;
-  opt.cluster.rack_sizes = {3, 3};
+  opt.cluster = cluster::scaled_spec(6, 3);
   Simulation sim(opt);
   EXPECT_EQ(sim.fault_injector(), nullptr);
 }

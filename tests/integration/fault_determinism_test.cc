@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "cluster/cluster_spec.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "mapreduce/report_rollup.h"
@@ -31,8 +32,7 @@ struct RunOutcome {
 
 RunOutcome run_once(std::uint64_t plan_seed, bool observe) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 6;
-  opt.cluster.rack_sizes = {3, 3};
+  opt.cluster = cluster::scaled_spec(6, 3);
   opt.seed = 17;
   opt.observe = observe;
   opt.fault_plan = faults::FaultPlan::parse(kPlan);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "cluster/cluster_spec.h"
 #include "common/rng.h"
 #include "mapreduce/simulation.h"
 
@@ -18,8 +19,7 @@ using mapreduce::SimulationOptions;
 
 SimulationOptions tiny_cluster(std::uint64_t seed) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 4;
-  opt.cluster.rack_sizes = {2, 2};
+  opt.cluster = cluster::scaled_spec(4, 2);
   opt.seed = seed;
   return opt;
 }

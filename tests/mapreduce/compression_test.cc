@@ -4,6 +4,7 @@
 // end-to-end while the extension stays off by default.
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_spec.h"
 #include "mapreduce/simulation.h"
 #include "workloads/benchmarks.h"
 
@@ -36,8 +37,7 @@ struct RunPair {
 RunPair run_both(workloads::Benchmark b, workloads::Corpus c, double gb) {
   auto run = [&](double compress) {
     SimulationOptions opt;
-    opt.cluster.num_slaves = 4;
-    opt.cluster.rack_sizes = {2, 2};
+    opt.cluster = cluster::scaled_spec(4, 2);
     opt.seed = 17;
     Simulation sim(opt);
     JobSpec spec =

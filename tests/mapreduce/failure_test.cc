@@ -13,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "cluster/cluster_spec.h"
 #include "mapreduce/simulation.h"
 #include "workloads/benchmarks.h"
 
@@ -21,8 +22,7 @@ namespace {
 
 SimulationOptions small_cluster(std::uint64_t seed) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 6;
-  opt.cluster.rack_sizes = {3, 3};
+  opt.cluster = cluster::scaled_spec(6, 3);
   opt.seed = seed;
   return opt;
 }

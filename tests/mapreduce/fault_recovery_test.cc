@@ -12,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "cluster/cluster_spec.h"
 #include "cluster/fabric.h"
 #include "cluster/node.h"
 #include "cluster/topology.h"
@@ -26,8 +27,7 @@ namespace {
 
 SimulationOptions small_cluster(std::uint64_t seed, const char* plan) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 6;
-  opt.cluster.rack_sizes = {3, 3};
+  opt.cluster = cluster::scaled_spec(6, 3);
   opt.seed = seed;
   opt.fault_plan = faults::FaultPlan::parse(plan);
   return opt;
@@ -208,15 +208,13 @@ TEST(FaultRecovery, FaultedReportsAreStamped) {
 // new completions.
 void source_crash_mid_visit(bool rerun_at_crash) {
   sim::Engine eng;
-  cluster::ClusterSpec spec;
-  spec.num_slaves = 6;
-  spec.rack_sizes = {3, 3};
+  cluster::ClusterSpec spec = cluster::scaled_spec(6, 3);
   cluster::Topology topo(spec);
   std::vector<std::unique_ptr<cluster::Node>> nodes;
   std::vector<cluster::Node*> ptrs;
   for (int i = 0; i < 6; ++i) {
-    nodes.push_back(
-        std::make_unique<cluster::Node>(eng, cluster::NodeId(i), spec));
+    nodes.push_back(std::make_unique<cluster::Node>(
+        eng, cluster::NodeId(i), topo.hardware(cluster::NodeId(i))));
     ptrs.push_back(nodes.back().get());
   }
   cluster::Fabric fabric(eng, spec, topo, ptrs);

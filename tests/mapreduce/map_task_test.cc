@@ -6,18 +6,19 @@
 #include <optional>
 #include <vector>
 
+#include "cluster/cluster_spec.h"
+
 namespace mron::mapreduce {
 namespace {
 
 // A fresh 2-node world per scenario so tests can compare independent runs.
 struct World {
   World() {
-    spec.num_slaves = 2;
-    spec.rack_sizes = {1, 1};
+    spec = cluster::scaled_spec(2, 1);
     topo = std::make_unique<cluster::Topology>(spec);
     for (int i = 0; i < 2; ++i) {
-      nodes.push_back(
-          std::make_unique<cluster::Node>(eng, cluster::NodeId(i), spec));
+      nodes.push_back(std::make_unique<cluster::Node>(
+          eng, cluster::NodeId(i), topo->hardware(cluster::NodeId(i))));
     }
     std::vector<cluster::Node*> ptrs;
     for (auto& n : nodes) ptrs.push_back(n.get());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_spec.h"
 #include "mapreduce/simulation.h"
 
 namespace mron::mapreduce {
@@ -19,8 +20,7 @@ JobSpec small_job(Simulation& sim, int blocks, int reduces) {
 
 SimulationOptions small_cluster() {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 4;
-  opt.cluster.rack_sizes = {2, 2};
+  opt.cluster = cluster::scaled_spec(4, 2);
   opt.seed = 42;
   return opt;
 }

@@ -10,20 +10,20 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_spec.h"
 #include "obs/recorder.h"
 
 namespace mron::mapreduce {
 namespace {
 
 struct World {
-  /// `num_nodes` slaves in two racks (the second takes the odd node).
+  /// `num_nodes` (even) slaves in two racks.
   explicit World(int num_nodes = 4) {
-    spec.num_slaves = num_nodes;
-    spec.rack_sizes = {num_nodes / 2, num_nodes - num_nodes / 2};
+    spec = cluster::scaled_spec(num_nodes, num_nodes / 2);
     topo = std::make_unique<cluster::Topology>(spec);
     for (int i = 0; i < num_nodes; ++i) {
-      nodes.push_back(
-          std::make_unique<cluster::Node>(eng, cluster::NodeId(i), spec));
+      nodes.push_back(std::make_unique<cluster::Node>(
+          eng, cluster::NodeId(i), topo->hardware(cluster::NodeId(i))));
     }
     std::vector<cluster::Node*> ptrs;
     for (auto& n : nodes) ptrs.push_back(n.get());

@@ -8,6 +8,7 @@
 // delivery; every visit the real attempts begin must take the host and the
 // entries the model's ready FIFO and queues name, and every finished
 // attempt must end its shuffle on the model's last arrival.
+#include "cluster/cluster_spec.h"
 #include "mapreduce/shuffle_log.h"
 
 #include <gtest/gtest.h>
@@ -136,13 +137,12 @@ class Scenario {
  public:
   explicit Scenario(std::uint64_t seed) : rng_(seed), log_(kMaps, kReducers,
                                                             kNodes) {
-    spec_.num_slaves = kNodes;
-    spec_.rack_sizes = {kNodes / 2, kNodes / 2};
+    spec_ = cluster::scaled_spec(kNodes, kNodes / 2);
     topo_ = std::make_unique<cluster::Topology>(spec_);
     std::vector<cluster::Node*> ptrs;
     for (int i = 0; i < kNodes; ++i) {
-      nodes_.push_back(
-          std::make_unique<cluster::Node>(eng_, cluster::NodeId(i), spec_));
+      nodes_.push_back(std::make_unique<cluster::Node>(
+          eng_, cluster::NodeId(i), topo_->hardware(cluster::NodeId(i))));
       ptrs.push_back(nodes_.back().get());
     }
     fabric_ = std::make_unique<cluster::Fabric>(eng_, spec_, *topo_, ptrs);

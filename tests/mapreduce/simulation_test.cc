@@ -2,6 +2,7 @@
 // optional hot-spot / delay-scheduling toggles.
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_spec.h"
 #include "common/check.h"
 #include "mapreduce/simulation.h"
 
@@ -10,8 +11,7 @@ namespace {
 
 SimulationOptions small(std::uint64_t seed) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 4;
-  opt.cluster.rack_sizes = {2, 2};
+  opt.cluster = cluster::scaled_spec(4, 2);
   opt.seed = seed;
   return opt;
 }

@@ -7,6 +7,7 @@
 #include <set>
 #include <utility>
 
+#include "cluster/cluster_spec.h"
 #include "mapreduce/simulation.h"
 
 namespace mron::mapreduce {
@@ -14,8 +15,7 @@ namespace {
 
 SimulationOptions cluster_opts(std::uint64_t seed) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 6;
-  opt.cluster.rack_sizes = {3, 3};
+  opt.cluster = cluster::scaled_spec(6, 3);
   opt.seed = seed;
   return opt;
 }

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "cluster/cluster_spec.h"
 #include "faults/fault_plan.h"
 #include "mapreduce/simulation.h"
 #include "obs/recorder.h"
@@ -102,8 +103,7 @@ TEST(FlightRecorder, WaveCountersMatchARecountAtEveryFlush) {
   SimulationOptions sopt;
   sopt.seed = 34;
   sopt.observe = true;
-  sopt.cluster.num_slaves = 6;
-  sopt.cluster.rack_sizes = {3, 3};
+  sopt.cluster = cluster::scaled_spec(6, 3);
   // Node 1 dies in the first map wave and node 4 once every node runs
   // reducers, killing running maps and reducers; both come back later.
   sopt.fault_plan = faults::FaultPlan::parse(

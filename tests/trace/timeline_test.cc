@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "cluster/cluster_spec.h"
 #include "mapreduce/simulation.h"
 
 namespace mron::trace {
@@ -16,8 +17,7 @@ using mapreduce::SimulationOptions;
 
 JobResult run_small_job(std::uint64_t seed, bool inject_failure = false) {
   SimulationOptions opt;
-  opt.cluster.num_slaves = 4;
-  opt.cluster.rack_sizes = {2, 2};
+  opt.cluster = cluster::scaled_spec(4, 2);
   opt.seed = seed;
   Simulation sim(opt);
   JobSpec spec;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_spec.h"
 #include "mapreduce/simulation.h"
 
 namespace mron::tuner {
@@ -27,8 +28,7 @@ class ConfiguratorTest : public ::testing::Test {
 
   static SimulationOptions make_options() {
     SimulationOptions opt;
-    opt.cluster.num_slaves = 2;
-    opt.cluster.rack_sizes = {1, 1};
+    opt.cluster = cluster::scaled_spec(2, 1);
     return opt;
   }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "cluster/cluster_spec.h"
 #include "common/check.h"
 #include "workloads/benchmarks.h"
 
@@ -12,8 +13,7 @@ namespace {
 
 StaticPlanOptions small_cluster_options() {
   StaticPlanOptions opt;
-  opt.cluster.num_slaves = 4;
-  opt.cluster.rack_sizes = {2, 2};
+  opt.cluster = cluster::scaled_spec(4, 2);
   opt.slowstart_candidates = {0.05, 1.0};
   return opt;
 }

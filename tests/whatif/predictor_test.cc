@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "cluster/cluster_spec.h"
 #include "common/check.h"
 #include "mapreduce/simulation.h"
 #include "workloads/benchmarks.h"
@@ -83,7 +84,7 @@ TEST(Predictor, TracksSimulatorWithinFactorTwo) {
 TEST(Predictor, RejectsImpossibleContainers) {
   auto in = terasort_inputs(10);
   in.config.map_memory_mb = 3072;
-  in.cluster.container_memory = gibibytes(2);
+  in.cluster.groups.front().hardware.container_memory = gibibytes(2);
   EXPECT_THROW((void)predict(in), CheckError);
 }
 
@@ -92,7 +93,7 @@ TEST(Predictor, OversizedReduceContainerIsInfinitelyExpensive) {
   // reduce phase, scoring an impossible reduce container as free.
   auto in = terasort_inputs(10);
   in.config.reduce_memory_mb = 3072;
-  in.cluster.container_memory = gibibytes(2);
+  in.cluster.groups.front().hardware.container_memory = gibibytes(2);
   in.config.map_memory_mb = 1024;  // map side still fits
   const auto pred = predict(in);
   EXPECT_EQ(pred.reduce_slots_per_node, 0);
@@ -105,7 +106,7 @@ TEST(Predictor, ZeroReducesStillPredictsMapOnlyJobs) {
   auto in = terasort_inputs(10);
   in.num_reduces = 0;
   in.config.reduce_memory_mb = 3072;
-  in.cluster.container_memory = gibibytes(2);
+  in.cluster.groups.front().hardware.container_memory = gibibytes(2);
   in.config.map_memory_mb = 1024;
   const auto pred = predict(in);
   EXPECT_TRUE(std::isfinite(pred.total_secs));
@@ -148,8 +149,8 @@ TEST(CostBasedOptimizer, WinnerIdenticalAcrossJobs) {
 TEST(Predictor, AllOnesNodeSlowdownMatchesEmptyExactly) {
   auto in = terasort_inputs(20);
   const auto base = predict(in);
-  in.node_slowdown.assign(static_cast<std::size_t>(in.cluster.num_slaves),
-                          1.0);
+  in.node_slowdown.assign(
+      static_cast<std::size_t>(in.cluster.total_slaves()), 1.0);
   const auto same = predict(in);
   // The documented contract: an all-1.0 vector is byte-identical to the
   // homogeneous (empty) case.
@@ -165,8 +166,8 @@ TEST(Predictor, AllOnesNodeSlowdownMatchesEmptyExactly) {
 TEST(Predictor, SlowNodesLengthenTheJob) {
   auto in = terasort_inputs(20);
   const auto base = predict(in);
-  in.node_slowdown.assign(static_cast<std::size_t>(in.cluster.num_slaves),
-                          1.0);
+  in.node_slowdown.assign(
+      static_cast<std::size_t>(in.cluster.total_slaves()), 1.0);
   in.node_slowdown[0] = 3.0;  // one recovering host, three times slower
   const auto one_slow = predict(in);
   EXPECT_GT(one_slow.total_secs, base.total_secs);
@@ -181,6 +182,37 @@ TEST(Predictor, NodeSlowdownVectorMustMatchClusterSize) {
   auto in = terasort_inputs(20);
   in.node_slowdown = {1.0, 2.0};  // cluster has more slaves than this
   EXPECT_THROW((void)predict(in), CheckError);
+}
+
+TEST(Predictor, GroupedSpecPredictsFromFirstGroupAndTotalSlaves) {
+  // The model is single-point: a grouped cluster predicts as one group of
+  // the first group's hardware holding every slave.
+  auto grouped = terasort_inputs(20);
+  grouped.cluster = cluster::parse_cluster_spec(
+      "group racks=2 nodes=5 container_mem_gb=4 disk_mbps=120\n"
+      "group racks=1 nodes=3 container_mem_gb=7 disk_mbps=60");
+  auto flat = grouped;
+  flat.cluster = cluster::parse_cluster_spec(
+      "group racks=1 nodes=13 container_mem_gb=4 disk_mbps=120");
+  const auto a = predict(grouped);
+  const auto b = predict(flat);
+  EXPECT_EQ(a.map_slots_per_node, 4);  // 4 GB / 1 GB, the first group's
+  EXPECT_EQ(a.map_slots_per_node, b.map_slots_per_node);
+  EXPECT_EQ(a.reduce_slots_per_node, b.reduce_slots_per_node);
+  EXPECT_EQ(a.map_waves, b.map_waves);
+  EXPECT_EQ(a.reduce_waves, b.reduce_waves);
+  EXPECT_DOUBLE_EQ(a.map_task_secs, b.map_task_secs);
+  EXPECT_DOUBLE_EQ(a.reduce_task_secs, b.reduce_task_secs);
+  EXPECT_DOUBLE_EQ(a.map_phase_secs, b.map_phase_secs);
+  EXPECT_DOUBLE_EQ(a.reduce_phase_secs, b.reduce_phase_secs);
+  EXPECT_DOUBLE_EQ(a.total_secs, b.total_secs);
+  EXPECT_EQ(a.map_spill_records, b.map_spill_records);
+  EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
+
+  grouped.node_slowdown.assign(13, 1.0);  // one factor per slave
+  EXPECT_DOUBLE_EQ(predict(grouped).total_secs, a.total_secs);
+  grouped.node_slowdown.assign(10, 1.0);  // only the first group's slaves
+  EXPECT_THROW((void)predict(grouped), CheckError);
 }
 
 TEST(CostBasedOptimizer, SingleChainWinnerIdenticalAcrossRepeats) {

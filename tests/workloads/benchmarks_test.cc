@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_spec.h"
+
 namespace mron::workloads {
 namespace {
 
@@ -80,8 +82,7 @@ TEST(Profiles, JobTypesReflectCpuIntensity) {
 
 TEST(MakeJob, BuildsPaperSizedJobs) {
   mapreduce::SimulationOptions opt;
-  opt.cluster.num_slaves = 4;
-  opt.cluster.rack_sizes = {2, 2};
+  opt.cluster = cluster::scaled_spec(4, 2);
   mapreduce::Simulation sim(opt);
   const auto spec = make_job(sim, Benchmark::WordCount, Corpus::Wikipedia);
   EXPECT_EQ(sim.dfs().dataset(spec.input).blocks.size(), 676u);
@@ -90,8 +91,7 @@ TEST(MakeJob, BuildsPaperSizedJobs) {
 
 TEST(MakeTerasort, ReducersQuarterOfMaps) {
   mapreduce::SimulationOptions opt;
-  opt.cluster.num_slaves = 4;
-  opt.cluster.rack_sizes = {2, 2};
+  opt.cluster = cluster::scaled_spec(4, 2);
   mapreduce::Simulation sim(opt);
   const auto spec = make_terasort(sim, gibibytes(2));
   EXPECT_EQ(sim.dfs().dataset(spec.input).blocks.size(), 16u);

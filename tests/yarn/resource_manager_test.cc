@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/cluster_spec.h"
 #include "common/check.h"
 #include "obs/recorder.h"
 
@@ -17,13 +18,11 @@ class RmTest : public ::testing::Test {
 
   void make_rm(std::unique_ptr<SchedulingPolicy> policy) {
     rm.reset();  // the RM observes its nodes: destroy it before them
-    spec.num_slaves = 4;
-    spec.rack_sizes = {2, 2};
-    topo = std::make_unique<cluster::Topology>(spec);
+    topo = std::make_unique<cluster::Topology>(cluster::scaled_spec(4, 2));
     nodes.clear();
     for (int i = 0; i < 4; ++i) {
       nodes.push_back(std::make_unique<cluster::Node>(
-          eng, cluster::NodeId(i), spec));
+          eng, cluster::NodeId(i), topo->hardware(cluster::NodeId(i))));
     }
     std::vector<cluster::Node*> ptrs;
     for (auto& n : nodes) ptrs.push_back(n.get());
@@ -32,7 +31,6 @@ class RmTest : public ::testing::Test {
   }
 
   sim::Engine eng;
-  cluster::ClusterSpec spec;
   std::unique_ptr<cluster::Topology> topo;
   std::vector<std::unique_ptr<cluster::Node>> nodes;
   std::unique_ptr<ResourceManager> rm;
@@ -194,15 +192,12 @@ double probes_for_one_pass(int unplaceable, bool& granted) {
   sim::Engine eng;
   obs::Recorder rec;
   eng.set_recorder(&rec);
-  cluster::ClusterSpec spec;
-  spec.num_slaves = 4;
-  spec.rack_sizes = {2, 2};
-  const cluster::Topology topo(spec);
+  const cluster::Topology topo(cluster::scaled_spec(4, 2));
   std::vector<std::unique_ptr<cluster::Node>> nodes;
   std::vector<cluster::Node*> ptrs;
   for (int i = 0; i < 4; ++i) {
-    nodes.push_back(
-        std::make_unique<cluster::Node>(eng, cluster::NodeId(i), spec));
+    nodes.push_back(std::make_unique<cluster::Node>(
+        eng, cluster::NodeId(i), topo.hardware(cluster::NodeId(i))));
     ptrs.push_back(nodes.back().get());
   }
   granted = false;
